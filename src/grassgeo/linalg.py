@@ -5,6 +5,11 @@ All higher modules work with square complex matrices represented as
 kernels: operator norm, Hermitian eigendecomposition, functional calculus,
 polar decomposition, matrix exponential and the principal logarithms on
 their natural domains.  Everything is a pure function of its arguments.
+
+Only :func:`log_unitary` and the non-normal branch of :func:`expm` need
+scipy; they import ``scipy.linalg`` on first use, so that code which never
+reaches them (the closed-form metrics, charts and Moebius maps, and the CLI
+commands built on them) starts without loading scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BranchCut,
@@ -91,11 +95,6 @@ def op_norm(a) -> float:
     """Operator (spectral) norm: the largest singular value."""
     a = as_matrix(a)
     return float(np.linalg.norm(a, 2))
-
-
-def op_norm_herm(a: np.ndarray) -> float:
-    """Operator norm of a Hermitian matrix via its spectrum."""
-    return float(np.abs(np.linalg.eigvalsh(a)).max())
 
 
 def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL) -> HermitianEig:
@@ -179,6 +178,8 @@ def expm(a) -> np.ndarray:
         # a = i h with h Hermitian; exp(a) is unitary
         w, v = np.linalg.eigh(herm(-1j * a))
         return (v * np.exp(1j * w)) @ v.conj().T
+    import scipy.linalg
+
     return scipy.linalg.expm(a)
 
 
@@ -200,6 +201,8 @@ def log_unitary(u, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     n = u.shape[0]
     if np.abs(u.conj().T @ u - np.eye(n)).max() > tol.eq_tol:
         raise InvalidInput("matrix is not unitary within eq_tol")
+    import scipy.linalg
+
     t, q = scipy.linalg.schur(u, output="complex")
     lam = np.diag(t).copy()
     # a unitary matrix is normal, so the Schur form is diagonal up to rounding

@@ -173,7 +173,7 @@ def classify(a, p: Projection, tol: Tolerance = DEFAULT_TOL) -> ProjectivePoint:
     The representative is the polar-part partial isometry ``a |a|^(-1)`` with
     the inverse taken in the corner ``pAp``; the range projection is attached
     as the complete invariant of the class.  An element that is already a
-    partial isometry is returned unchanged.
+    partial isometry (``a*a = p`` within ``eq_tol / n``) is returned unchanged.
 
     Raises
     ------
@@ -186,7 +186,9 @@ def classify(a, p: Projection, tol: Tolerance = DEFAULT_TOL) -> ProjectivePoint:
     if p.rank == 0:
         zero = np.zeros_like(p.mat)
         return ProjectivePoint(PartialIsometry(zero, p, tol), Projection(zero, tol), tol)
-    if np.abs(a.conj().T @ a - p.mat).max() <= tol.eq_tol:
+    # the trace of the range projection ``a a*`` sums up to n entry errors
+    # of a*a - p, and must still pass Projection's eq_tol check
+    if a.shape[0] * np.abs(a.conj().T @ a - p.mat).max() <= tol.eq_tol:
         rep = a
     else:
         b = p.range_basis

@@ -1,8 +1,14 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import grassgeo
 from grassgeo import cli
 from grassgeo import disk as dk
 from grassgeo import moebius as mo
@@ -304,3 +310,66 @@ class TestRandomCommand:
         assert len(lines) == 501
         final_len = float(lines[-1].split(",")[1])
         assert final_len == pytest.approx(value, abs=1e-3)
+
+
+# Runs in a fresh interpreter: the short commands must not load scipy, and
+# the kernel named by the second argument must load it on first use.
+_SCIPY_FREE_RUN = """
+import contextlib, io, json, sys
+import numpy as np
+import grassgeo, grassgeo.cli
+from grassgeo import grassmann, linalg, projective
+
+def scipy_loaded():
+    return any(m.split(".")[0] == "scipy" for m in sys.modules)
+
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = grassgeo.cli.main(argv)
+    assert code == 0, (argv, code)
+    assert not scipy_loaded(), argv
+
+if sys.argv[2] == "geodesic_log":
+    p = projective.random_projection(4, 2, 1)
+    q = projective.random_projection(4, 2, 2)
+    z = grassmann.geodesic_log(p, q)
+    assert np.abs(grassmann.geodesic(p, z, 1.0).mat - q.mat).max() < 1e-9
+else:
+    a = np.array([[1.0, 2.0], [0.0, 1.0]])  # 1 + nilpotent, so exp(a) = e a
+    assert np.abs(linalg.expm(a) - np.e * a).max() < 1e-12
+assert "scipy.linalg" in sys.modules
+"""
+
+
+class TestScipyOnDemand:
+    @pytest.mark.parametrize("kernel", ["geodesic_log", "expm"])
+    def test_short_commands_start_without_scipy(self, hyperbolic_files, tmp_path, kernel):
+        base, hyp = hyperbolic_files
+        p = plane_projection()
+        ctx = write_projection(tmp_path / "p.json", p)
+        swap = write_matrix(tmp_path / "g.json", np.array([[0.0, 1.0], [1.0, 0.0]]))
+        b = write_matrix(tmp_path / "b.json", np.array([[0.0, 0.0], [2.0, 0.0]]))
+        argvs = [["dist", "--metric", metric, base, hyp]
+                 for metric in ("chordal", "spherical", "dk", "dpc", "en", "dplus")]
+        argvs += [["chart", "--context", ctx, b],
+                  ["chart", "--context", ctx, "--inverse", hyp],
+                  ["moebius", "--context", ctx, swap, b],
+                  ["disk-dist", base, hyp]]
+        src = str(Path(grassgeo.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_FREE_RUN, json.dumps(argvs), kernel],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_no_module_imports_scipy_at_top_level(self):
+        for path in Path(grassgeo.__file__).parent.glob("*.py"):
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert not any(n.split(".")[0] == "scipy" for n in names), path.name

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grassgeo import disk as dk
 from grassgeo import grassmann as gr
 from grassgeo import linalg as la
 from grassgeo import moebius as mo
 from grassgeo import projective as pj
+from grassgeo import verify
 from grassgeo.errors import InvalidInput, NotEpsUnitary, NotInDisk
 
 from conftest import random_hermitian
@@ -445,3 +448,38 @@ class TestDiskMembership:
         for seed in range(10):
             m = dk.cone_to_disk(dk.random_pos_eps_unitary(p, 2.0, seed))
             assert dk.in_disk(m.point)
+
+
+class TestSmallCornerNorm:
+    """Cone elements close to the identity, where ``a = sqrt(lam) p`` already
+    satisfies ``a*a = p`` within eq_tol and classify keeps it as the
+    representative."""
+
+    def test_replay_seed5_double_en(self):
+        cfg = verify.RunConfig(seed=5)
+        _, p, m, nn = verify._disk_pair(cfg, "double-en", 3, 280, cfg.tol)
+        assert m.point.range.rank == p.rank == 2
+        assert abs(2 * dk.d_non_euclidean(m, nn) - dk.d_cone(m, nn)) <= 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        rank_frac=st.floats(0.0, 1.0, exclude_max=True),
+        proj_seed=st.integers(0, 2**62),
+        seed=st.integers(0, 2**62),
+        log_norm=st.floats(-6.0, -3.0),
+    )
+    # the corner of the seed-5 instance above: its norm 5.26e-5 put the
+    # trace of the range projection 1.38e-9 off an integer
+    @example(n=3, rank_frac=0.5, proj_seed=4005973738698113027,
+             seed=2679882285117528164, log_norm=np.log10(5.261770306297375e-05))
+    def test_cone_to_disk(self, n, rank_frac, proj_seed, seed, log_norm):
+        rank = 1 + int(rank_frac * (n - 1))
+        p = pj.random_projection(n, rank, proj_seed)
+        rng = np.random.default_rng(seed)
+        rng.uniform()  # the magnitude draw of random_pos_eps_unitary
+        x = mo.random_hp_vector(p, rng, norm=10.0 ** log_norm)
+        lam = dk.PositiveEpsUnitary.from_xparam(x)
+        m = dk.cone_to_disk(lam)
+        assert m.point.range.rank == rank
+        assert np.abs(dk.disk_to_cone(m).mat - lam.mat).max() <= 1e-8
