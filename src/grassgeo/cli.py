@@ -205,21 +205,17 @@ def _table_text(args, rows, mats, header_extra: dict) -> str:
         for i in range(n):
             for j in range(n):
                 cols += [f"re_{i}_{j}", f"im_{i}_{j}"]
+        row = ",".join(["%.12g", "%.12g"] + ["%.17g"] * (2 * n * n))
+        flat = np.ascontiguousarray(mats, dtype=complex).reshape(len(mats), -1).view(float)
         lines = [",".join(cols)]
-        for (t, cum), mat in zip(rows, mats):
-            vals = [f"{t:.12g}", f"{cum:.12g}"]
-            for z in mat.ravel():
-                vals += [f"{z.real:.17g}", f"{z.imag:.17g}"]
-            lines.append(",".join(vals))
+        lines += [row % (t, cum, *vals) for (t, cum), vals in zip(rows, flat.tolist())]
         return "\n".join(lines) + "\n"
     payload = dict(header_extra)
     payload["rows"] = [
         {"t": t, "cumulative_length": cum, "matrix": se.matrix_to_obj(mat)}
         for (t, cum), mat in zip(rows, mats)
     ]
-    import json
-
-    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    return se.dumps(payload)
 
 
 def _cumulative_chordal(mats: np.ndarray) -> np.ndarray:
@@ -229,8 +225,7 @@ def _cumulative_chordal(mats: np.ndarray) -> np.ndarray:
 
 
 def _cumulative_cone(mats: np.ndarray) -> np.ndarray:
-    steps = [dk.cone_polyline_length(mats[i:i + 2]) for i in range(len(mats) - 1)]
-    return np.concatenate([[0.0], np.cumsum(steps)])
+    return np.concatenate([[0.0], np.cumsum(dk.cone_polyline_steps(mats))])
 
 
 def _cmd_verify(args) -> int:
@@ -312,14 +307,11 @@ def _cmd_moebius(args) -> int:
     p = se.projection_from_obj(se.load_obj(args.context), tol)
     g = mo.MoebiusMap(se.matrix_from_obj(se.load_obj(args.matrix)), p, tol)
     b = mo.HpVector(se.matrix_from_obj(se.load_obj(args.argument)), p, tol)
-    import json
-
     if not mo.moebius_domain(g, b, tol):
-        _write(args, json.dumps({"in_domain": False, "result": None}, sort_keys=True) + "\n")
+        _write(args, '{"in_domain": false, "result": null}\n')
         return 6
     out = mo.moebius_apply(g, b, tol)
-    payload = {"in_domain": True, "result": se.matrix_to_obj(out.mat)}
-    _write(args, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    _write(args, se.dumps({"in_domain": True, "result": se.matrix_to_obj(out.mat)}))
     return 0
 
 
@@ -327,16 +319,14 @@ def _cmd_chart(args) -> int:
     tol = _tol(args)
     p = se.projection_from_obj(se.load_obj(args.context), tol)
     obj = se.load_obj(args.input)
-    import json
-
     if args.inverse:
         point = se.point_from_obj(obj, p, tol)
         x = mo.chart_inv(point, tol)
-        _write(args, json.dumps(se.matrix_to_obj(x.mat), indent=1, sort_keys=True) + "\n")
+        _write(args, se.dumps(se.matrix_to_obj(x.mat)))
     else:
         x = mo.HpVector(se.matrix_from_obj(obj), p, tol)
         point = mo.chart(x, tol)
-        _write(args, json.dumps(se.point_to_obj(point), indent=1, sort_keys=True) + "\n")
+        _write(args, se.dumps(se.point_to_obj(point)))
     return 0
 
 
@@ -353,10 +343,7 @@ def _cmd_disk_dist(args) -> int:
     if args.format == "csv":
         text = "metric,value\n" + "".join(f"{k},{_fmt(v)}\n" for k, v in values.items())
     else:
-        import json
-
-        text = json.dumps({k: float(_fmt(v)) for k, v in values.items()},
-                          indent=1, sort_keys=True) + "\n"
+        text = se.dumps({k: float(_fmt(v)) for k, v in values.items()})
     _write(args, text)
     return 0
 
@@ -389,8 +376,6 @@ def _cmd_random(args) -> int:
     n = args.dim
     rank = args.rank if args.rank is not None else max(1, n // 2)
     rng = np.random.default_rng(seed)
-    import json
-
     from . import linalg as la
 
     def context_projection():
@@ -421,7 +406,7 @@ def _cmd_random(args) -> int:
             lam = dk.random_pos_eps_unitary(p, args.scale, seed + 1, tol)
             obj = {"kind": "pos_eps_unitary", "matrix": se.matrix_to_obj(lam.mat),
                    "context": ctx}
-    _write(args, json.dumps(obj, indent=1, sort_keys=True) + "\n")
+    _write(args, se.dumps(obj))
     return 0
 
 

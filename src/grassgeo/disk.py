@@ -47,6 +47,7 @@ __all__ = [
     "d_cone",
     "eps_geodesic",
     "eps_geodesic_samples",
+    "cone_polyline_steps",
     "cone_polyline_length",
     "cone_perturbed_path",
     "eps_action",
@@ -325,8 +326,8 @@ def eps_geodesic_samples(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
     return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
-def cone_polyline_length(lams: np.ndarray) -> float:
-    """Sum of cone distances between consecutive positive matrices."""
+def cone_polyline_steps(lams: np.ndarray) -> np.ndarray:
+    """Cone distances between consecutive positive matrices of a stack."""
     lams = np.asarray(lams, dtype=complex)
     w, v = np.linalg.eigh((lams + lams.conj().swapaxes(-1, -2)) / 2)
     if w.min() <= 0.0:
@@ -334,7 +335,12 @@ def cone_polyline_length(lams: np.ndarray) -> float:
     inv_sqrt = (v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     mid = inv_sqrt[1:] @ lams[:-1] @ inv_sqrt[1:]
     ev = np.linalg.eigvalsh((mid + mid.conj().swapaxes(-1, -2)) / 2)
-    return float(np.abs(np.log(ev)).max(axis=-1).sum())
+    return np.abs(np.log(ev)).max(axis=-1)
+
+
+def cone_polyline_length(lams: np.ndarray) -> float:
+    """Sum of cone distances between consecutive positive matrices."""
+    return float(cone_polyline_steps(lams).sum())
 
 
 def cone_perturbed_path(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,

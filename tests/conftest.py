@@ -1,4 +1,6 @@
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,11 @@ import pytest
 from grassgeo import linalg as la
 from grassgeo import projective as pj
 from grassgeo import serialize as se
+
+# The tests import the package from src/ (pyproject.toml's pythonpath); CLI
+# subprocesses started by the tests import it from there too.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

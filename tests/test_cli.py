@@ -176,6 +176,96 @@ class TestDiskCommands:
         assert cli.main(["disk-dist", f1, f2]) == 5
 
 
+def _old_matrix_obj(mat):
+    return {"rows": mat.shape[0], "cols": mat.shape[1],
+            "data": [[float(z.real), float(z.imag)] for z in mat.ravel()]}
+
+
+def _old_table_json(header, rows, mats):
+    payload = dict(header)
+    payload["rows"] = [{"t": t, "cumulative_length": cum, "matrix": _old_matrix_obj(mat)}
+                       for (t, cum), mat in zip(rows, mats)]
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
+def _old_table_csv(rows, mats):
+    n = mats.shape[-1]
+    cols = ["t", "cumulative_length"]
+    cols += [f"{part}_{i}_{j}" for i in range(n) for j in range(n) for part in ("re", "im")]
+    lines = [",".join(cols)]
+    for (t, cum), mat in zip(rows, mats):
+        vals = [f"{t:.12g}", f"{cum:.12g}"]
+        for z in mat.ravel():
+            vals += [f"{z.real:.17g}", f"{z.imag:.17g}"]
+        lines.append(",".join(vals))
+    return "\n".join(lines) + "\n"
+
+
+def _old_cumulative_cone(mats):
+    steps = [dk.cone_polyline_length(mats[i:i + 2]) for i in range(len(mats) - 1)]
+    return np.concatenate([[0.0], np.cumsum(steps)])
+
+
+class TestGoldenOutput:
+    """Tables and files equal what per-entry encoding with ``json`` writes."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("space, files", [("grassmann", "rotation_files"),
+                                              ("cone", "hyperbolic_files")])
+    def test_geodesic_table(self, space, files, fmt, request, capsys):
+        first, second = request.getfixturevalue(files)
+        argv = ["geodesic", "--space", space, "--samples", "7", "--format", fmt, first, second]
+        rows, mats, closed = cli._geodesic_table(cli.build_parser().parse_args(argv), space)
+        if space == "cone":
+            rows = list(zip([t for t, _ in rows], _old_cumulative_cone(mats).tolist()))
+        if fmt == "json":
+            want = _old_table_json({"space": space, "closed_form_distance": closed}, rows, mats)
+        else:
+            want = _old_table_csv(rows, mats)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == want
+
+    def test_disk_geodesic_table(self, hyperbolic_files, capsys):
+        base, hyp = hyperbolic_files
+        m, n = se.point_from_obj(se.load_obj(base)), se.point_from_obj(se.load_obj(hyp))
+        start, end = dk.disk_to_cone(m), dk.disk_to_cone(n)
+        ts = np.linspace(0.0, 1.0, 6)
+        lams = dk.eps_geodesic_samples(end, start, ts)
+        p = m.context
+        points = np.stack([
+            pj.classify(dk.PositiveEpsUnitary(lam, p).sqrt @ p.mat, p).range.mat
+            for lam in lams])
+        rows = list(zip(ts.tolist(), _old_cumulative_cone(lams).tolist()))
+        want = _old_table_json({"space": "disk", "closed_form_distance": dk.d_cone(start, end)},
+                               rows, points)
+        assert cli.main(["disk-geodesic", "--samples", "6", base, hyp]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_save_obj_bytes(self, rotation_files):
+        base, moved = rotation_pair(np.pi / 6)
+        for path, point in zip(rotation_files, (base, moved)):
+            obj = {"kind": "point", "rep": _old_matrix_obj(point.rep.mat),
+                   "context": _old_matrix_obj(point.context.mat)}
+            want = json.dumps(obj, indent=1, sort_keys=True) + "\n"
+            assert Path(path).read_text(encoding="utf-8") == want
+
+    def test_short_command_layout(self, hyperbolic_files, tmp_path, capsys):
+        base, hyp = hyperbolic_files
+        ctx = write_projection(tmp_path / "p.json", plane_projection())
+        swap = write_matrix(tmp_path / "g.json", np.array([[0.0, 1.0], [1.0, 0.0]]))
+        b = write_matrix(tmp_path / "b.json", np.array([[0.0, 0.0], [2.0, 0.0]]))
+        zero = write_matrix(tmp_path / "z.json", np.zeros((2, 2)))
+        for argv in (["chart", "--context", ctx, b], ["chart", "--context", ctx, "--inverse", hyp],
+                     ["moebius", "--context", ctx, swap, b], ["disk-dist", base, hyp],
+                     ["random", "--kind", "pos-eps-unitary", "--dim", "3"]):
+            assert cli.main(argv) == 0
+            out = capsys.readouterr().out
+            assert out == json.dumps(json.loads(out), indent=1, sort_keys=True) + "\n", argv
+        assert cli.main(["moebius", "--context", ctx, swap, zero]) == 6
+        want = json.dumps({"in_domain": False, "result": None}, sort_keys=True) + "\n"
+        assert capsys.readouterr().out == want
+
+
 class TestMoebiusAndChart:
     def test_moebius_apply(self, tmp_path, capsys):
         p = plane_projection()
