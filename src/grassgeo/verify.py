@@ -5,7 +5,12 @@ constructions on seeded random instances across the configured dimensions.
 Each property reports the maximum residual seen; a property passes when
 that residual stays below its tolerance.  All randomness is derived from
 the single configuration seed through a counter-based splitter keyed by
-(property, dimension, trial), so reports are reproducible byte for byte.
+(stream, dimension, trial), where each property has a fixed stream key, so
+reports are reproducible byte for byte.
+
+One driver runs the trials of every property.  Adding a property takes one
+instance function, which draws one instance from the generator it is given
+and returns that instance's residual, and one row in ``REGISTRY``.
 """
 
 from __future__ import annotations
@@ -87,8 +92,8 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def _rng(cfg: RunConfig, prop: str, dim: int, trial: int) -> np.random.Generator:
-    key = zlib.crc32(prop.encode())
+def _rng(cfg: RunConfig, stream: str, dim: int, trial: int) -> np.random.Generator:
+    key = zlib.crc32(stream.encode())
     return np.random.default_rng(np.random.SeedSequence((cfg.seed, key, dim, trial)))
 
 
@@ -129,305 +134,208 @@ def _corner_invertible(p: pj.Projection, rng: np.random.Generator) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# property runners; each returns the maximum residual observed
+# property instances; each draws one instance from ``rng`` and returns its
+# residual
 # ---------------------------------------------------------------------------
 
 
-def _run_func_calc_spectrum(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        rng = _rng(cfg, "func-calc", n, i)
-        a = la.herm(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        w, _ = la.hermitian_eig(a, tol)
-        fa = la.func_calc(np.cos, a, tol)
-        fw, _ = la.hermitian_eig(fa, tol)
-        worst = max(worst, float(np.abs(np.sort(np.cos(w)) - fw).max()))
-    return worst
-
-
-def _run_polar_residual(cfg: RunConfig, trials: int) -> float:
+def _worst(residuals) -> float:
+    """The largest of 0.0 and ``residuals``; a NaN wins, where ``max`` would drop it."""
     worst = 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        rng = _rng(cfg, "polar", n, i)
-        a = la.random_invertible(n, rng, 0.3, 3.0)
-        u, pos = la.polar(a)
-        res = la.op_norm(a - u @ pos) / (1.0 + la.op_norm(a))
-        res = max(res, la.op_norm(u.conj().T @ u - np.eye(n)))
-        worst = max(worst, res)
+    for r in residuals:
+        if r > worst or r != r:
+            worst = r
     return worst
 
 
-def _run_log_exp_roundtrip(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        rng = _rng(cfg, "unitary-log", n, i)
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        z = g - g.conj().T
-        z *= rng.uniform(0.05, np.pi - 0.1) / np.linalg.norm(z, 2)
-        back = la.log_unitary(la.expm(z), tol)
-        worst = max(worst, float(np.abs(back - z).max()))
-    return worst
+def _func_calc_spectrum(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    a = la.herm(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    w, _ = la.hermitian_eig(a, tol)
+    fa = la.func_calc(np.cos, a, tol)
+    fw, _ = la.hermitian_eig(fa, tol)
+    return float(np.abs(np.sort(np.cos(w)) - fw).max())
 
 
-def _run_op_norm_laws(cfg: RunConfig, trials: int) -> float:
-    worst = 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        rng = _rng(cfg, "op-norm", n, i)
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        u, v = la.random_unitary(n, rng), la.random_unitary(n, rng)
-        worst = max(worst, la.op_norm(a @ b) - la.op_norm(a) * la.op_norm(b))
-        worst = max(worst, abs(la.op_norm(u @ a @ v) - la.op_norm(a)))
-    return worst
+def _polar_residual(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    a = la.random_invertible(n, rng, 0.3, 3.0)
+    u, pos = la.polar(a)
+    return _worst((la.op_norm(a - u @ pos) / (1.0 + la.op_norm(a)),
+                   la.op_norm(u.conj().T @ u - np.eye(n))))
 
 
-def _run_class_map_well_defined(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        rng = _rng(cfg, "class-map", n, i)
-        p = _rand_proj(n, rng, tol)
-        g = la.random_invertible(n, rng)
-        h = _corner_invertible(p, rng)
-        lhs = pj.classify(g @ p.mat @ h, p, tol)
-        rhs = pj.classify(g @ p.mat, p, tol)
-        worst = max(worst, la.op_norm(lhs.range.mat - rhs.range.mat))
-    return worst
+def _log_exp_roundtrip(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    z = g - g.conj().T
+    z *= rng.uniform(0.05, np.pi - 0.1) / np.linalg.norm(z, 2)
+    back = la.log_unitary(la.expm(z), tol)
+    return float(np.abs(back - z).max())
 
 
-def _run_classify_idempotent(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        rng = _rng(cfg, "classify-idempotent", n, i)
-        p = _rand_proj(n, rng, tol)
-        v = _rand_point(p, rng, tol).rep.mat
-        again = pj.classify(v, p, tol).rep.mat
-        worst = max(worst, float(np.abs(again - v).max()))
-    return worst
+def _op_norm_laws(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    u, v = la.random_unitary(n, rng), la.random_unitary(n, rng)
+    return _worst((la.op_norm(a @ b) - la.op_norm(a) * la.op_norm(b),
+                   abs(la.op_norm(u @ a @ v) - la.op_norm(a))))
 
 
-def _run_rank_preserved(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        rng = _rng(cfg, "rank-preserved", n, i)
-        p = _rand_proj(n, rng, tol)
-        m = _rand_point(p, rng, tol)
-        worst = max(worst, abs(float(np.trace(m.range.mat).real) - p.rank))
-        worst = max(worst, 0.0 if m.range.rank == p.rank else 1.0)
-    return worst
+def _class_map_well_defined(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    p = _rand_proj(n, rng, tol)
+    g = la.random_invertible(n, rng)
+    h = _corner_invertible(p, rng)
+    lhs = pj.classify(g @ p.mat @ h, p, tol)
+    rhs = pj.classify(g @ p.mat, p, tol)
+    return la.op_norm(lhs.range.mat - rhs.range.mat)
 
 
-def _run_unitary_extension(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        rng = _rng(cfg, "unitary-extension", n, i)
-        p = _rand_proj(n, rng, tol)
-        g = la.random_invertible(n, rng)
-        v = pj.unitary_extension(g, p, tol)
-        worst = max(worst, la.op_norm(v.conj().T @ v - np.eye(n)))
-        lhs = pj.classify(v @ p.mat, p, tol)
-        rhs = pj.classify(g @ p.mat, p, tol)
-        worst = max(worst, la.op_norm(lhs.range.mat - rhs.range.mat))
-    return worst
+def _classify_idempotent(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    p = _rand_proj(n, rng, tol)
+    v = _rand_point(p, rng, tol).rep.mat
+    again = pj.classify(v, p, tol).rep.mat
+    return float(np.abs(again - v).max())
 
 
-def _run_sin_identity(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for n in cfg.dims:
-        for i in range(trials):
-            rng = _rng(cfg, "sin-identity", n, i)
-            p = _rand_proj(n, rng, tol)
-            m = _rand_point_unitary(p, rng, tol)
-            theta = np.arcsin(0.95) * rng.uniform(1e-3, 1.0)
-            nn = _point_at_angle(m, theta, rng, tol)
-            dc = gr.d_chordal(m, nn, tol)
-            dr = gr.d_spherical(m, nn, tol)
-            worst = max(worst, abs(dc - np.sin(dr)))
-    return worst
+def _rank_preserved(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    p = _rand_proj(n, rng, tol)
+    m = _rand_point(p, rng, tol)
+    return _worst((abs(float(np.trace(m.range.mat).real) - p.rank),
+                   0.0 if m.range.rank == p.rank else 1.0))
 
 
-def _run_geodesic_roundtrip(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for n in cfg.dims:
-        for i in range(trials):
-            rng = _rng(cfg, "geodesic-roundtrip", n, i)
-            p = _rand_proj(n, rng, tol)
-            z = gr.random_tangent(p, rng, rng.uniform(1e-3, np.pi / 2 - 0.05))
-            q = gr.geodesic(p, z, 1.0, tol)
-            back = gr.geodesic_log(p, q, tol)
-            worst = max(worst, float(np.abs(back.mat - z.mat).max()))
-            q2 = gr.geodesic(p, back, 1.0, tol)
-            worst = max(worst, float(np.abs(q2.mat - q.mat).max()))
-    return worst
+def _unitary_extension(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    p = _rand_proj(n, rng, tol)
+    g = la.random_invertible(n, rng)
+    v = pj.unitary_extension(g, p, tol)
+    lhs = pj.classify(v @ p.mat, p, tol)
+    rhs = pj.classify(g @ p.mat, p, tol)
+    return _worst((la.op_norm(v.conj().T @ v - np.eye(n)),
+                   la.op_norm(lhs.range.mat - rhs.range.mat)))
 
 
-def _minimality_instances(cfg: RunConfig, trials: int, paths: int):
-    tol = cfg.tol
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        rng = _rng(cfg, "minimality", n, i)
-        p = _rand_proj(n, rng, tol)
-        z = gr.random_tangent(p, rng, rng.uniform(0.2, np.pi / 2 - 0.05))
-        ws = [gr.random_tangent(p, rng, rng.uniform(0.05, 0.5)) for _ in range(paths)]
-        yield p, z, ws
+def _sin_identity(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    p = _rand_proj(n, rng, tol)
+    m = _rand_point_unitary(p, rng, tol)
+    theta = np.arcsin(0.95) * rng.uniform(1e-3, 1.0)
+    nn = _point_at_angle(m, theta, rng, tol)
+    return abs(gr.d_chordal(m, nn, tol) - np.sin(gr.d_spherical(m, nn, tol)))
 
 
-def _run_geodesic_arc_length(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for p, z, _ in _minimality_instances(cfg, trials, 0):
-        curve = gr.geodesic_curve(p, z, 2000, tol)
-        length = gr.curve_length(curve, tol)
-        q = gr.geodesic(p, z, 1.0, tol)
-        arc = np.arcsin(min(1.0, la.op_norm(p.mat - q.mat)))
-        worst = max(worst, abs(length - arc))
-    return worst
+def _geodesic_roundtrip(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    p = _rand_proj(n, rng, tol)
+    z = gr.random_tangent(p, rng, rng.uniform(1e-3, np.pi / 2 - 0.05))
+    q = gr.geodesic(p, z, 1.0, tol)
+    back = gr.geodesic_log(p, q, tol)
+    q2 = gr.geodesic(p, back, 1.0, tol)
+    return _worst((float(np.abs(back.mat - z.mat).max()),
+                   float(np.abs(q2.mat - q.mat).max())))
 
 
-def _run_geodesic_minimality(cfg: RunConfig, trials: int) -> float:
-    worst = 0.0
-    for p, z, ws in _minimality_instances(cfg, trials, 20):
-        geo_len, pert = gr.tangent_path_lengths(p, z, ws, 2000)
-        worst = max(worst, float(np.max(geo_len - pert, initial=0.0)))
-    return worst
+def _minimality_instance(n: int, rng: np.random.Generator, tol: Tolerance, paths: int):
+    """Base projection, geodesic tangent and ``paths`` perturbation tangents."""
+    p = _rand_proj(n, rng, tol)
+    z = gr.random_tangent(p, rng, rng.uniform(0.2, np.pi / 2 - 0.05))
+    ws = [gr.random_tangent(p, rng, rng.uniform(0.05, 0.5)) for _ in range(paths)]
+    return p, z, ws
 
 
-def _run_sin_triangle(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        rng = _rng(cfg, "sin-triangle", n, i)
-        r = _rand_proj(n, rng, tol)
-        t1 = rng.uniform(0.05, np.pi / 4 - 0.05)
-        t2 = rng.uniform(0.05, np.pi / 4 - 0.05)
-        s = gr.geodesic(r, gr.random_tangent(r, rng, t1), 1.0, tol)
-        w = gr.geodesic(s, gr.random_tangent(s, rng, t2), 1.0, tol)
-        lhs = la.op_norm(r.mat - w.mat)
-        worst = max(worst, lhs - np.sin(t1 + t2))
-    return worst
+def _geodesic_arc_length(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    p, z, _ = _minimality_instance(n, rng, tol, 0)
+    length = gr.curve_length(gr.geodesic_curve(p, z, 2000, tol), tol)
+    q = gr.geodesic(p, z, 1.0, tol)
+    return abs(length - np.arcsin(min(1.0, la.op_norm(p.mat - q.mat))))
 
 
-def _run_projectivity_action(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        rng = _rng(cfg, "projectivity-action", n, i)
-        q = _rand_proj(n, rng, tol)
-        g = la.random_invertible(n, rng)
-        h = la.random_invertible(n, rng)
-        lhs = gr.projectivity(g, gr.projectivity(h, q, tol), tol)
-        rhs = gr.projectivity(g @ h, q, tol)
-        worst = max(worst, la.op_norm(lhs.mat - rhs.mat))
-    return worst
+def _geodesic_minimality(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    p, z, ws = _minimality_instance(n, rng, tol, 20)
+    geo_len, pert = gr.tangent_path_lengths(p, z, ws, 2000)
+    return _worst(geo_len - pert)
 
 
-def _run_chordal_unitary_invariance(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        rng = _rng(cfg, "chordal-invariance", n, i)
-        p = _rand_proj(n, rng, tol)
-        m, nn = _rand_point(p, rng, tol), _rand_point(p, rng, tol)
-        u = la.random_unitary(n, rng)
-        um = pj.classify(u @ m.rep.mat, p, tol)
-        un = pj.classify(u @ nn.rep.mat, p, tol)
-        worst = max(worst, abs(gr.d_chordal(um, un, tol) - gr.d_chordal(m, nn, tol)))
-    return worst
+def _sin_triangle(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    r = _rand_proj(n, rng, tol)
+    t1 = rng.uniform(0.05, np.pi / 4 - 0.05)
+    t2 = rng.uniform(0.05, np.pi / 4 - 0.05)
+    s = gr.geodesic(r, gr.random_tangent(r, rng, t1), 1.0, tol)
+    w = gr.geodesic(s, gr.random_tangent(s, rng, t2), 1.0, tol)
+    return la.op_norm(r.mat - w.mat) - np.sin(t1 + t2)
 
 
-def _run_range_formula(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        rng = _rng(cfg, "range-formula", n, i)
-        q = _rand_proj(n, rng, tol)
-        g = la.random_invertible(n, rng, 0.25, 4.0)
-        direct = gr.projectivity(g, q, tol)
-        oracle = la.svd_range_projection(g @ q.mat)
-        worst = max(worst, la.op_norm(direct.mat - oracle))
-    return worst
+def _projectivity_action(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    q = _rand_proj(n, rng, tol)
+    g = la.random_invertible(n, rng)
+    h = la.random_invertible(n, rng)
+    lhs = gr.projectivity(g, gr.projectivity(h, q, tol), tol)
+    rhs = gr.projectivity(g @ h, q, tol)
+    return la.op_norm(lhs.mat - rhs.mat)
 
 
-def _run_finiteness_characterizations(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        rng = _rng(cfg, "finiteness", n, i)
-        p = _rand_proj(n, rng, tol)
-        finite = bool(rng.uniform() < 0.5)
-        if finite:
-            theta = rng.uniform(1e-3, np.pi / 2 - 2e-3)
-        else:
-            theta = np.pi / 2
-        z = gr.random_tangent(p, rng, theta)
-        q = gr.geodesic(p, z, 1.0, tol)
-        m = pj.point_from_projection(q, p, tol)
-        by_corner = pj.corner_min_sv(m.rep.mat, p) > tol.eq_tol
-        by_chordal = la.op_norm(p.mat - q.mat) < 1.0 - tol.eq_tol
-        try:
-            base = pj.classify(p.mat, p, tol)
-            by_spherical = gr.d_spherical(m, base, tol) < np.pi / 2
-        except OutOfRange:
-            by_spherical = False
-        if not (by_corner == by_chordal == by_spherical == finite):
-            worst = 1.0
-    return worst
+def _chordal_unitary_invariance(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    p = _rand_proj(n, rng, tol)
+    m, nn = _rand_point(p, rng, tol), _rand_point(p, rng, tol)
+    u = la.random_unitary(n, rng)
+    um = pj.classify(u @ m.rep.mat, p, tol)
+    un = pj.classify(u @ nn.rep.mat, p, tol)
+    return abs(gr.d_chordal(um, un, tol) - gr.d_chordal(m, nn, tol))
 
 
-def _run_chart_roundtrip(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        rng = _rng(cfg, "chart-roundtrip", n, i)
-        p = _rand_proj(n, rng, tol)
-        x = mo.random_hp_vector(p, rng, rng.uniform(0.05, 3.0))
-        back = mo.chart_inv(mo.chart(x, tol), tol)
-        worst = max(worst, float(np.abs(back.mat - x.mat).max()))
-        theta = rng.uniform(1e-3, np.pi / 2 - 0.05)
-        m = pj.point_from_projection(
-            gr.geodesic(p, gr.random_tangent(p, rng, theta), 1.0, tol), p, tol)
-        again = mo.chart(mo.chart_inv(m, tol), tol)
-        worst = max(worst, la.op_norm(again.range.mat - m.range.mat))
-    return worst
+def _range_formula(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    q = _rand_proj(n, rng, tol)
+    g = la.random_invertible(n, rng, 0.25, 4.0)
+    direct = gr.projectivity(g, q, tol)
+    oracle = la.svd_range_projection(g @ q.mat)
+    return la.op_norm(direct.mat - oracle)
 
 
-def _run_chart_tan_identity(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        rng = _rng(cfg, "chart-tan", n, i)
-        p = _rand_proj(n, rng, tol)
+def _finiteness_characterizations(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    p = _rand_proj(n, rng, tol)
+    finite = bool(rng.uniform() < 0.5)
+    if finite:
+        theta = rng.uniform(1e-3, np.pi / 2 - 2e-3)
+    else:
+        theta = np.pi / 2
+    z = gr.random_tangent(p, rng, theta)
+    q = gr.geodesic(p, z, 1.0, tol)
+    m = pj.point_from_projection(q, p, tol)
+    by_corner = pj.corner_min_sv(m.rep.mat, p) > tol.eq_tol
+    by_chordal = la.op_norm(p.mat - q.mat) < 1.0 - tol.eq_tol
+    try:
         base = pj.classify(p.mat, p, tol)
-        theta = rng.uniform(1e-3, 1.4)
-        m = pj.point_from_projection(
-            gr.geodesic(p, gr.random_tangent(p, rng, theta), 1.0, tol), p, tol)
-        dkv = mo.d_chart(m, base, tol)
-        drv = gr.d_spherical(m, base, tol)
-        worst = max(worst, abs(dkv - np.tan(drv)))
-    return worst
+        by_spherical = gr.d_spherical(m, base, tol) < np.pi / 2
+    except OutOfRange:
+        by_spherical = False
+    return 0.0 if by_corner == by_chordal == by_spherical == finite else 1.0
 
 
-def _run_moebius_identity(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        rng = _rng(cfg, "moebius-identity", n, i)
-        p = _rand_proj(n, rng, tol)
-        b = mo.random_hp_vector(p, rng, rng.uniform(0.05, 2.0))
-        ident = mo.MoebiusMap(np.eye(n, dtype=complex), p, tol)
-        worst = max(worst, float(np.abs(mo.moebius_apply(ident, b, tol).mat - b.mat).max()))
-    return worst
+def _chart_roundtrip(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    p = _rand_proj(n, rng, tol)
+    x = mo.random_hp_vector(p, rng, rng.uniform(0.05, 3.0))
+    back = mo.chart_inv(mo.chart(x, tol), tol)
+    theta = rng.uniform(1e-3, np.pi / 2 - 0.05)
+    m = pj.point_from_projection(
+        gr.geodesic(p, gr.random_tangent(p, rng, theta), 1.0, tol), p, tol)
+    again = mo.chart(mo.chart_inv(m, tol), tol)
+    return _worst((float(np.abs(back.mat - x.mat).max()),
+                   la.op_norm(again.range.mat - m.range.mat)))
 
 
-def _moebius_instance(cfg: RunConfig, name: str, n: int, i: int, tol: Tolerance):
+def _chart_tan_identity(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    p = _rand_proj(n, rng, tol)
+    base = pj.classify(p.mat, p, tol)
+    theta = rng.uniform(1e-3, 1.4)
+    m = pj.point_from_projection(
+        gr.geodesic(p, gr.random_tangent(p, rng, theta), 1.0, tol), p, tol)
+    return abs(mo.d_chart(m, base, tol) - np.tan(gr.d_spherical(m, base, tol)))
+
+
+def _moebius_identity(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    p = _rand_proj(n, rng, tol)
+    b = mo.random_hp_vector(p, rng, rng.uniform(0.05, 2.0))
+    ident = mo.MoebiusMap(np.eye(n, dtype=complex), p, tol)
+    return float(np.abs(mo.moebius_apply(ident, b, tol).mat - b.mat).max())
+
+
+def _moebius_instance(n: int, rng: np.random.Generator, tol: Tolerance):
     """Random (g, h, b) with every needed Moebius domain satisfied."""
-    rng = _rng(cfg, name, n, i)
     p = _rand_proj(n, rng, tol)
     for _ in range(200):
         g_small = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -444,273 +352,194 @@ def _moebius_instance(cfg: RunConfig, name: str, n: int, i: int, tol: Tolerance)
     raise GrassgeoError("could not find a nested Moebius domain instance")
 
 
-def _run_moebius_composition(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        _, g, h, gh, b, hb = _moebius_instance(cfg, "moebius-composition", n, i, tol)
-        lhs = mo.moebius_apply(g, hb, tol)
-        rhs = mo.moebius_apply(gh, b, tol)
-        worst = max(worst, la.op_norm(lhs.mat - rhs.mat))
-    return worst
+def _moebius_composition(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    _, g, h, gh, b, hb = _moebius_instance(n, rng, tol)
+    lhs = mo.moebius_apply(g, hb, tol)
+    rhs = mo.moebius_apply(gh, b, tol)
+    return la.op_norm(lhs.mat - rhs.mat)
 
 
-def _run_moebius_projectivity(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        p, g, _, _, b, _ = _moebius_instance(cfg, "moebius-projectivity", n, i, tol)
-        image = gr.projectivity(g.g, mo.chart(b, tol).range, tol)
-        image_point = pj.point_from_projection(image, p, tol)
-        finite_image = la.op_norm(p.mat - image.mat) < 1.0 - tol.eq_tol
-        if mo.moebius_domain(g, b, tol) != finite_image:
-            return 1.0
-        via_chart = mo.chart_inv(image_point, tol)
-        direct = mo.moebius_apply(g, b, tol)
-        worst = max(worst, float(np.abs(via_chart.mat - direct.mat).max()))
-    return worst
+def _moebius_projectivity(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    p, g, _, _, b, _ = _moebius_instance(n, rng, tol)
+    image = gr.projectivity(g.g, mo.chart(b, tol).range, tol)
+    image_point = pj.point_from_projection(image, p, tol)
+    finite_image = la.op_norm(p.mat - image.mat) < 1.0 - tol.eq_tol
+    if mo.moebius_domain(g, b, tol) != finite_image:
+        return 1.0
+    via_chart = mo.chart_inv(image_point, tol)
+    direct = mo.moebius_apply(g, b, tol)
+    return float(np.abs(via_chart.mat - direct.mat).max())
 
 
-def _transition_instance(cfg: RunConfig, name: str, n: int, i: int, tol: Tolerance):
-    rng = _rng(cfg, name, n, i)
-    rank = int(rng.integers(1, n))
-    q = pj.random_projection(n, rank, _seed(rng), tol)
+def _transition_instance(n: int, rng: np.random.Generator, tol: Tolerance):
+    q = _rand_proj(n, rng, tol)
     r = gr.geodesic(q, gr.random_tangent(q, rng, rng.uniform(0.05, 0.6)), 1.0, tol)
     s = gr.geodesic(q, gr.random_tangent(q, rng, rng.uniform(0.05, 0.6)), 1.0, tol)
     x = mo.random_hp_vector(r, rng, rng.uniform(0.01, 0.3))
     return q, r, s, x
 
 
-def _run_transition_formula(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        q, r, _, x = _transition_instance(cfg, "transition-formula", n, i, tol)
-        moved = mo.chart_transition(q, r, x, tol)
-        target = pj.classify(r.mat + x.mat, r, tol).range
-        oracle = mo.chart_inv(pj.point_from_projection(target, q, tol), tol)
-        worst = max(worst, float(np.abs(moved.mat - oracle.mat).max()))
-    return worst
+def _transition_formula(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    q, r, _, x = _transition_instance(n, rng, tol)
+    moved = mo.chart_transition(q, r, x, tol)
+    target = pj.classify(r.mat + x.mat, r, tol).range
+    oracle = mo.chart_inv(pj.point_from_projection(target, q, tol), tol)
+    return float(np.abs(moved.mat - oracle.mat).max())
 
 
-def _run_transition_cocycle(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        q, r, s, x = _transition_instance(cfg, "transition-cocycle", n, i, tol)
-        via_s = mo.chart_transition(q, s, mo.chart_transition(s, r, x, tol), tol)
-        direct = mo.chart_transition(q, r, x, tol)
-        worst = max(worst, float(np.abs(via_s.mat - direct.mat).max()))
-    return worst
+def _transition_cocycle(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    q, r, s, x = _transition_instance(n, rng, tol)
+    via_s = mo.chart_transition(q, s, mo.chart_transition(s, r, x, tol), tol)
+    direct = mo.chart_transition(q, r, x, tol)
+    return float(np.abs(via_s.mat - direct.mat).max())
 
 
-def _run_eps_closure(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        rng = _rng(cfg, "eps-closure", n, i)
-        p = _rand_proj(n, rng, tol)
-        eps = 2 * p.mat - np.eye(n)
-        u = dk.random_eps_unitary(p, rng).mat
-        v = dk.random_eps_unitary(p, rng).mat
-
-        def residual(w):
-            return float(np.abs(w.conj().T @ eps @ w - eps).max())
-
-        u_inv = eps @ u.conj().T @ eps
-        absu = la.psd_sqrt(u.conj().T @ u)
-        for w in (u.conj().T, u_inv, absu, u @ v):
-            worst = max(worst, residual(w))
-        worst = max(worst, float(np.abs(u @ u_inv - np.eye(n)).max()))
-    return worst
+def _eps_closure(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    p = _rand_proj(n, rng, tol)
+    eps = 2 * p.mat - np.eye(n)
+    u = dk.random_eps_unitary(p, rng).mat
+    v = dk.random_eps_unitary(p, rng).mat
+    u_inv = eps @ u.conj().T @ eps
+    absu = la.psd_sqrt(u.conj().T @ u)
+    residuals = [float(np.abs(w.conj().T @ eps @ w - eps).max())
+                 for w in (u.conj().T, u_inv, absu, u @ v)]
+    residuals.append(float(np.abs(u @ u_inv - np.eye(n)).max()))
+    return _worst(residuals)
 
 
-def _run_cone_power_stability(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        rng = _rng(cfg, "cone-powers", n, i)
-        p = _rand_proj(n, rng, tol)
-        lam = dk.random_pos_eps_unitary(p, 1.0, _seed(rng), tol)
-        eps = 2 * p.mat - np.eye(n)
-        for t in (-1.0, 0.5, 2.0, 0.3):
-            lt = lam.power(t).mat
-            worst = max(worst, float(np.abs(lt @ eps @ lt - eps).max()))
-    return worst
+def _cone_power_stability(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    p = _rand_proj(n, rng, tol)
+    lam = dk.random_pos_eps_unitary(p, 1.0, _seed(rng), tol)
+    eps = 2 * p.mat - np.eye(n)
+    powers = (lam.power(t).mat for t in (-1.0, 0.5, 2.0, 0.3))
+    return _worst(float(np.abs(lt @ eps @ lt - eps).max()) for lt in powers)
 
 
-def _disk_pair(cfg: RunConfig, name: str, n: int, i: int, tol: Tolerance):
-    rng = _rng(cfg, name, n, i)
+def _disk_pair(n: int, rng: np.random.Generator, tol: Tolerance):
+    """Base projection and two disk points drawn through the positive cone."""
     p = _rand_proj(n, rng, tol)
     mu = dk.random_pos_eps_unitary(p, 1.0, _seed(rng), tol)
     nu = dk.random_pos_eps_unitary(p, 1.0, _seed(rng), tol)
-    return rng, p, dk.cone_to_disk(mu, tol), dk.cone_to_disk(nu, tol)
+    return p, dk.cone_to_disk(mu, tol), dk.cone_to_disk(nu, tol)
 
 
-def _run_double_non_euclidean(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for n in cfg.dims:
-        for i in range(trials):
-            _, _, m, nn = _disk_pair(cfg, "double-en", n, i, tol)
-            worst = max(worst, abs(2 * dk.d_non_euclidean(m, nn, tol) - dk.d_cone(m, nn, tol)))
-    return worst
+def _double_non_euclidean(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    _, m, nn = _disk_pair(n, rng, tol)
+    return abs(2 * dk.d_non_euclidean(m, nn, tol) - dk.d_cone(m, nn, tol))
 
 
-def _run_pseudochordal_chart(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        _, p, m, _ = _disk_pair(cfg, "dpc-chart", n, i, tol)
-        base = dk.base_disk_point(p, tol)
-        worst = max(worst, abs(dk.d_pseudo_chordal(m, base, tol)
-                               - mo.d_chart(m.point, base.point, tol)))
-    return worst
+def _pseudochordal_chart(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    p, m, _ = _disk_pair(n, rng, tol)
+    base = dk.base_disk_point(p, tol)
+    return abs(dk.d_pseudo_chordal(m, base, tol) - mo.d_chart(m.point, base.point, tol))
 
 
-def _run_eps_invariance(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    metrics = (dk.rho, dk.d_pseudo_chordal, dk.d_non_euclidean, dk.d_cone)
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        rng, p, m, nn = _disk_pair(cfg, "eps-invariance", n, i, tol)
-        u = dk.random_eps_unitary(p, rng)
-        um, un = dk.eps_action(u, m, tol), dk.eps_action(u, nn, tol)
-        for metric in metrics:
-            worst = max(worst, abs(metric(um, un, tol) - metric(m, nn, tol)))
-    return worst
+def _eps_invariance(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    p, m, nn = _disk_pair(n, rng, tol)
+    u = dk.random_eps_unitary(p, rng)
+    um, un = dk.eps_action(u, m, tol), dk.eps_action(u, nn, tol)
+    return _worst(abs(metric(um, un, tol) - metric(m, nn, tol))
+                  for metric in (dk.rho, dk.d_pseudo_chordal, dk.d_non_euclidean, dk.d_cone))
 
 
-def _run_cone_geodesic_closure(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        _, p, m, nn = _disk_pair(cfg, "cone-closure", n, i, tol)
-        eps = 2 * p.mat - np.eye(n)
-        for t in np.linspace(0.0, 1.0, 50):
-            gam = dk.eps_geodesic(m.lam, nn.lam, float(t), tol).mat
-            worst = max(worst, float(np.abs(gam @ eps @ gam - eps).max()))
-    return worst
+def _cone_geodesic_closure(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    p, m, nn = _disk_pair(n, rng, tol)
+    eps = 2 * p.mat - np.eye(n)
+    gams = (dk.eps_geodesic(m.lam, nn.lam, float(t), tol).mat for t in np.linspace(0.0, 1.0, 50))
+    return _worst(float(np.abs(gam @ eps @ gam - eps).max()) for gam in gams)
 
 
-def _run_cone_geodesic_additivity(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        _, _, m, nn = _disk_pair(cfg, "cone-additivity", n, i, tol)
-        mu, nu = m.lam, nn.lam
-        total = dk.d_cone(mu, nu)
-        for t in (0.25, 0.5, 0.75):
-            gam = dk.eps_geodesic(mu, nu, t, tol)
-            worst = max(worst, abs(dk.d_cone(nu, gam) - t * total))
-        mid = dk.eps_geodesic(mu, nu, 0.5, tol)
-        worst = max(worst, abs(dk.d_cone(mid, mu) - 0.5 * total))
-        worst = max(worst, abs(dk.d_cone(mid, nu) - 0.5 * total))
-        worst = max(worst, float(np.abs(dk.eps_geodesic(mu, nu, 0.0, tol).mat - nu.mat).max()))
-        worst = max(worst, float(np.abs(dk.eps_geodesic(mu, nu, 1.0, tol).mat - mu.mat).max()))
-    return worst
+def _cone_geodesic_additivity(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    _, m, nn = _disk_pair(n, rng, tol)
+    mu, nu = m.lam, nn.lam
+    total = dk.d_cone(mu, nu)
+    residuals = [abs(dk.d_cone(nu, dk.eps_geodesic(mu, nu, t, tol)) - t * total)
+                 for t in (0.25, 0.5, 0.75)]
+    mid = dk.eps_geodesic(mu, nu, 0.5, tol)
+    residuals += [abs(dk.d_cone(mid, mu) - 0.5 * total),
+                  abs(dk.d_cone(mid, nu) - 0.5 * total),
+                  float(np.abs(dk.eps_geodesic(mu, nu, 0.0, tol).mat - nu.mat).max()),
+                  float(np.abs(dk.eps_geodesic(mu, nu, 1.0, tol).mat - mu.mat).max())]
+    return _worst(residuals)
 
 
-def _run_cone_geodesic_length(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    ts = np.linspace(0.0, 1.0, 2000)
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        _, _, m, nn = _disk_pair(cfg, "cone-length", n, i, tol)
-        samples = dk.eps_geodesic_samples(m.lam, nn.lam, ts)
-        worst = max(worst, abs(dk.cone_polyline_length(samples) - dk.d_cone(m, nn)))
-    return worst
+_CONE_TS = np.linspace(0.0, 1.0, 2000)
 
 
-def _run_cone_minimality(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    ts = np.linspace(0.0, 1.0, 2000)
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        rng, _, m, nn = _disk_pair(cfg, "cone-minimality", n, i, tol)
-        dist = dk.d_cone(m, nn)
-        for _ in range(5):
-            h = la.herm(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-            h *= rng.uniform(0.05, 0.4) / np.linalg.norm(h, 2)
-            path = dk.cone_perturbed_path(m.lam, nn.lam, h, ts)
-            worst = max(worst, dist - dk.cone_polyline_length(path))
-    return worst
+def _cone_geodesic_length(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    _, m, nn = _disk_pair(n, rng, tol)
+    samples = dk.eps_geodesic_samples(m.lam, nn.lam, _CONE_TS)
+    return abs(dk.cone_polyline_length(samples) - dk.d_cone(m, nn))
 
 
-def _run_disk_characterizations(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        rng = _rng(cfg, "disk-membership", n, i)
-        p = _rand_proj(n, rng, tol)
-        inside = bool(rng.uniform() < 0.5)
-        margin = 1e-3
-        if inside:
-            theta = rng.uniform(1e-3, np.pi / 4 - margin)
-        else:
-            theta = rng.uniform(np.pi / 4 + margin, np.pi / 2 - 0.01)
-        m = pj.point_from_projection(
-            gr.geodesic(p, gr.random_tangent(p, rng, theta), 1.0, tol), p, tol)
-        base = pj.classify(p.mat, p, tol)
-        by_chart = dk.in_disk(m, tol)
-        by_chordal = gr.d_chordal(m, base, tol) < np.sqrt(2) / 2
-        by_spherical = gr.d_spherical(m, base, tol) < np.pi / 4
-        if not (by_chart == by_chordal == by_spherical == inside):
-            worst = 1.0
-    return worst
+def _cone_minimality(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    _, m, nn = _disk_pair(n, rng, tol)
+    dist = dk.d_cone(m, nn)
+    shortfalls = []
+    for _ in range(5):
+        h = la.herm(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        h *= rng.uniform(0.05, 0.4) / np.linalg.norm(h, 2)
+        path = dk.cone_perturbed_path(m.lam, nn.lam, h, _CONE_TS)
+        shortfalls.append(dist - dk.cone_polyline_length(path))
+    return _worst(shortfalls)
 
 
-def _run_disk_roundtrip(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        _, _, m, _ = _disk_pair(cfg, "disk-roundtrip", n, i, tol)
-        lam2 = dk.disk_to_cone(m, tol)
-        worst = max(worst, float(np.abs(lam2.mat - m.lam.mat).max()))
-        again = dk.cone_to_disk(lam2, tol)
-        worst = max(worst, la.op_norm(again.point.range.mat - m.point.range.mat))
-    return worst
+def _disk_characterizations(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    p = _rand_proj(n, rng, tol)
+    inside = bool(rng.uniform() < 0.5)
+    margin = 1e-3
+    if inside:
+        theta = rng.uniform(1e-3, np.pi / 4 - margin)
+    else:
+        theta = rng.uniform(np.pi / 4 + margin, np.pi / 2 - 0.01)
+    m = pj.point_from_projection(
+        gr.geodesic(p, gr.random_tangent(p, rng, theta), 1.0, tol), p, tol)
+    base = pj.classify(p.mat, p, tol)
+    by_chart = dk.in_disk(m, tol)
+    by_chordal = gr.d_chordal(m, base, tol) < np.sqrt(2) / 2
+    by_spherical = gr.d_spherical(m, base, tol) < np.pi / 4
+    return 0.0 if by_chart == by_chordal == by_spherical == inside else 1.0
 
 
-def _run_rho_symmetry(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        _, p, m, nn = _disk_pair(cfg, "rho-symmetry", n, i, tol)
-        r1, r2 = dk.rho(m, nn, tol), dk.rho(nn, m, tol)
-        worst = max(worst, abs(r1 - r2))
-        pc = np.eye(n) - p.mat
-        alt = la.op_norm(pc @ m.lam.sqrt @ nn.lam.inv_sqrt @ p.mat)
-        worst = max(worst, abs(r1 - alt))
-    return worst
+def _disk_roundtrip(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    _, m, _ = _disk_pair(n, rng, tol)
+    lam2 = dk.disk_to_cone(m, tol)
+    again = dk.cone_to_disk(lam2, tol)
+    return _worst((float(np.abs(lam2.mat - m.lam.mat).max()),
+                   la.op_norm(again.point.range.mat - m.point.range.mat)))
 
 
-def _run_cone_block_structure(cfg: RunConfig, trials: int) -> float:
-    tol, worst = cfg.tol, 0.0
-    for i in range(trials):
-        n = cfg.dims[i % len(cfg.dims)]
-        rng = _rng(cfg, "cone-blocks", n, i)
-        p = _rand_proj(n, rng, tol)
-        lam = dk.random_pos_eps_unitary(p, 1.2, _seed(rng), tol)
-        b, bc = p.range_basis, p.null_basis
-        x = lam.xparam.mat
-        xb = bc.conj().T @ x @ b
-        w, v = np.linalg.eigh(la.herm(xb.conj().T @ xb))
-        s = np.sqrt(np.clip(w, 0.0, None))
-        cosh_blk = (v * np.cosh(s)) @ v.conj().T
-        sinhc_vals = np.where(s > 1e-8, np.sinh(s) / np.where(s > 0, s, 1.0), 1.0 + s * s / 6)
-        sinhc = (v * sinhc_vals) @ v.conj().T
-        worst = max(worst, float(np.abs(b.conj().T @ lam.mat @ b - cosh_blk).max()))
-        worst = max(worst, float(np.abs(bc.conj().T @ lam.mat @ b - xb @ sinhc).max()))
-        # corner norm of any eps-unitary equals sinh of its positive part's corner
-        u = dk.random_eps_unitary(p, rng)
-        absu = dk.PositiveEpsUnitary(la.psd_sqrt(u.mat.conj().T @ u.mat), p, tol)
-        expect = np.sinh(absu.xparam.norm)
-        pcm = np.eye(n) - p.mat
-        eps = 2 * p.mat - np.eye(n)
-        u_inv = eps @ u.mat.conj().T @ eps
-        for wmat in (u.mat, u_inv, u.mat.conj().T):
-            worst = max(worst, abs(la.op_norm(pcm @ wmat @ p.mat) - expect))
-    return worst
+def _rho_symmetry(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    p, m, nn = _disk_pair(n, rng, tol)
+    r1, r2 = dk.rho(m, nn, tol), dk.rho(nn, m, tol)
+    pc = np.eye(n) - p.mat
+    alt = la.op_norm(pc @ m.lam.sqrt @ nn.lam.inv_sqrt @ p.mat)
+    return _worst((abs(r1 - r2), abs(r1 - alt)))
+
+
+def _cone_block_structure(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
+    p = _rand_proj(n, rng, tol)
+    lam = dk.random_pos_eps_unitary(p, 1.2, _seed(rng), tol)
+    b, bc = p.range_basis, p.null_basis
+    x = lam.xparam.mat
+    xb = bc.conj().T @ x @ b
+    w, v = np.linalg.eigh(la.herm(xb.conj().T @ xb))
+    s = np.sqrt(np.clip(w, 0.0, None))
+    cosh_blk = (v * np.cosh(s)) @ v.conj().T
+    sinhc_vals = np.where(s > 1e-8, np.sinh(s) / np.where(s > 0, s, 1.0), 1.0 + s * s / 6)
+    sinhc = (v * sinhc_vals) @ v.conj().T
+    residuals = [float(np.abs(b.conj().T @ lam.mat @ b - cosh_blk).max()),
+                 float(np.abs(bc.conj().T @ lam.mat @ b - xb @ sinhc).max())]
+    # corner norm of any eps-unitary equals sinh of its positive part's corner
+    u = dk.random_eps_unitary(p, rng)
+    absu = dk.PositiveEpsUnitary(la.psd_sqrt(u.mat.conj().T @ u.mat), p, tol)
+    expect = np.sinh(absu.xparam.norm)
+    pcm = np.eye(n) - p.mat
+    eps = 2 * p.mat - np.eye(n)
+    u_inv = eps @ u.mat.conj().T @ eps
+    residuals += [abs(la.op_norm(pcm @ wmat @ p.mat) - expect)
+                  for wmat in (u.mat, u_inv, u.mat.conj().T)]
+    return _worst(residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -720,97 +549,117 @@ def _run_cone_block_structure(cfg: RunConfig, trials: int) -> float:
 
 @dataclass(frozen=True)
 class Property:
+    """One identity of the registry.
+
+    ``stream`` keys the random draws of every instance.  With ``per_dim``
+    set, each dimension runs ``trials`` instances; otherwise ``trials``
+    instances in all cycle through the dimensions.
+    """
+
     name: str
     statement: str
+    stream: str
     default_trials: int
     per_dim: bool
     tolerance: Callable[[RunConfig], float]
-    runner: Callable[[RunConfig, int], float]
+    instance: Callable[[int, np.random.Generator, Tolerance], float]
 
 
 REGISTRY = (
     Property("chart-roundtrip", "chart and chart_inv invert each other on their domains",
-             200, False, lambda c: c.geo_tol, _run_chart_roundtrip),
+             "chart-roundtrip", 200, False, lambda c: c.geo_tol, _chart_roundtrip),
     Property("chart-tan-identity", "chart metric to the base equals tan of the spherical distance",
-             500, False, lambda c: 1e-9, _run_chart_tan_identity),
+             "chart-tan", 500, False, lambda c: 1e-9, _chart_tan_identity),
     Property("chart-transition-cocycle", "chart transitions compose along triple overlaps",
-             200, False, lambda c: 1e-7, _run_transition_cocycle),
+             "transition-cocycle", 200, False, lambda c: 1e-7, _transition_cocycle),
     Property("chart-transition-formula", "closed-form chart transition matches the chart composition",
-             200, False, lambda c: 1e-8, _run_transition_formula),
+             "transition-formula", 200, False, lambda c: 1e-8, _transition_formula),
     Property("chordal-spherical-sin-identity", "chordal distance equals sin of the spherical distance",
-             500, True, lambda c: 1e-10, _run_sin_identity),
+             "sin-identity", 500, True, lambda c: 1e-10, _sin_identity),
     Property("chordal-unitary-invariance", "chordal distance is invariant under the unitary action",
-             200, False, lambda c: c.eq_tol, _run_chordal_unitary_invariance),
+             "chordal-invariance", 200, False, lambda c: c.eq_tol, _chordal_unitary_invariance),
     Property("class-map-well-defined", "canonical ranges ignore right corner-invertible factors",
-             200, False, lambda c: c.eq_tol, _run_class_map_well_defined),
+             "class-map", 200, False, lambda c: c.eq_tol, _class_map_well_defined),
     Property("classify-idempotent", "classify returns partial isometries unchanged",
-             200, False, lambda c: 0.0, _run_classify_idempotent),
+             "classify-idempotent", 200, False, lambda c: 0.0, _classify_idempotent),
     Property("cone-block-structure", "positive cone elements have cosh/sinh corner blocks",
-             100, False, lambda c: c.geo_tol, _run_cone_block_structure),
+             "cone-blocks", 100, False, lambda c: c.geo_tol, _cone_block_structure),
     Property("cone-geodesic-additivity", "cone distance grows linearly along cone geodesics",
-             20, False, lambda c: 1e-8, _run_cone_geodesic_additivity),
+             "cone-additivity", 20, False, lambda c: 1e-8, _cone_geodesic_additivity),
     Property("cone-geodesic-closure", "cone geodesics stay inside the positive cone",
-             20, False, lambda c: 1e-9, _run_cone_geodesic_closure),
+             "cone-closure", 20, False, lambda c: 1e-9, _cone_geodesic_closure),
     Property("cone-geodesic-length", "discretized cone geodesic length equals the cone distance",
-             10, False, lambda c: 1e-4, _run_cone_geodesic_length),
+             "cone-length", 10, False, lambda c: 1e-4, _cone_geodesic_length),
     Property("cone-path-minimality", "perturbed cone paths are never shorter than the geodesic",
-             10, False, lambda c: 1e-6, _run_cone_minimality),
+             "cone-minimality", 10, False, lambda c: 1e-6, _cone_minimality),
     Property("cone-power-stability", "real powers preserve the positive cone",
-             200, False, lambda c: c.eq_tol, _run_cone_power_stability),
+             "cone-powers", 200, False, lambda c: c.eq_tol, _cone_power_stability),
     Property("disk-double-non-euclidean", "twice the non-Euclidean distance equals the cone distance",
-             500, True, lambda c: 1e-8, _run_double_non_euclidean),
+             "double-en", 500, True, lambda c: 1e-8, _double_non_euclidean),
     Property("disk-map-roundtrip", "the disk and cone coordinates invert each other",
-             200, False, lambda c: 1e-8, _run_disk_roundtrip),
+             "disk-roundtrip", 200, False, lambda c: 1e-8, _disk_roundtrip),
     Property("disk-membership-characterizations", "chart, chordal and spherical disk tests agree",
-             1000, False, lambda c: 0.5, _run_disk_characterizations),
+             "disk-membership", 1000, False, lambda c: 0.5, _disk_characterizations),
     Property("eps-invariance", "all four disk metrics are invariant under the isometry action",
-             100, False, lambda c: 1e-8, _run_eps_invariance),
+             "eps-invariance", 100, False, lambda c: 1e-8, _eps_invariance),
     Property("eps-unitary-closure", "adjoints, inverses, moduli and products stay eps-unitary",
-             200, False, lambda c: c.eq_tol, _run_eps_closure),
+             "eps-closure", 200, False, lambda c: c.eq_tol, _eps_closure),
     Property("func-calc-spectral-mapping", "functional calculus maps the spectrum pointwise",
-             200, False, lambda c: c.eq_tol, _run_func_calc_spectrum),
+             "func-calc", 200, False, lambda c: c.eq_tol, _func_calc_spectrum),
     Property("geodesic-arc-length", "discretized geodesic length equals arcsin of the chordal gap",
-             100, False, lambda c: 1e-4, _run_geodesic_arc_length),
+             "minimality", 100, False, lambda c: 1e-4, _geodesic_arc_length),
     Property("geodesic-log-roundtrip", "geodesic and its log invert each other below distance 1",
-             500, True, lambda c: 1e-8, _run_geodesic_roundtrip),
+             "geodesic-roundtrip", 500, True, lambda c: 1e-8, _geodesic_roundtrip),
     Property("geodesic-minimality", "perturbed paths are never shorter than the geodesic",
-             100, False, lambda c: 1e-6, _run_geodesic_minimality),
+             "minimality", 100, False, lambda c: 1e-6, _geodesic_minimality),
     Property("moebius-composition", "Moebius maps compose like their matrices",
-             200, False, lambda c: 1e-8, _run_moebius_composition),
+             "moebius-composition", 200, False, lambda c: 1e-8, _moebius_composition),
     Property("moebius-identity", "the identity matrix induces the identity Moebius map",
-             50, False, lambda c: 1e-12, _run_moebius_identity),
+             "moebius-identity", 50, False, lambda c: 1e-12, _moebius_identity),
     Property("moebius-projectivity-consistency", "Moebius maps agree with projectivities in the chart",
-             200, False, lambda c: 1e-8, _run_moebius_projectivity),
+             "moebius-projectivity", 200, False, lambda c: 1e-8, _moebius_projectivity),
     Property("operator-norm-laws", "operator norm is submultiplicative and unitarily invariant",
-             200, False, lambda c: c.eq_tol, _run_op_norm_laws),
+             "op-norm", 200, False, lambda c: c.eq_tol, _op_norm_laws),
     Property("point-finiteness-characterizations", "corner, chordal and spherical finiteness agree",
-             500, False, lambda c: 0.5, _run_finiteness_characterizations),
+             "finiteness", 500, False, lambda c: 0.5, _finiteness_characterizations),
     Property("polar-decomposition-residual", "polar factors reconstruct the matrix with unitary part",
-             200, False, lambda c: c.eq_tol, _run_polar_residual),
+             "polar", 200, False, lambda c: c.eq_tol, _polar_residual),
     Property("projectivity-group-action", "projectivities compose like their matrices",
-             200, False, lambda c: c.geo_tol, _run_projectivity_action),
+             "projectivity-action", 200, False, lambda c: c.geo_tol, _projectivity_action),
     Property("pseudo-chordal-chart-identity", "pseudo-chordal distance to the center equals the chart norm",
-             500, False, lambda c: 1e-9, _run_pseudochordal_chart),
+             "dpc-chart", 500, False, lambda c: 1e-9, _pseudochordal_chart),
     Property("range-projection-formula", "algebraic range projection matches the SVD oracle",
-             300, False, lambda c: 1e-8, _run_range_formula),
+             "range-formula", 300, False, lambda c: 1e-8, _range_formula),
     Property("range-rank-preserved", "canonical ranges have the rank of the base projection",
-             200, False, lambda c: c.eq_tol, _run_rank_preserved),
+             "rank-preserved", 200, False, lambda c: c.eq_tol, _rank_preserved),
     Property("rho-symmetry", "the corner pairing is symmetric and reduces through the form",
-             200, False, lambda c: 1e-10, _run_rho_symmetry),
+             "rho-symmetry", 200, False, lambda c: 1e-10, _rho_symmetry),
     Property("sin-triangle-inequality", "chordal gaps obey the sine triangle bound",
-             200, False, lambda c: 1e-10, _run_sin_triangle),
+             "sin-triangle", 200, False, lambda c: 1e-10, _sin_triangle),
     Property("unitary-extension-class", "unitary extensions are unitary and preserve the class",
-             200, False, lambda c: c.eq_tol, _run_unitary_extension),
+             "unitary-extension", 200, False, lambda c: c.eq_tol, _unitary_extension),
     Property("unitary-log-roundtrip", "the principal unitary log inverts the exponential",
-             200, False, lambda c: c.geo_tol, _run_log_exp_roundtrip),
+             "unitary-log", 200, False, lambda c: c.geo_tol, _log_exp_roundtrip),
 )
+
+
+def _worst_residual(prop: Property, cfg: RunConfig, trials: int) -> float:
+    """Worst residual of ``prop`` over its instances, each drawn from its own
+    (stream, dimension, trial) generator; ``trials`` counts per dimension
+    when ``prop.per_dim`` is set and in all otherwise."""
+    if prop.per_dim:
+        keys = [(n, i) for n in cfg.dims for i in range(trials)]
+    else:
+        keys = [(cfg.dims[i % len(cfg.dims)], i) for i in range(trials)]
+    tol = cfg.tol
+    return _worst(prop.instance(n, _rng(cfg, prop.stream, n, i), tol) for n, i in keys)
 
 
 def run_property(prop: Property, cfg: RunConfig) -> PropertyResult:
     trials = cfg.trials if cfg.trials is not None else prop.default_trials
     tolerance = float(prop.tolerance(cfg))
     try:
-        residual = float(prop.runner(cfg, trials))
+        residual = float(_worst_residual(prop, cfg, trials))
         error = ""
     except Exception as exc:  # noqa: BLE001 - a failing suite must not stop the report
         residual = float("inf")

@@ -18,6 +18,12 @@ from grassgeo import verify as vf
 CFG = vf.RunConfig(seed=2024)
 
 
+def worst(name, trials):
+    """Worst residual of registered property ``name`` over ``trials`` instances of CFG."""
+    prop = next(p for p in vf.REGISTRY if p.name == name)
+    return vf._worst_residual(prop, CFG, trials)
+
+
 def run_criterion(number, title, budget, parts_fn):
     start = time.perf_counter()
     parts = parts_fn()
@@ -33,20 +39,20 @@ def run_criterion(number, title, budget, parts_fn):
 
 def test_criterion_01_chordal_is_sine_of_spherical():
     run_criterion(1, "d_c = sin(d_r) on 500 pairs per dimension", 5, lambda: [
-        ("identity", vf._run_sin_identity(CFG, 500), 1e-10),
+        ("identity", worst("chordal-spherical-sin-identity", 500), 1e-10),
     ])
 
 
 def test_criterion_02_geodesic_existence_uniqueness():
     run_criterion(2, "geodesic/log round trips on 500 tangents per dimension", 10, lambda: [
-        ("roundtrip", vf._run_geodesic_roundtrip(CFG, 500), 1e-8),
+        ("roundtrip", worst("geodesic-log-roundtrip", 500), 1e-8),
     ])
 
 
 def test_criterion_03_geodesic_minimality():
     def parts():
-        shortfall = vf._run_geodesic_minimality(CFG, 100)
-        arc_gap = vf._run_geodesic_arc_length(CFG, 100)
+        shortfall = worst("geodesic-minimality", 100)
+        arc_gap = worst("geodesic-arc-length", 100)
         # anchor the batched length engine to the plain curve implementation
         rng = np.random.default_rng(2024)
         p = pj.random_projection(6, 3, 2024)
@@ -69,51 +75,51 @@ def test_criterion_04_chart_identities():
     run_criterion(4, "finiteness characterizations and d_k = tan(d_r) on 500 points", 10,
                   lambda: [
                       ("characterization agreement",
-                       vf._run_finiteness_characterizations(CFG, 500), 0.5),
-                      ("tan identity", vf._run_chart_tan_identity(CFG, 500), 1e-9),
+                       worst("point-finiteness-characterizations", 500), 0.5),
+                      ("tan identity", worst("chart-tan-identity", 500), 1e-9),
                   ])
 
 
 def test_criterion_05_moebius_laws():
     run_criterion(5, "Moebius identity, composition and projectivity consistency", 10,
                   lambda: [
-                      ("identity map", vf._run_moebius_identity(CFG, 50), 1e-12),
-                      ("composition", vf._run_moebius_composition(CFG, 200), 1e-8),
-                      ("projectivity route", vf._run_moebius_projectivity(CFG, 200), 1e-8),
+                      ("identity map", worst("moebius-identity", 50), 1e-12),
+                      ("composition", worst("moebius-composition", 200), 1e-8),
+                      ("projectivity route", worst("moebius-projectivity-consistency", 200), 1e-8),
                   ])
 
 
 def test_criterion_06_chart_transition():
     run_criterion(6, "chart transition formula and cocycle on 200 overlaps", 10, lambda: [
-        ("formula vs oracle", vf._run_transition_formula(CFG, 200), 1e-8),
-        ("cocycle", vf._run_transition_cocycle(CFG, 200), 1e-7),
+        ("formula vs oracle", worst("chart-transition-formula", 200), 1e-8),
+        ("cocycle", worst("chart-transition-cocycle", 200), 1e-7),
     ])
 
 
 def test_criterion_07_hyperbolic_identity():
     run_criterion(7, "2 E_n = d_plus on 500 pairs per dimension", 15, lambda: [
-        ("double non-Euclidean", vf._run_double_non_euclidean(CFG, 500), 1e-8),
-        ("d_pc = d_k at base", vf._run_pseudochordal_chart(CFG, 500), 1e-9),
+        ("double non-Euclidean", worst("disk-double-non-euclidean", 500), 1e-8),
+        ("d_pc = d_k at base", worst("pseudo-chordal-chart-identity", 500), 1e-9),
     ])
 
 
 def test_criterion_08_eps_invariance():
     run_criterion(8, "metric invariance under 100 isometry actions", 10, lambda: [
-        ("invariance", vf._run_eps_invariance(CFG, 100), 1e-8),
+        ("invariance", worst("eps-invariance", 100), 1e-8),
     ])
 
 
 def test_criterion_09_cone_geodesics():
     run_criterion(9, "cone geodesic closure, additivity and length", 30, lambda: [
-        ("closure (50 t per pair)", vf._run_cone_geodesic_closure(CFG, 20), 1e-9),
-        ("additivity/midpoint", vf._run_cone_geodesic_additivity(CFG, 20), 1e-8),
-        ("discretized length", vf._run_cone_geodesic_length(CFG, 10), 1e-4),
+        ("closure (50 t per pair)", worst("cone-geodesic-closure", 20), 1e-9),
+        ("additivity/midpoint", worst("cone-geodesic-additivity", 20), 1e-8),
+        ("discretized length", worst("cone-geodesic-length", 10), 1e-4),
     ])
 
 
 def test_criterion_10_range_projection_formula():
     run_criterion(10, "range projection formula vs SVD oracle on 300 draws", 5, lambda: [
-        ("formula vs oracle", vf._run_range_formula(CFG, 300), 1e-8),
+        ("formula vs oracle", worst("range-projection-formula", 300), 1e-8),
     ])
 
 

@@ -457,7 +457,7 @@ class TestSmallCornerNorm:
 
     def test_replay_seed5_double_en(self):
         cfg = verify.RunConfig(seed=5)
-        _, p, m, nn = verify._disk_pair(cfg, "double-en", 3, 280, cfg.tol)
+        p, m, nn = verify._disk_pair(3, verify._rng(cfg, "double-en", 3, 280), cfg.tol)
         assert m.point.range.rank == p.rank == 2
         assert abs(2 * dk.d_non_euclidean(m, nn) - dk.d_cone(m, nn)) <= 1e-8
 

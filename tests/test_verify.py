@@ -1,9 +1,54 @@
+import math
+
 import pytest
 
 from grassgeo import verify as vf
 from grassgeo.errors import InvalidInput
 
 SMALL = vf.RunConfig(seed=7, dims=(2, 3), trials=2)
+
+# (name, stream, per_dim, default_trials, tolerance at the default RunConfig)
+# of every registered property.  Each instance is drawn from the generator
+# keyed by (stream, dimension, trial), so changing any entry changes reports.
+DRAW_CONTRACT = [
+    ("chart-roundtrip", "chart-roundtrip", False, 200, 1e-06),
+    ("chart-tan-identity", "chart-tan", False, 500, 1e-09),
+    ("chart-transition-cocycle", "transition-cocycle", False, 200, 1e-07),
+    ("chart-transition-formula", "transition-formula", False, 200, 1e-08),
+    ("chordal-spherical-sin-identity", "sin-identity", True, 500, 1e-10),
+    ("chordal-unitary-invariance", "chordal-invariance", False, 200, 1e-09),
+    ("class-map-well-defined", "class-map", False, 200, 1e-09),
+    ("classify-idempotent", "classify-idempotent", False, 200, 0.0),
+    ("cone-block-structure", "cone-blocks", False, 100, 1e-06),
+    ("cone-geodesic-additivity", "cone-additivity", False, 20, 1e-08),
+    ("cone-geodesic-closure", "cone-closure", False, 20, 1e-09),
+    ("cone-geodesic-length", "cone-length", False, 10, 0.0001),
+    ("cone-path-minimality", "cone-minimality", False, 10, 1e-06),
+    ("cone-power-stability", "cone-powers", False, 200, 1e-09),
+    ("disk-double-non-euclidean", "double-en", True, 500, 1e-08),
+    ("disk-map-roundtrip", "disk-roundtrip", False, 200, 1e-08),
+    ("disk-membership-characterizations", "disk-membership", False, 1000, 0.5),
+    ("eps-invariance", "eps-invariance", False, 100, 1e-08),
+    ("eps-unitary-closure", "eps-closure", False, 200, 1e-09),
+    ("func-calc-spectral-mapping", "func-calc", False, 200, 1e-09),
+    ("geodesic-arc-length", "minimality", False, 100, 0.0001),
+    ("geodesic-log-roundtrip", "geodesic-roundtrip", True, 500, 1e-08),
+    ("geodesic-minimality", "minimality", False, 100, 1e-06),
+    ("moebius-composition", "moebius-composition", False, 200, 1e-08),
+    ("moebius-identity", "moebius-identity", False, 50, 1e-12),
+    ("moebius-projectivity-consistency", "moebius-projectivity", False, 200, 1e-08),
+    ("operator-norm-laws", "op-norm", False, 200, 1e-09),
+    ("point-finiteness-characterizations", "finiteness", False, 500, 0.5),
+    ("polar-decomposition-residual", "polar", False, 200, 1e-09),
+    ("projectivity-group-action", "projectivity-action", False, 200, 1e-06),
+    ("pseudo-chordal-chart-identity", "dpc-chart", False, 500, 1e-09),
+    ("range-projection-formula", "range-formula", False, 300, 1e-08),
+    ("range-rank-preserved", "rank-preserved", False, 200, 1e-09),
+    ("rho-symmetry", "rho-symmetry", False, 200, 1e-10),
+    ("sin-triangle-inequality", "sin-triangle", False, 200, 1e-10),
+    ("unitary-extension-class", "unitary-extension", False, 200, 1e-09),
+    ("unitary-log-roundtrip", "unitary-log", False, 200, 1e-06),
+]
 
 
 class TestRunConfig:
@@ -69,3 +114,52 @@ class TestRunAll:
         lines = text.strip().split("\n")
         assert lines[0].startswith("name,")
         assert len(lines) == 3
+
+
+def _recorder(per_dim):
+    """A property whose instances record (dimension, first draw) and pass."""
+    seen = []
+
+    def instance(n, rng, tol):
+        seen.append((n, rng.random()))
+        return 0.0
+
+    prop = vf.Property("recorder", "records its instances", "recorder-stream", 1, per_dim,
+                       lambda c: 0.0, instance)
+    return prop, seen
+
+
+class TestTrialDriver:
+    CFG = vf.RunConfig(seed=11, dims=(4, 2, 3), trials=5)
+
+    def first_draw(self, n, i):
+        return vf._rng(self.CFG, "recorder-stream", n, i).random()
+
+    def test_per_dim_runs_trials_in_every_dimension(self):
+        prop, seen = _recorder(per_dim=True)
+        result = vf.run_property(prop, self.CFG)
+        assert result.passed and result.trials == 5
+        assert seen == [(n, self.first_draw(n, i)) for n in (4, 2, 3) for i in range(5)]
+
+    def test_trials_cycle_through_dimensions(self):
+        prop, seen = _recorder(per_dim=False)
+        result = vf.run_property(prop, self.CFG)
+        assert result.passed and result.trials == 5
+        dims = [4, 2, 3, 4, 2]
+        assert seen == [(n, self.first_draw(n, i)) for i, n in enumerate(dims)]
+
+    def test_nan_residual_fails_the_property(self):
+        residuals = iter([1e-12, float("nan"), 1e-13])
+        prop = vf.Property("nan-probe", "one instance residual is NaN", "nan-probe", 3, False,
+                           lambda c: 1.0, lambda n, rng, tol: next(residuals))
+        result = vf.run_property(prop, vf.RunConfig(dims=(2,)))
+        assert math.isnan(result.max_residual)
+        assert not result.passed
+        assert math.isnan(vf._worst([0.5, float("nan"), 2.0]))
+
+
+def test_draw_contract():
+    cfg = vf.RunConfig()
+    rows = [(p.name, p.stream, p.per_dim, p.default_trials, p.tolerance(cfg))
+            for p in vf.REGISTRY]
+    assert rows == DRAW_CONTRACT
