@@ -137,6 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("disk-geodesic", help="sample the disk geodesic between two points")
     _add_common(sp)
+    sp.set_defaults(space="disk")
     sp.add_argument("--samples", type=int, default=2000)
     sp.add_argument("--context", default=None)
     sp.add_argument("first")
@@ -189,8 +190,7 @@ def _load_points(args, tol: Tolerance):
         context = se.projection_from_obj(first, tol)
     m = se.point_from_obj(first, context, tol)
     n = se.point_from_obj(second, context or m.context, tol)
-    if np.abs(m.context.mat - n.context.mat).max() > tol.eq_tol:
-        raise InvalidInput("the two points have different context projections")
+    gr._check_context(m, n, tol)
     return m, n
 
 
@@ -218,14 +218,8 @@ def _table_text(args, rows, mats, header_extra: dict) -> str:
     return se.dumps(payload)
 
 
-def _cumulative_chordal(mats: np.ndarray) -> np.ndarray:
-    sym = (mats + mats.conj().swapaxes(-1, -2)) / 2
-    steps = np.abs(np.linalg.eigvalsh(sym[1:] - sym[:-1])).max(axis=-1)
+def _cumulative(steps: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(steps)])
-
-
-def _cumulative_cone(mats: np.ndarray) -> np.ndarray:
-    return np.concatenate([[0.0], np.cumsum(dk.cone_polyline_steps(mats))])
 
 
 def _cmd_verify(args) -> int:
@@ -267,6 +261,8 @@ def _cmd_dist(args) -> int:
 
 
 def _geodesic_table(args, space: str) -> tuple:
+    """Rows (t, cumulative length), sampled matrices and closed-form distance
+    of a geodesic; ``disk`` samples the ``cone`` geodesic's disk points."""
     tol = _tol(args)
     if args.samples < 2:
         raise InvalidInput("samples must be at least 2")
@@ -276,14 +272,20 @@ def _geodesic_table(args, space: str) -> tuple:
         z = gr.geodesic_log(m.range, n.range, tol)
         curve = gr.geodesic_curve(m.range, z, args.samples, tol)
         mats = curve.sample(ts)
-        cum = _cumulative_chordal(mats)
+        cum = _cumulative(gr.chordal_steps(mats))
         closed = gr.d_spherical(m, n, tol)
     else:
         start = dk.disk_to_cone(m, tol)
         end = dk.disk_to_cone(n, tol)
         mats = dk.eps_geodesic_samples(end, start, ts)
-        cum = _cumulative_cone(mats)
+        cum = _cumulative(dk.cone_polyline_steps(mats))
         closed = dk.d_cone(start, end)
+        if space == "disk":
+            p = m.context
+            mats = np.stack([
+                pj.classify(dk.PositiveEpsUnitary(lam, p, tol).sqrt @ p.mat, p, tol).range.mat
+                for lam in mats
+            ])
     rows = list(zip(ts.tolist(), cum.tolist()))
     return rows, mats, closed
 
@@ -348,28 +350,6 @@ def _cmd_disk_dist(args) -> int:
     return 0
 
 
-def _cmd_disk_geodesic(args) -> int:
-    tol = _tol(args)
-    if args.samples < 2:
-        raise InvalidInput("samples must be at least 2")
-    m, n = _load_points(args, tol)
-    start = dk.disk_to_cone(m, tol)
-    end = dk.disk_to_cone(n, tol)
-    ts = np.linspace(0.0, 1.0, args.samples)
-    lams = dk.eps_geodesic_samples(end, start, ts)
-    cum = _cumulative_cone(lams)
-    p = m.context
-    roots = np.stack([dk.PositiveEpsUnitary(lam, p, tol).sqrt for lam in lams])
-    points = np.stack([
-        pj.classify(root @ p.mat, p, tol).range.mat for root in roots
-    ])
-    rows = list(zip(ts.tolist(), cum.tolist()))
-    text = _table_text(args, rows, points,
-                       {"space": "disk", "closed_form_distance": dk.d_cone(start, end)})
-    _write(args, text)
-    return 0
-
-
 def _cmd_random(args) -> int:
     tol = _tol(args)
     seed = _seed(args)
@@ -418,7 +398,7 @@ _HANDLERS = {
     "moebius": _cmd_moebius,
     "chart": _cmd_chart,
     "disk-dist": _cmd_disk_dist,
-    "disk-geodesic": _cmd_disk_geodesic,
+    "disk-geodesic": _cmd_geodesic,
     "random": _cmd_random,
 }
 

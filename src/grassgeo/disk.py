@@ -24,10 +24,10 @@ from .errors import (
     NotInDisk,
     NotPositive,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, herm, op_norm, psd_sqrt
+from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, herm, op_norm, psd_sqrt, spectral
 from .moebius import HpVector, chart_inv, random_hp_vector
-from .projective import Projection, ProjectivePoint, classify
-from .grassmann import d_chordal
+from .projective import Projection, ProjectivePoint, _trusted, classify
+from .grassmann import _check_context, d_chordal
 
 __all__ = [
     "EpsSymmetry",
@@ -56,11 +56,12 @@ __all__ = [
 
 
 class EpsSymmetry:
-    """The selfadjoint symmetry 2p - 1 attached to a projection."""
+    """The selfadjoint symmetry 2p - 1 attached to a projection; ``mat`` is
+    the projection's cached ``eps``."""
 
     def __init__(self, context: Projection):
         self.context = context
-        self.mat = 2 * context.mat - np.eye(context.dim, dtype=complex)
+        self.mat = context.eps
 
     def __repr__(self):
         return f"EpsSymmetry(dim={self.context.dim}, rank={self.context.rank})"
@@ -74,8 +75,7 @@ def is_eps_unitary(u, p: Projection, tol: Tolerance = DEFAULT_TOL) -> bool:
     u = as_matrix(u, square=True)
     if u.shape != p.mat.shape:
         raise InvalidInput("matrix and projection dimensions differ")
-    eps = 2 * p.mat - np.eye(p.dim, dtype=complex)
-    return float(np.abs(u.conj().T @ eps @ u - eps).max()) <= tol.eq_tol
+    return float(np.abs(u.conj().T @ p.eps @ u - p.eps).max()) <= tol.eq_tol
 
 
 class EpsUnitary:
@@ -112,9 +112,8 @@ class PositiveEpsUnitary:
         self.context = context
         self._w = w
         self._v = v
-        p = context.mat
-        pc = np.eye(context.dim, dtype=complex) - p
-        x_log = herm((v * np.log(w)) @ v.conj().T)
+        p, pc = context.mat, context.comp
+        x_log = herm(spectral(v, np.log(w)))
         diag_residual = max(np.abs(p @ x_log @ p).max(), np.abs(pc @ x_log @ pc).max())
         if diag_residual > tol.geo_tol:
             raise NotEpsUnitary("log of the matrix is not off-diagonal for p")
@@ -128,7 +127,7 @@ class PositiveEpsUnitary:
 
     @cached_property
     def sqrt(self) -> np.ndarray:
-        return herm((self._v * np.sqrt(self._w)) @ self._v.conj().T)
+        return herm(spectral(self._v, np.sqrt(self._w)))
 
     @cached_property
     def inv_sqrt(self) -> np.ndarray:
@@ -136,7 +135,7 @@ class PositiveEpsUnitary:
 
     def power(self, t: float) -> "PositiveEpsUnitary":
         """Real power through the spectrum; stays in the cone."""
-        out = herm((self._v * self._w ** float(t)) @ self._v.conj().T)
+        out = herm(spectral(self._v, self._w ** float(t)))
         return PositiveEpsUnitary(out, self.context)
 
     def __repr__(self):
@@ -147,22 +146,21 @@ class DiskPoint:
     """A disk point together with its cone preimage.
 
     Caching the preimage makes it the canonical coordinate: every metric is
-    computed from the positive square-root representatives.  ``validate``
-    may be switched off where the pair is consistent by construction (the
-    cone-to-disk direction computes the point from the preimage itself).
+    computed from the positive square-root representatives.  The constructor
+    checks that ``lam`` maps to ``point`` and that the point lies in the
+    disk; :func:`cone_to_disk`, which computes the point from the preimage
+    itself, builds its result without these checks.
     """
 
     def __init__(self, point: ProjectivePoint, lam: PositiveEpsUnitary,
-                 tol: Tolerance = DEFAULT_TOL, validate: bool = True):
+                 tol: Tolerance = DEFAULT_TOL):
         if point.context.mat.shape != lam.context.mat.shape:
             raise InvalidInput("point and cone element dimensions differ")
-        if validate:
-            image = classify(lam.sqrt @ point.context.mat, point.context, tol)
-            if d_chordal(image, point, tol) > tol.geo_tol:
-                raise InvalidInput("cone element does not map to the given point")
-            coord = chart_inv(point, tol)
-            if coord.norm >= 1.0 - tol.eq_tol:
-                raise NotInDisk("point lies outside the chart ball of radius 1")
+        image = classify(lam.sqrt @ point.context.mat, point.context, tol)
+        if d_chordal(image, point, tol) > tol.geo_tol:
+            raise InvalidInput("cone element does not map to the given point")
+        if chart_inv(point, tol).norm >= 1.0 - tol.eq_tol:
+            raise NotInDisk("point lies outside the chart ball of radius 1")
         self.point = point
         self.lam = lam
 
@@ -207,8 +205,7 @@ def random_eps_unitary(p: Projection, rng: np.random.Generator, scale: float = 0
 def cone_to_disk(lam: PositiveEpsUnitary, tol: Tolerance = DEFAULT_TOL) -> DiskPoint:
     """The disk point ``[sqrt(lam) p]`` of a cone element."""
     p = lam.context
-    point = classify(lam.sqrt @ p.mat, p, tol)
-    return DiskPoint(point, lam, tol, validate=False)
+    return _trusted(DiskPoint, point=classify(lam.sqrt @ p.mat, p, tol), lam=lam)
 
 
 def disk_to_cone(m, tol: Tolerance = DEFAULT_TOL) -> PositiveEpsUnitary:
@@ -260,19 +257,12 @@ def base_disk_point(p: Projection, tol: Tolerance = DEFAULT_TOL) -> DiskPoint:
     return DiskPoint(classify(p.mat, p, tol), lam, tol)
 
 
-def _check_pair(m: DiskPoint, n: DiskPoint, tol: Tolerance):
-    if np.abs(m.context.mat - n.context.mat).max() > tol.eq_tol:
-        raise InvalidInput("disk points have different context projections")
-
-
 def rho(m: DiskPoint, n: DiskPoint, tol: Tolerance = DEFAULT_TOL) -> float:
     """The corner pairing ``|| (1-p) u* eps v p ||`` of the square-root
     representatives; the hyperbolic sine scale of the separation."""
-    _check_pair(m, n, tol)
+    _check_context(m.point, n.point, tol)
     p = m.context
-    eps = 2 * p.mat - np.eye(p.dim, dtype=complex)
-    pc = np.eye(p.dim, dtype=complex) - p.mat
-    return op_norm(pc @ m.lam.sqrt.conj().T @ eps @ n.lam.sqrt @ p.mat)
+    return op_norm(p.comp @ m.lam.sqrt.conj().T @ p.eps @ n.lam.sqrt @ p.mat)
 
 
 def d_pseudo_chordal(m: DiskPoint, n: DiskPoint, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -293,9 +283,16 @@ def d_cone(m, n, tol: Tolerance = DEFAULT_TOL) -> float:
     """Geodesic distance of the positive cone: || log(nu^{-1/2} mu nu^{-1/2}) ||.
 
     Accepts disk points (through their preimages) or cone elements.
+
+    Raises
+    ------
+    InvalidInput
+        If the two matrices have different dimensions.
     """
     mu = m.lam if isinstance(m, DiskPoint) else m
     nu = n.lam if isinstance(n, DiskPoint) else n
+    if mu.mat.shape != nu.mat.shape:
+        raise InvalidInput("cone elements have different dimensions")
     a = herm(nu.inv_sqrt @ mu.mat @ nu.inv_sqrt)
     w = np.linalg.eigvalsh(a)
     return float(np.abs(np.log(w)).max())
@@ -310,7 +307,7 @@ def eps_geodesic(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary, t: float,
     """
     a = herm(nu.inv_sqrt @ mu.mat @ nu.inv_sqrt)
     w, v = np.linalg.eigh(a)
-    inner = (v * w ** float(t)) @ v.conj().T
+    inner = spectral(v, w ** float(t))
     return PositiveEpsUnitary(herm(nu.sqrt @ inner @ nu.sqrt), mu.context, tol)
 
 
@@ -320,21 +317,19 @@ def eps_geodesic_samples(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
     a = herm(nu.inv_sqrt @ mu.mat @ nu.inv_sqrt)
     w, v = np.linalg.eigh(a)
     ts = np.asarray(ts, dtype=float)
-    powers = w[None, :] ** ts[:, None]
-    inner = (v[None, :, :] * powers[:, None, :]) @ v.conj().T
-    out = nu.sqrt[None] @ inner @ nu.sqrt[None]
-    return (out + out.conj().swapaxes(-1, -2)) / 2
+    inner = spectral(v, w[None, :] ** ts[:, None])
+    return herm(nu.sqrt[None] @ inner @ nu.sqrt[None])
 
 
 def cone_polyline_steps(lams: np.ndarray) -> np.ndarray:
     """Cone distances between consecutive positive matrices of a stack."""
     lams = np.asarray(lams, dtype=complex)
-    w, v = np.linalg.eigh((lams + lams.conj().swapaxes(-1, -2)) / 2)
+    w, v = np.linalg.eigh(herm(lams))
     if w.min() <= 0.0:
         raise NotPositive("polyline samples must be positive definite")
-    inv_sqrt = (v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    inv_sqrt = (v / np.sqrt(w)[..., None, :]) @ adj(v)
     mid = inv_sqrt[1:] @ lams[:-1] @ inv_sqrt[1:]
-    ev = np.linalg.eigvalsh((mid + mid.conj().swapaxes(-1, -2)) / 2)
+    ev = np.linalg.eigvalsh(herm(mid))
     return np.abs(np.log(ev)).max(axis=-1)
 
 
@@ -358,18 +353,13 @@ def cone_perturbed_path(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
     gam = eps_geodesic_samples(mu, nu, ts)
     hw, hv = np.linalg.eigh(herm(np.asarray(h, dtype=complex)))
     s = ts * (1.0 - ts)
-    factor = (hv[None, :, :] * np.exp(s[:, None] * hw[None, :])[:, None, :]) @ hv.conj().T
-    c = gam @ factor
-    gram = c.conj().swapaxes(-1, -2) @ c
-    w, v = np.linalg.eigh((gram + gram.conj().swapaxes(-1, -2)) / 2)
-    logs = (v * np.log(w)[..., None, :] / 2) @ v.conj().swapaxes(-1, -2)
-    logs = (logs + logs.conj().swapaxes(-1, -2)) / 2
-    pm = p.mat[None]
-    pcm = np.eye(p.dim, dtype=complex)[None] - pm
+    c = gam @ spectral(hv, np.exp(s[:, None] * hw[None, :]))
+    w, v = np.linalg.eigh(herm(adj(c) @ c))
+    logs = herm(spectral(v, np.log(w) / 2))
+    pm, pcm = p.mat[None], p.comp[None]
     off = logs - pm @ logs @ pm - pcm @ logs @ pcm
-    ow, ov = np.linalg.eigh((off + off.conj().swapaxes(-1, -2)) / 2)
-    out = (ov * np.exp(ow)[..., None, :]) @ ov.conj().swapaxes(-1, -2)
-    return (out + out.conj().swapaxes(-1, -2)) / 2
+    ow, ov = np.linalg.eigh(herm(off))
+    return herm(spectral(ov, np.exp(ow)))
 
 
 def eps_action(u, m: DiskPoint, tol: Tolerance = DEFAULT_TOL) -> DiskPoint:

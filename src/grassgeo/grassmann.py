@@ -29,8 +29,8 @@ from .errors import (
     OutOfRange,
     ResidualError,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, herm, op_norm
-from .projective import Projection, ProjectivePoint, random_offdiag_antiherm
+from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, herm, op_norm, spectral
+from .projective import Projection, ProjectivePoint, _trusted, random_offdiag_antiherm
 
 __all__ = [
     "TangentVector",
@@ -39,6 +39,7 @@ __all__ = [
     "d_spherical",
     "geodesic",
     "geodesic_log",
+    "chordal_steps",
     "curve_length",
     "projectivity",
     "geodesic_curve",
@@ -61,8 +62,7 @@ class TangentVector:
             raise InvalidTangent("tangent and context dimensions differ")
         if np.abs(mat + mat.conj().T).max() > tol.eq_tol:
             raise InvalidTangent("tangent is not anti-Hermitian within eq_tol")
-        p = context.mat
-        pc = np.eye(p.shape[0], dtype=complex) - p
+        p, pc = context.mat, context.comp
         if np.abs(p @ mat @ p).max() > tol.eq_tol or np.abs(pc @ mat @ pc).max() > tol.eq_tol:
             raise InvalidTangent("tangent has diagonal blocks exceeding eq_tol")
         self.mat = mat
@@ -137,7 +137,7 @@ def geodesic(p: Projection, z: TangentVector, t: float, tol: Tolerance = DEFAULT
         raise InvalidTangent("tangent context differs from the base projection")
     u = linalg.expm(t * z.mat)
     cols = u @ p.range_basis
-    return Projection(cols @ cols.conj().T, tol, _basis=cols)
+    return _trusted(Projection, mat=cols @ cols.conj().T, rank=p.rank, range_basis=cols)
 
 
 def geodesic_log(p: Projection, q: Projection, tol: Tolerance = DEFAULT_TOL) -> TangentVector:
@@ -163,9 +163,7 @@ def geodesic_log(p: Projection, q: Projection, tol: Tolerance = DEFAULT_TOL) -> 
         raise InvalidInput("projections have different ranks")
     if op_norm(p.mat - q.mat) >= 1.0 - tol.eq_tol:
         raise OutOfRange("chordal distance reaches 1; no unique short geodesic")
-    n = p.mat.shape[0]
-    eye = np.eye(n, dtype=complex)
-    w = (2 * q.mat - eye) @ (2 * p.mat - eye)
+    w = q.eps @ p.eps
     z = 0.5 * linalg.log_unitary(w, tol)
     zvec = TangentVector(z, p, tol)
     endpoint = geodesic(p, zvec, 1.0, tol)
@@ -210,7 +208,7 @@ def curve_length(curve: Curve, tol: Tolerance = DEFAULT_TOL) -> float:
     # Frobenius residuals bound the operator-norm residuals from above, so
     # this check is conservative; samples near the tolerance are re-examined
     # with the exact norm.
-    herm_res = np.linalg.norm(qs - qs.conj().swapaxes(-1, -2), axis=(-2, -1))
+    herm_res = np.linalg.norm(qs - adj(qs), axis=(-2, -1))
     idem_res = np.linalg.norm(qs @ qs - qs, axis=(-2, -1))
     for res in (herm_res, idem_res):
         bad = np.nonzero(res > tol.eq_tol)[0]
@@ -218,10 +216,13 @@ def curve_length(curve: Curve, tol: Tolerance = DEFAULT_TOL) -> float:
             q = qs[i]
             if max(op_norm(q - q.conj().T), op_norm(q @ q - q)) > tol.eq_tol:
                 raise InvalidCurve(f"sample {i} violates the projection invariants")
-    sym = (qs + qs.conj().swapaxes(-1, -2)) / 2
-    diffs = sym[1:] - sym[:-1]
-    dists = np.abs(np.linalg.eigvalsh(diffs)).max(axis=-1)
-    return float(dists.sum())
+    return float(chordal_steps(qs).sum())
+
+
+def chordal_steps(qs: np.ndarray) -> np.ndarray:
+    """Chordal distances between consecutive projections of a stack."""
+    sym = herm(qs)
+    return np.abs(np.linalg.eigvalsh(sym[1:] - sym[:-1])).max(axis=-1)
 
 
 def projectivity(g, q: Projection, tol: Tolerance = DEFAULT_TOL) -> Projection:
@@ -270,13 +271,9 @@ def _cos_sinc_blocks(a: np.ndarray):
     small side has top block cos(|a|) and bottom block a sinc(|a|), where
     |a| = (a* a)^(1/2).
     """
-    m = a.conj().swapaxes(-1, -2) @ a
-    w, v = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2)
+    w, v = np.linalg.eigh(herm(adj(a) @ a))
     s = np.sqrt(np.clip(w, 0.0, None))
-    vh = v.conj().swapaxes(-1, -2)
-    top = (v * np.cos(s)[..., None, :]) @ vh
-    sinc = (v * np.sinc(s / np.pi)[..., None, :]) @ vh
-    return top, a @ sinc
+    return spectral(v, np.cos(s)), a @ spectral(v, np.sinc(s / np.pi))
 
 
 def _tangent_block(z_mat: np.ndarray, small: np.ndarray, big: np.ndarray) -> np.ndarray:
@@ -309,12 +306,12 @@ def _path_sampler(p: Projection, z_mat: np.ndarray, w_mat: np.ndarray | None,
             a = a + (ts * (1.0 - ts))[:, None, None] * a_w
         top, bot = _cos_sinc_blocks(a)
         cols = small @ top + big @ bot
-        qs = cols @ cols.conj().swapaxes(-1, -2)
+        qs = cols @ adj(cols)
         if flipped:
             qs = np.eye(n, dtype=complex) - qs
         if np.ndim(t) == 0:
-            basis = None if flipped else cols[0]
-            return Projection(qs[0], tol, _basis=basis)
+            basis = {} if flipped else {"range_basis": cols[0]}
+            return _trusted(Projection, mat=qs[0], rank=p.rank, **basis)
         return qs
 
     return sampler
@@ -365,9 +362,8 @@ def tangent_path_lengths(p: Projection, z: TangentVector, ws, resolution: int = 
     top, bot = _cos_sinc_blocks(flat)
     top = top.reshape(n_paths + 1, resolution, k, k)
     bot = bot.reshape(n_paths + 1, resolution, big.shape[1], k)
-    g = (top[:, :-1].conj().swapaxes(-1, -2) @ top[:, 1:]
-         + bot[:, :-1].conj().swapaxes(-1, -2) @ bot[:, 1:])
-    gram = g.conj().swapaxes(-1, -2) @ g
+    g = adj(top[:, :-1]) @ top[:, 1:] + adj(bot[:, :-1]) @ bot[:, 1:]
+    gram = adj(g) @ g
     smin2 = np.clip(np.linalg.eigvalsh(gram)[..., 0], 0.0, 1.0)
     lengths = np.sqrt(1.0 - smin2).sum(axis=1)
     return float(lengths[0]), lengths[1:]

@@ -6,6 +6,10 @@ kernels: operator norm, Hermitian eigendecomposition, functional calculus,
 polar decomposition, matrix exponential and the principal logarithms on
 their natural domains.  Everything is a pure function of its arguments.
 
+For one matrix or a stack, :func:`adj` is the adjoint and :func:`spectral`
+reassembles ``V diag(f(w)) V*`` from an eigenbasis and mapped eigenvalues;
+every Hermitian matrix function of the package goes through it.
+
 Only :func:`log_unitary` and the non-normal branch of :func:`expm` need
 scipy; they import ``scipy.linalg`` on first use, so that code which never
 reaches them (the closed-form metrics, charts and Moebius maps, and the CLI
@@ -32,7 +36,9 @@ __all__ = [
     "DEFAULT_TOL",
     "HermitianEig",
     "as_matrix",
+    "adj",
     "herm",
+    "spectral",
     "op_norm",
     "hermitian_eig",
     "func_calc",
@@ -82,13 +88,24 @@ def as_matrix(a, square: bool = False) -> np.ndarray:
     return a
 
 
+def adj(a: np.ndarray) -> np.ndarray:
+    """Adjoint a* of a matrix, or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def herm(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (a + a*) / 2."""
-    return (a + a.conj().T) / 2
+    """Hermitian part (a + a*) / 2, of a matrix or of each matrix of a stack."""
+    return (a + adj(a)) / 2
+
+
+def spectral(v: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """``v diag(fw) v*``: the matrix with eigenbasis ``v`` and eigenvalues
+    ``fw``, for one matrix or a stack (``fw`` may add leading stack axes)."""
+    return (v * fw[..., None, :]) @ adj(v)
 
 
 def _is_hermitian(a: np.ndarray, tol: float) -> bool:
-    return np.abs(a - a.conj().T).max() <= tol
+    return np.abs(a - adj(a)).max() <= tol
 
 
 def op_norm(a) -> float:
@@ -143,7 +160,7 @@ def func_calc(f: Callable[[float], complex], a, tol: Tolerance = DEFAULT_TOL) ->
         fw = np.asarray(vals)
     if not np.all(np.isfinite(np.atleast_1d(fw).astype(complex).view(float))):
         raise DomainError("function returned a non-finite value on the spectrum")
-    out = (v * fw) @ v.conj().T
+    out = spectral(v, fw)
     if np.isrealobj(fw) or np.abs(fw.imag).max() == 0.0:
         out = herm(out)
     return out
@@ -158,7 +175,7 @@ def polar(a) -> tuple[np.ndarray, np.ndarray]:
     a = as_matrix(a, square=True)
     u_svd, s, vh = np.linalg.svd(a)
     u = u_svd @ vh
-    pos = herm(vh.conj().T @ (s[:, None] * vh))
+    pos = herm(adj(vh) @ (s[:, None] * vh))
     return u, pos
 
 
@@ -171,13 +188,13 @@ def expm(a) -> np.ndarray:
     a = as_matrix(a, square=True)
     scale = max(1.0, np.abs(a).max())
     dev = 1e-13 * scale
-    if np.abs(a - a.conj().T).max() <= dev:
+    if np.abs(a - adj(a)).max() <= dev:
         w, v = np.linalg.eigh(herm(a))
-        return herm((v * np.exp(w)) @ v.conj().T)
-    if np.abs(a + a.conj().T).max() <= dev:
+        return herm(spectral(v, np.exp(w)))
+    if np.abs(a + adj(a)).max() <= dev:
         # a = i h with h Hermitian; exp(a) is unitary
         w, v = np.linalg.eigh(herm(-1j * a))
-        return (v * np.exp(1j * w)) @ v.conj().T
+        return spectral(v, np.exp(1j * w))
     import scipy.linalg
 
     return scipy.linalg.expm(a)
@@ -199,7 +216,7 @@ def log_unitary(u, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """
     u = as_matrix(u, square=True)
     n = u.shape[0]
-    if np.abs(u.conj().T @ u - np.eye(n)).max() > tol.eq_tol:
+    if np.abs(adj(u) @ u - np.eye(n)).max() > tol.eq_tol:
         raise InvalidInput("matrix is not unitary within eq_tol")
     import scipy.linalg
 
@@ -211,24 +228,25 @@ def log_unitary(u, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if np.abs(lam + 1.0).min() <= tol.eq_tol:
         raise BranchCut("eigenvalue within eq_tol of -1; principal log undefined")
     lam /= np.abs(lam)
-    out = (q * np.log(lam)) @ q.conj().T
-    return (out - out.conj().T) / 2
+    out = spectral(q, np.log(lam))
+    return (out - adj(out)) / 2
+
+
+def _posdef_func(f, a, tol: Tolerance) -> np.ndarray:
+    w, v = hermitian_eig(a, tol)
+    if w.min() <= tol.eq_tol:
+        raise NotPositive("matrix is not positive definite within eq_tol")
+    return herm(spectral(v, f(w)))
 
 
 def log_posdef(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Principal logarithm of a positive definite Hermitian matrix."""
-    w, v = hermitian_eig(a, tol)
-    if w.min() <= tol.eq_tol:
-        raise NotPositive("matrix is not positive definite within eq_tol")
-    return herm((v * np.log(w)) @ v.conj().T)
+    return _posdef_func(np.log, a, tol)
 
 
 def sqrt_posdef(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Positive square root of a positive definite Hermitian matrix."""
-    w, v = hermitian_eig(a, tol)
-    if w.min() <= tol.eq_tol:
-        raise NotPositive("matrix is not positive definite within eq_tol")
-    return herm((v * np.sqrt(w)) @ v.conj().T)
+    return _posdef_func(np.sqrt, a, tol)
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
@@ -238,8 +256,7 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     corner elements such as compressions that vanish on a complement.
     """
     w, v = np.linalg.eigh(herm(a))
-    w = np.clip(w, 0.0, None)
-    return herm((v * np.sqrt(w)) @ v.conj().T)
+    return herm(spectral(v, np.sqrt(np.clip(w, 0.0, None))))
 
 
 def svd_range_projection(a, rtol: float = 1e-11) -> np.ndarray:
@@ -254,7 +271,7 @@ def svd_range_projection(a, rtol: float = 1e-11) -> np.ndarray:
         return np.zeros((a.shape[0], a.shape[0]), dtype=complex)
     k = int(np.sum(s > rtol * s[0]))
     uk = u[:, :k]
-    return uk @ uk.conj().T
+    return uk @ adj(uk)
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -279,4 +296,4 @@ def random_invertible(
     u = random_unitary(n, rng)
     v = random_unitary(n, rng)
     s = rng.uniform(smin, smax, size=n)
-    return (u * s) @ v.conj().T
+    return (u * s) @ adj(v)

@@ -26,7 +26,7 @@ from .projective import (
     Projection,
     ProjectivePoint,
     classify,
-    corner_compress,
+    corner_min_sv,
 )
 
 __all__ = [
@@ -49,10 +49,9 @@ class HpVector:
         mat = as_matrix(mat, square=True)
         if mat.shape != context.mat.shape:
             raise InvalidInput("coordinate and context dimensions differ")
-        p = context.mat
-        if np.abs(p @ mat).max() > tol.eq_tol:
+        if np.abs(context.mat @ mat).max() > tol.eq_tol:
             raise InvalidInput("coordinate has a component in p A")
-        if np.abs(mat @ (np.eye(p.shape[0]) - p)).max() > tol.eq_tol:
+        if np.abs(mat @ context.comp).max() > tol.eq_tol:
             raise InvalidInput("coordinate has a component in A (1-p)")
         self.mat = mat
         self.context = context
@@ -69,7 +68,7 @@ def random_hp_vector(p: Projection, rng: np.random.Generator, norm: float = 1.0)
     """Random chart coordinate scaled to the requested operator norm."""
     n = p.dim
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    x = (np.eye(n, dtype=complex) - p.mat) @ m @ p.mat
+    x = p.comp @ m @ p.mat
     xn = np.linalg.norm(x, 2)
     if xn == 0.0:
         return HpVector(np.zeros_like(p.mat), p)
@@ -102,8 +101,7 @@ def chart_inv(m: ProjectivePoint, tol: Tolerance = DEFAULT_TOL) -> HpVector:
     v1 = b.conj().T @ v @ b
     if np.linalg.svd(v1, compute_uv=False).min() <= tol.eq_tol:
         raise NotFinitePoint("point lies outside the affine chart at p")
-    pc = np.eye(p.dim, dtype=complex) - p.mat
-    x = pc @ v @ b @ np.linalg.inv(v1) @ b.conj().T
+    x = p.comp @ v @ b @ np.linalg.inv(v1) @ b.conj().T
     return HpVector(x, p, tol)
 
 
@@ -127,8 +125,7 @@ class MoebiusMap:
         s = np.linalg.svd(g, compute_uv=False)
         if s.min() <= tol.eq_tol * s.max():
             raise NotInvertible("Moebius maps require an invertible matrix")
-        p = context.mat
-        pc = np.eye(g.shape[0], dtype=complex) - p
+        p, pc = context.mat, context.comp
         self.g = g
         self.context = context
         self.block_pp = p @ g @ p
@@ -142,12 +139,7 @@ class MoebiusMap:
 
 def moebius_domain(g: MoebiusMap, b: HpVector, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether ``b`` lies in the domain: x + y b invertible in the corner."""
-    p = g.context
-    t = g.block_pp + g.block_pc @ b.mat
-    if p.rank == 0:
-        return True
-    c = corner_compress(t, p)
-    return float(np.linalg.svd(c, compute_uv=False).min()) > tol.eq_tol
+    return corner_min_sv(g.block_pp + g.block_pc @ b.mat, g.context) > tol.eq_tol
 
 
 def moebius_apply(g: MoebiusMap, b: HpVector, tol: Tolerance = DEFAULT_TOL) -> HpVector:
@@ -193,6 +185,5 @@ def chart_transition(q: Projection, r: Projection, x: HpVector,
     c = b.conj().T @ a @ b
     if np.linalg.svd(c, compute_uv=False).min() <= tol.eq_tol:
         raise OutsideDomain("transported point lies outside the chart at q")
-    pc = np.eye(q.dim, dtype=complex) - q.mat
-    out = pc @ a @ b @ np.linalg.inv(c) @ b.conj().T
+    out = q.comp @ a @ b @ np.linalg.inv(c) @ b.conj().T
     return HpVector(out, q, tol)

@@ -5,6 +5,10 @@ two elements being equivalent when they differ by a right factor invertible
 in the corner ``pAp``.  Classes are represented canonically by the partial
 isometry of the polar decomposition, and compared through their range
 projections, which are a complete invariant of the class.
+
+Constructors check their invariants.  Results computed from validated
+objects whose invariants hold by construction (range projections of
+orthonormal columns, canonical points) are built unchecked by ``_trusted``.
 """
 
 from __future__ import annotations
@@ -34,14 +38,24 @@ __all__ = [
 ]
 
 
+def _trusted(cls, **fields):
+    """An instance of ``cls`` holding ``fields``, built without running its
+    constructor's checks; only for values valid by construction."""
+    obj = cls.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 class Projection:
     """A Hermitian idempotent matrix.
 
     The rank is read off the trace, which must be within ``eq_tol`` of an
     integer; rank equality is the equivalence invariant in a matrix algebra.
+    ``comp`` (``1 - p``) and ``eps`` (the symmetry ``2p - 1``) are computed
+    once per projection and shared; treat them as read-only.
     """
 
-    def __init__(self, mat, tol: Tolerance = DEFAULT_TOL, _basis: np.ndarray | None = None):
+    def __init__(self, mat, tol: Tolerance = DEFAULT_TOL):
         mat = as_matrix(mat, square=True)
         if np.abs(mat - mat.conj().T).max() > tol.eq_tol:
             raise InvalidInput("projection is not Hermitian within eq_tol")
@@ -52,12 +66,20 @@ class Projection:
             raise InvalidInput("trace of a projection must be within eq_tol of an integer")
         self.mat = mat
         self.rank = int(round(tr.real))
-        if _basis is not None:
-            self.__dict__["range_basis"] = _basis
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    @cached_property
+    def comp(self) -> np.ndarray:
+        """The complementary projection ``1 - p``, as a matrix."""
+        return np.eye(self.dim, dtype=complex) - self.mat
+
+    @cached_property
+    def eps(self) -> np.ndarray:
+        """The selfadjoint symmetry ``2p - 1``."""
+        return 2 * self.mat - np.eye(self.dim, dtype=complex)
 
     @cached_property
     def _eigvecs(self) -> np.ndarray:
@@ -75,7 +97,7 @@ class Projection:
         return self._eigvecs[:, : self.dim - self.rank]
 
     def complement(self, tol: Tolerance = DEFAULT_TOL) -> "Projection":
-        return Projection(np.eye(self.dim, dtype=complex) - self.mat, tol)
+        return Projection(self.comp, tol)
 
     def __repr__(self):
         return f"Projection(dim={self.dim}, rank={self.rank})"
@@ -185,7 +207,8 @@ def classify(a, p: Projection, tol: Tolerance = DEFAULT_TOL) -> ProjectivePoint:
         raise NotInLp("element is not equivalent to any partial isometry over p")
     if p.rank == 0:
         zero = np.zeros_like(p.mat)
-        return ProjectivePoint(PartialIsometry(zero, p, tol), Projection(zero, tol), tol)
+        rng = _trusted(Projection, mat=zero, rank=0)
+        return _trusted(ProjectivePoint, rep=PartialIsometry(zero, p, tol), range=rng)
     # the trace of the range projection ``a a*`` sums up to n entry errors
     # of a*a - p, and must still pass Projection's eq_tol check
     if a.shape[0] * np.abs(a.conj().T @ a - p.mat).max() <= tol.eq_tol:
@@ -197,8 +220,8 @@ def classify(a, p: Projection, tol: Tolerance = DEFAULT_TOL) -> ProjectivePoint:
         inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
         rep = a @ b @ inv_sqrt @ b.conj().T
     cols = rep @ p.range_basis
-    rng = Projection(cols @ cols.conj().T, tol, _basis=cols)
-    return ProjectivePoint(PartialIsometry(rep, p, tol), rng, tol)
+    rng = _trusted(Projection, mat=cols @ cols.conj().T, rank=p.rank, range_basis=cols)
+    return _trusted(ProjectivePoint, rep=PartialIsometry(rep, p, tol), range=rng)
 
 
 def class_equal(m: ProjectivePoint, n: ProjectivePoint, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -219,7 +242,7 @@ def point_from_projection(q: Projection, p: Projection, tol: Tolerance = DEFAULT
     if q.rank != p.rank:
         raise InvalidInput("projections have different ranks")
     rep = q.range_basis @ p.range_basis.conj().T
-    return ProjectivePoint(PartialIsometry(rep, p, tol), q, tol)
+    return _trusted(ProjectivePoint, rep=_trusted(PartialIsometry, mat=rep, context=p), range=q)
 
 
 def unitary_extension(g, p: Projection, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -272,14 +295,14 @@ def random_projection(n: int, rank: int, seed: int, tol: Tolerance = DEFAULT_TOL
     h = herm(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     _, v = np.linalg.eigh(h)
     b = v[:, n - rank:]
-    return Projection(b @ b.conj().T, tol, _basis=b)
+    return _trusted(Projection, mat=b @ b.conj().T, rank=rank, range_basis=b)
 
 
 def random_offdiag_antiherm(p: Projection, rng: np.random.Generator) -> np.ndarray:
     """Random anti-Hermitian matrix exchanging ran(p) and its complement."""
     n = p.dim
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    x = (np.eye(n, dtype=complex) - p.mat) @ m @ p.mat
+    x = p.comp @ m @ p.mat
     return x - x.conj().T
 
 

@@ -119,12 +119,12 @@ def _rand_point_unitary(p: pj.Projection, rng: np.random.Generator,
     return pj.classify(u @ p.mat, p, tol)
 
 
-def _point_at_angle(m: pj.ProjectivePoint, theta: float, rng: np.random.Generator,
-                    tol: Tolerance) -> pj.ProjectivePoint:
-    """A point of the same class space at spherical distance theta from m."""
-    z = gr.random_tangent(m.range, rng, theta)
-    q = gr.geodesic(m.range, z, 1.0, tol)
-    return pj.point_from_projection(q, m.context, tol)
+def _point_at_angle(q: pj.Projection, p: pj.Projection, theta: float,
+                    rng: np.random.Generator, tol: Tolerance) -> pj.ProjectivePoint:
+    """The point over ``p`` whose range lies at spherical distance theta
+    from ``q``, along a random geodesic."""
+    z = gr.random_tangent(q, rng, theta)
+    return pj.point_from_projection(gr.geodesic(q, z, 1.0, tol), p, tol)
 
 
 def _corner_invertible(p: pj.Projection, rng: np.random.Generator) -> np.ndarray:
@@ -216,7 +216,7 @@ def _sin_identity(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
     p = _rand_proj(n, rng, tol)
     m = _rand_point_unitary(p, rng, tol)
     theta = np.arcsin(0.95) * rng.uniform(1e-3, 1.0)
-    nn = _point_at_angle(m, theta, rng, tol)
+    nn = _point_at_angle(m.range, m.context, theta, rng, tol)
     return abs(gr.d_chordal(m, nn, tol) - np.sin(gr.d_spherical(m, nn, tol)))
 
 
@@ -293,11 +293,9 @@ def _finiteness_characterizations(n: int, rng: np.random.Generator, tol: Toleran
         theta = rng.uniform(1e-3, np.pi / 2 - 2e-3)
     else:
         theta = np.pi / 2
-    z = gr.random_tangent(p, rng, theta)
-    q = gr.geodesic(p, z, 1.0, tol)
-    m = pj.point_from_projection(q, p, tol)
+    m = _point_at_angle(p, p, theta, rng, tol)
     by_corner = pj.corner_min_sv(m.rep.mat, p) > tol.eq_tol
-    by_chordal = la.op_norm(p.mat - q.mat) < 1.0 - tol.eq_tol
+    by_chordal = la.op_norm(p.mat - m.range.mat) < 1.0 - tol.eq_tol
     try:
         base = pj.classify(p.mat, p, tol)
         by_spherical = gr.d_spherical(m, base, tol) < np.pi / 2
@@ -311,8 +309,7 @@ def _chart_roundtrip(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
     x = mo.random_hp_vector(p, rng, rng.uniform(0.05, 3.0))
     back = mo.chart_inv(mo.chart(x, tol), tol)
     theta = rng.uniform(1e-3, np.pi / 2 - 0.05)
-    m = pj.point_from_projection(
-        gr.geodesic(p, gr.random_tangent(p, rng, theta), 1.0, tol), p, tol)
+    m = _point_at_angle(p, p, theta, rng, tol)
     again = mo.chart(mo.chart_inv(m, tol), tol)
     return _worst((float(np.abs(back.mat - x.mat).max()),
                    la.op_norm(again.range.mat - m.range.mat)))
@@ -322,8 +319,7 @@ def _chart_tan_identity(n: int, rng: np.random.Generator, tol: Tolerance) -> flo
     p = _rand_proj(n, rng, tol)
     base = pj.classify(p.mat, p, tol)
     theta = rng.uniform(1e-3, 1.4)
-    m = pj.point_from_projection(
-        gr.geodesic(p, gr.random_tangent(p, rng, theta), 1.0, tol), p, tol)
+    m = _point_at_angle(p, p, theta, rng, tol)
     return abs(mo.d_chart(m, base, tol) - np.tan(gr.d_spherical(m, base, tol)))
 
 
@@ -396,7 +392,7 @@ def _transition_cocycle(n: int, rng: np.random.Generator, tol: Tolerance) -> flo
 
 def _eps_closure(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
     p = _rand_proj(n, rng, tol)
-    eps = 2 * p.mat - np.eye(n)
+    eps = p.eps
     u = dk.random_eps_unitary(p, rng).mat
     v = dk.random_eps_unitary(p, rng).mat
     u_inv = eps @ u.conj().T @ eps
@@ -410,9 +406,8 @@ def _eps_closure(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
 def _cone_power_stability(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
     p = _rand_proj(n, rng, tol)
     lam = dk.random_pos_eps_unitary(p, 1.0, _seed(rng), tol)
-    eps = 2 * p.mat - np.eye(n)
     powers = (lam.power(t).mat for t in (-1.0, 0.5, 2.0, 0.3))
-    return _worst(float(np.abs(lt @ eps @ lt - eps).max()) for lt in powers)
+    return _worst(float(np.abs(lt @ p.eps @ lt - p.eps).max()) for lt in powers)
 
 
 def _disk_pair(n: int, rng: np.random.Generator, tol: Tolerance):
@@ -444,9 +439,8 @@ def _eps_invariance(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
 
 def _cone_geodesic_closure(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
     p, m, nn = _disk_pair(n, rng, tol)
-    eps = 2 * p.mat - np.eye(n)
     gams = (dk.eps_geodesic(m.lam, nn.lam, float(t), tol).mat for t in np.linspace(0.0, 1.0, 50))
-    return _worst(float(np.abs(gam @ eps @ gam - eps).max()) for gam in gams)
+    return _worst(float(np.abs(gam @ p.eps @ gam - p.eps).max()) for gam in gams)
 
 
 def _cone_geodesic_additivity(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
@@ -492,8 +486,7 @@ def _disk_characterizations(n: int, rng: np.random.Generator, tol: Tolerance) ->
         theta = rng.uniform(1e-3, np.pi / 4 - margin)
     else:
         theta = rng.uniform(np.pi / 4 + margin, np.pi / 2 - 0.01)
-    m = pj.point_from_projection(
-        gr.geodesic(p, gr.random_tangent(p, rng, theta), 1.0, tol), p, tol)
+    m = _point_at_angle(p, p, theta, rng, tol)
     base = pj.classify(p.mat, p, tol)
     by_chart = dk.in_disk(m, tol)
     by_chordal = gr.d_chordal(m, base, tol) < np.sqrt(2) / 2
@@ -512,8 +505,7 @@ def _disk_roundtrip(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
 def _rho_symmetry(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
     p, m, nn = _disk_pair(n, rng, tol)
     r1, r2 = dk.rho(m, nn, tol), dk.rho(nn, m, tol)
-    pc = np.eye(n) - p.mat
-    alt = la.op_norm(pc @ m.lam.sqrt @ nn.lam.inv_sqrt @ p.mat)
+    alt = la.op_norm(p.comp @ m.lam.sqrt @ nn.lam.inv_sqrt @ p.mat)
     return _worst((abs(r1 - r2), abs(r1 - alt)))
 
 
@@ -525,19 +517,17 @@ def _cone_block_structure(n: int, rng: np.random.Generator, tol: Tolerance) -> f
     xb = bc.conj().T @ x @ b
     w, v = np.linalg.eigh(la.herm(xb.conj().T @ xb))
     s = np.sqrt(np.clip(w, 0.0, None))
-    cosh_blk = (v * np.cosh(s)) @ v.conj().T
+    cosh_blk = la.spectral(v, np.cosh(s))
     sinhc_vals = np.where(s > 1e-8, np.sinh(s) / np.where(s > 0, s, 1.0), 1.0 + s * s / 6)
-    sinhc = (v * sinhc_vals) @ v.conj().T
+    sinhc = la.spectral(v, sinhc_vals)
     residuals = [float(np.abs(b.conj().T @ lam.mat @ b - cosh_blk).max()),
                  float(np.abs(bc.conj().T @ lam.mat @ b - xb @ sinhc).max())]
     # corner norm of any eps-unitary equals sinh of its positive part's corner
     u = dk.random_eps_unitary(p, rng)
     absu = dk.PositiveEpsUnitary(la.psd_sqrt(u.mat.conj().T @ u.mat), p, tol)
     expect = np.sinh(absu.xparam.norm)
-    pcm = np.eye(n) - p.mat
-    eps = 2 * p.mat - np.eye(n)
-    u_inv = eps @ u.mat.conj().T @ eps
-    residuals += [abs(la.op_norm(pcm @ wmat @ p.mat) - expect)
+    u_inv = p.eps @ u.mat.conj().T @ p.eps
+    residuals += [abs(la.op_norm(p.comp @ wmat @ p.mat) - expect)
                   for wmat in (u.mat, u_inv, u.mat.conj().T)]
     return _worst(residuals)
 

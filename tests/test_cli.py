@@ -97,6 +97,22 @@ class TestDist:
         f2 = write_point(tmp_path / "b.json", pj.classify(p2.mat, p2))
         assert cli.main(["dist", "--metric", "chordal", f1, f2]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        *(["dist", "--metric", metric] for metric in
+          ("chordal", "spherical", "dk", "dpc", "en", "dplus")),
+        ["disk-dist"],
+        ["geodesic"],
+        ["geodesic", "--space", "cone"],
+        ["length"],
+        ["disk-geodesic"],
+    ])
+    def test_dimension_mismatch_is_input_error(self, argv, tmp_path, capsys):
+        p4, p5 = pj.random_projection(4, 2, 1), pj.random_projection(5, 2, 1)
+        f4 = write_point(tmp_path / "a.json", pj.classify(p4.mat, p4))
+        f5 = write_point(tmp_path / "b.json", pj.classify(p5.mat, p5))
+        assert cli.main([*argv, f4, f5]) == 2
+        assert capsys.readouterr().err.startswith("InvalidInput: ")
+
 
 class TestGeodesicTables:
     def test_two_samples_are_endpoints(self, rotation_files, capsys):

@@ -290,6 +290,25 @@ class TestDiskMetrics:
             k = dk.cone_to_disk(dk.random_pos_eps_unitary(p, 1.0, int(rng.integers(2**32))))
             assert 2 * dk.d_non_euclidean(m, k) == pytest.approx(dk.d_cone(m, k), abs=1e-8)
 
+    @pytest.mark.parametrize("metric", [dk.rho, dk.d_pseudo_chordal, dk.d_non_euclidean,
+                                        dk.d_cone])
+    def test_dimension_mismatch_is_invalid_input(self, metric):
+        p4, p5 = pj.random_projection(4, 2, 1), pj.random_projection(5, 2, 1)
+        m = dk.cone_to_disk(dk.random_pos_eps_unitary(p4, 1.0, 2))
+        k = dk.cone_to_disk(dk.random_pos_eps_unitary(p5, 1.0, 3))
+        with pytest.raises(InvalidInput):
+            metric(m, k)
+        with pytest.raises(InvalidInput):
+            metric(k, m)
+
+    def test_cone_distance_checks_dimensions_only(self):
+        mu = dk.random_pos_eps_unitary(pj.random_projection(4, 2, 1), 1.0, 2)
+        nu = dk.random_pos_eps_unitary(pj.random_projection(4, 2, 5), 1.0, 3)
+        five = dk.random_pos_eps_unitary(pj.random_projection(5, 2, 1), 1.0, 3)
+        assert np.isfinite(dk.d_cone(mu, nu))
+        with pytest.raises(InvalidInput):
+            dk.d_cone(mu, five)
+
 
 class TestConeGeodesics:
     def test_endpoints(self):
@@ -448,6 +467,26 @@ class TestDiskMembership:
         for seed in range(10):
             m = dk.cone_to_disk(dk.random_pos_eps_unitary(p, 2.0, seed))
             assert dk.in_disk(m.point)
+
+
+class TestKeptChecks:
+    """Cone elements built near the rim keep their constructor's checks:
+    rounding there breaks the indefinite form, and an unchecked element
+    would carry the defect on silently."""
+
+    @pytest.mark.parametrize("n, rank, seed", [(3, 1, 0), (4, 2, 0), (6, 3, 5), (8, 4, 7)])
+    def test_from_xparam_at_corner_norm_8(self, n, rank, seed):
+        p = pj.random_projection(n, rank, seed)
+        x = mo.random_hp_vector(p, np.random.default_rng(seed), 8.0)
+        with pytest.raises(NotEpsUnitary):
+            dk.PositiveEpsUnitary.from_xparam(x)
+
+    @pytest.mark.parametrize("n, rank, seed", [(2, 1, 0), (4, 2, 1), (6, 3, 2), (8, 4, 3)])
+    def test_disk_to_cone_at_chart_radius_near_1(self, n, rank, seed):
+        p = pj.random_projection(n, rank, seed)
+        x = mo.random_hp_vector(p, np.random.default_rng(seed), 1.0 - 1e-6)
+        with pytest.raises(NotEpsUnitary):
+            dk.disk_to_cone(mo.chart(x))
 
 
 class TestSmallCornerNorm:

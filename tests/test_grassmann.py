@@ -250,6 +250,16 @@ class TestCurveLength:
                 gr.curve_length(gr.perturbed_curve(p, z, w, 500)), abs=1e-8)
 
 
+    def test_chordal_steps_are_consecutive_chordal_distances(self, rng):
+        p = pj.random_projection(6, 2, 5)
+        z = gr.random_tangent(p, rng, 1.1)
+        qs = [gr.geodesic(p, z, t) for t in (0.0, 0.3, 0.9)]
+        steps = gr.chordal_steps(np.stack([q.mat for q in qs]))
+        assert steps.shape == (2,)
+        for step, a, b in zip(steps, qs, qs[1:]):
+            assert step == pytest.approx(la.op_norm(a.mat - b.mat), abs=1e-12)
+
+
 class TestProjectivity:
     def test_identity(self):
         q = pj.random_projection(4, 2, 3)

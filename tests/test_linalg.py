@@ -204,6 +204,23 @@ class TestExpLog:
         assert np.abs(la.expm(a) - series).max() < 1e-13
 
 
+class TestStackHelpers:
+    def test_adj_and_herm_act_per_matrix(self, rng):
+        a = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        assert all(np.array_equal(la.adj(a)[i], a[i].conj().T) for i in range(3))
+        assert all(np.array_equal(la.herm(a)[i], la.herm(a[i])) for i in range(3))
+
+    def test_spectral_reassembles(self, rng):
+        h = random_hermitian(5, rng)
+        w, v = np.linalg.eigh(h)
+        assert np.abs(la.spectral(v, w) - h).max() < 1e-12
+        fws = np.stack([np.exp(w), np.cos(w)])
+        stacked = la.spectral(v, fws)
+        assert stacked.shape == (2, 5, 5)
+        for fw, out in zip(fws, stacked):
+            assert np.abs(out - v @ np.diag(fw) @ v.conj().T).max() < 1e-12
+
+
 class TestUtilities:
     def test_tolerance_positive(self):
         with pytest.raises(InvalidInput):
