@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("projection", "point", "tangent", "hpvector",
                              "pos-eps-unitary", "invertible", "unitary"))
     sp.add_argument("--dim", type=int, default=4)
-    sp.add_argument("--rank", type=int, default=None, help="default: dim // 2")
+    sp.add_argument("--rank", type=int, default=None, help="default: max(1, dim // 2)")
     sp.add_argument("--radius", type=float, default=0.5,
                     help="chordal radius for random points")
     sp.add_argument("--scale", type=float, default=1.0,
@@ -283,7 +283,7 @@ def _geodesic_table(args, space: str) -> tuple:
         if space == "disk":
             p = m.context
             mats = np.stack([
-                pj.classify(dk.PositiveEpsUnitary(lam, p, tol).sqrt @ p.mat, p, tol).range.mat
+                dk.cone_to_disk(dk.PositiveEpsUnitary(lam, p, tol), tol).point.range.mat
                 for lam in mats
             ])
     rows = list(zip(ts.tolist(), cum.tolist()))
@@ -309,10 +309,11 @@ def _cmd_moebius(args) -> int:
     p = se.projection_from_obj(se.load_obj(args.context), tol)
     g = mo.MoebiusMap(se.matrix_from_obj(se.load_obj(args.matrix)), p, tol)
     b = mo.HpVector(se.matrix_from_obj(se.load_obj(args.argument)), p, tol)
-    if not mo.moebius_domain(g, b, tol):
+    try:
+        out = mo.moebius_apply(g, b, tol)
+    except OutsideDomain:
         _write(args, '{"in_domain": false, "result": null}\n')
         return 6
-    out = mo.moebius_apply(g, b, tol)
     _write(args, se.dumps({"in_domain": True, "result": se.matrix_to_obj(out.mat)}))
     return 0
 
@@ -354,6 +355,8 @@ def _cmd_random(args) -> int:
     tol = _tol(args)
     seed = _seed(args)
     n = args.dim
+    if n < 1:
+        raise InvalidInput(f"dimension must be at least 1, got {n}")
     rank = args.rank if args.rank is not None else max(1, n // 2)
     rng = np.random.default_rng(seed)
     from . import linalg as la

@@ -305,10 +305,7 @@ def eps_geodesic(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary, t: float,
     Runs from ``nu`` at t = 0 to ``mu`` at t = 1 and stays inside the cone
     for every real t; the cone distance grows linearly in t along it.
     """
-    a = herm(nu.inv_sqrt @ mu.mat @ nu.inv_sqrt)
-    w, v = np.linalg.eigh(a)
-    inner = spectral(v, w ** float(t))
-    return PositiveEpsUnitary(herm(nu.sqrt @ inner @ nu.sqrt), mu.context, tol)
+    return PositiveEpsUnitary(eps_geodesic_samples(mu, nu, [t])[0], mu.context, tol)
 
 
 def eps_geodesic_samples(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,

@@ -29,7 +29,7 @@ from .errors import (
     OutOfRange,
     ResidualError,
 )
-from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, herm, op_norm, spectral
+from .linalg import DEFAULT_TOL, Tolerance, _is_singular, adj, as_matrix, herm, op_norm, spectral
 from .projective import Projection, ProjectivePoint, _trusted, random_offdiag_antiherm
 
 __all__ = [
@@ -237,8 +237,7 @@ def projectivity(g, q: Projection, tol: Tolerance = DEFAULT_TOL) -> Projection:
     g = as_matrix(g, square=True)
     if g.shape != q.mat.shape:
         raise InvalidInput("element and projection dimensions differ")
-    s = np.linalg.svd(g, compute_uv=False)
-    if s.min() <= tol.eq_tol * s.max():
+    if _is_singular(g, tol.eq_tol):
         raise NotInvertible("matrix is singular within eq_tol")
     r = g @ q.mat @ np.linalg.inv(g)
     d = r - r.conj().T

@@ -108,6 +108,13 @@ def _is_hermitian(a: np.ndarray, tol: float) -> bool:
     return np.abs(a - adj(a)).max() <= tol
 
 
+def _is_singular(a: np.ndarray, tol: float) -> bool:
+    """Whether the smallest singular value of ``a`` is at most ``tol`` times
+    the largest: the one full-matrix invertibility test."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return s.min() <= tol * s.max()
+
+
 def op_norm(a) -> float:
     """Operator (spectral) norm: the largest singular value."""
     a = as_matrix(a)

@@ -21,13 +21,8 @@ from .errors import (
     NotInvertible,
     OutsideDomain,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, op_norm
-from .projective import (
-    Projection,
-    ProjectivePoint,
-    classify,
-    corner_min_sv,
-)
+from .linalg import DEFAULT_TOL, Tolerance, _is_singular, as_matrix, op_norm
+from .projective import Projection, ProjectivePoint, _corner_inv, classify
 
 __all__ = [
     "HpVector",
@@ -75,6 +70,17 @@ def random_hp_vector(p: Projection, rng: np.random.Generator, norm: float = 1.0)
     return HpVector(x * (norm / xn), p)
 
 
+def _chart_coordinate(a: np.ndarray, q: Projection, tol: Tolerance) -> np.ndarray | None:
+    """``(1-q) a q (q a q)^{-1}``, the inverse taken in ``qAq``: the chart
+    coordinate at ``q`` of the point ``[a q]``, or None when the compression
+    of ``a`` to ran(q) is singular within eq_tol (the point is not finite)."""
+    c_inv = _corner_inv(a, q, tol)
+    if c_inv is None:
+        return None
+    b = q.range_basis
+    return q.comp @ a @ b @ c_inv @ b.conj().T
+
+
 def chart(x: HpVector, tol: Tolerance = DEFAULT_TOL) -> ProjectivePoint:
     """The finite point ``[p + x]`` of a chart coordinate."""
     p = x.context
@@ -94,14 +100,9 @@ def chart_inv(m: ProjectivePoint, tol: Tolerance = DEFAULT_TOL) -> HpVector:
         within eq_tol.
     """
     p = m.context
-    v = m.rep.mat
-    if p.rank == 0:
-        return HpVector(np.zeros_like(p.mat), p, tol)
-    b = p.range_basis
-    v1 = b.conj().T @ v @ b
-    if np.linalg.svd(v1, compute_uv=False).min() <= tol.eq_tol:
+    x = _chart_coordinate(m.rep.mat, p, tol)
+    if x is None:
         raise NotFinitePoint("point lies outside the affine chart at p")
-    x = p.comp @ v @ b @ np.linalg.inv(v1) @ b.conj().T
     return HpVector(x, p, tol)
 
 
@@ -122,8 +123,7 @@ class MoebiusMap:
         g = as_matrix(g, square=True)
         if g.shape != context.mat.shape:
             raise InvalidInput("matrix and context dimensions differ")
-        s = np.linalg.svd(g, compute_uv=False)
-        if s.min() <= tol.eq_tol * s.max():
+        if _is_singular(g, tol.eq_tol):
             raise NotInvertible("Moebius maps require an invertible matrix")
         p, pc = context.mat, context.comp
         self.g = g
@@ -139,7 +139,7 @@ class MoebiusMap:
 
 def moebius_domain(g: MoebiusMap, b: HpVector, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether ``b`` lies in the domain: x + y b invertible in the corner."""
-    return corner_min_sv(g.block_pp + g.block_pc @ b.mat, g.context) > tol.eq_tol
+    return _corner_inv(g.block_pp + g.block_pc @ b.mat, g.context, tol) is not None
 
 
 def moebius_apply(g: MoebiusMap, b: HpVector, tol: Tolerance = DEFAULT_TOL) -> HpVector:
@@ -150,14 +150,13 @@ def moebius_apply(g: MoebiusMap, b: HpVector, tol: Tolerance = DEFAULT_TOL) -> H
     OutsideDomain
         If ``b`` fails the domain test.
     """
-    if not moebius_domain(g, b, tol):
-        raise OutsideDomain("coordinate lies outside the Moebius domain")
     p = g.context
-    t = g.block_pp + g.block_pc @ b.mat
+    t_inv = _corner_inv(g.block_pp + g.block_pc @ b.mat, p, tol)
+    if t_inv is None:
+        raise OutsideDomain("coordinate lies outside the Moebius domain")
     num = g.block_cp + g.block_cc @ b.mat
     bb = p.range_basis
-    t_inv = bb @ np.linalg.inv(bb.conj().T @ t @ bb) @ bb.conj().T
-    return HpVector(num @ t_inv, p, tol)
+    return HpVector(num @ (bb @ t_inv @ bb.conj().T), p, tol)
 
 
 def chart_transition(q: Projection, r: Projection, x: HpVector,
@@ -180,10 +179,7 @@ def chart_transition(q: Projection, r: Projection, x: HpVector,
         raise InvalidInput("projections live in different ambient dimensions")
     if op_norm(q.mat - r.mat) >= 1.0 - tol.eq_tol:
         raise OutsideDomain("chart bases are at chordal distance 1")
-    a = r.mat + x.mat
-    b = q.range_basis
-    c = b.conj().T @ a @ b
-    if np.linalg.svd(c, compute_uv=False).min() <= tol.eq_tol:
+    out = _chart_coordinate(r.mat + x.mat, q, tol)
+    if out is None:
         raise OutsideDomain("transported point lies outside the chart at q")
-    out = q.comp @ a @ b @ np.linalg.inv(c) @ b.conj().T
     return HpVector(out, q, tol)

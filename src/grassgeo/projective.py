@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidInput, NotInLp, NotInvertible, ResidualError
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, herm
+from .linalg import DEFAULT_TOL, Tolerance, _is_singular, as_matrix, herm
 
 __all__ = [
     "Projection",
@@ -152,8 +152,7 @@ def corner_compress(a: np.ndarray, p: Projection) -> np.ndarray:
 def corner_min_sv(a: np.ndarray, p: Projection) -> float:
     """Smallest singular value of the compression of ``a`` to ran(p).
 
-    Invertibility in the corner algebra ``pAp`` is decided uniformly by this
-    one number.  Vacuously +inf when ``p`` has rank zero.
+    Vacuously +inf when ``p`` has rank zero.
     """
     if p.rank == 0:
         return np.inf
@@ -161,62 +160,86 @@ def corner_min_sv(a: np.ndarray, p: Projection) -> float:
     return float(np.linalg.svd(c, compute_uv=False).min())
 
 
+def _corner_inv(a: np.ndarray, p: Projection, tol: Tolerance) -> np.ndarray | None:
+    """Inverse of the compression ``b* a b`` of ``a`` to ran(p), or None when
+    it is singular within eq_tol: the one invertibility test in ``pAp``.  At
+    rank zero the compression is 0 x 0 and never singular."""
+    c = corner_compress(a, p)
+    if (np.linalg.svd(c, compute_uv=False) <= tol.eq_tol).any():
+        return None
+    return np.linalg.inv(c)
+
+
 def corner_inverse(a: np.ndarray, p: Projection, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Inverse of ``a`` within the corner algebra ``pAp``, as a full matrix.
 
     The compression is inverted on ran(p) and re-embedded, which avoids the
-    tolerance ambiguities of a pseudo-inverse.
+    tolerance ambiguities of a pseudo-inverse; at rank zero this is zero.
+
+    Raises
+    ------
+    NotInvertible
+        If the compression to ran(p) is singular within eq_tol.
     """
-    if p.rank == 0:
-        return np.zeros_like(p.mat)
-    b = p.range_basis
-    c = b.conj().T @ a @ b
-    if np.linalg.svd(c, compute_uv=False).min() <= tol.eq_tol:
+    c_inv = _corner_inv(a, p, tol)
+    if c_inv is None:
         raise NotInvertible("compression to ran(p) is singular within eq_tol")
-    return b @ np.linalg.inv(c) @ b.conj().T
+    b = p.range_basis
+    return b @ c_inv @ b.conj().T
 
 
-def in_lp(a, p: Projection, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether ``a`` represents a point: ``a = a p`` and a*a invertible in pAp."""
+def _corner_gram(a, p: Projection, tol: Tolerance):
+    """``(a, a*a, w, v)``, with ``(w, v)`` the eigendecomposition of the corner
+    Gram matrix ``herm(b* a*a b)``, when ``a`` represents a point; None when
+    ``a != a p`` or some ``w`` is at most eq_tol."""
     a = as_matrix(a, square=True)
     if a.shape != p.mat.shape:
         raise InvalidInput("element and projection dimensions differ")
     if np.abs(a @ p.mat - a).max() > tol.eq_tol:
-        return False
-    if p.rank == 0:
-        return True
-    c = corner_compress(a.conj().T @ a, p)
-    return float(np.linalg.eigvalsh(herm(c)).min()) > tol.eq_tol
+        return None
+    aa = a.conj().T @ a
+    w, v = np.linalg.eigh(herm(corner_compress(aa, p)))
+    if (w <= tol.eq_tol).any():
+        return None
+    return a, aa, w, v
+
+
+def in_lp(a, p: Projection, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Whether ``a`` represents a point: ``a = a p`` and a*a invertible in pAp,
+    that is every eigenvalue of the corner Gram matrix ``b* a*a b`` above
+    eq_tol; :func:`classify` decides membership the same way."""
+    return _corner_gram(a, p, tol) is not None
 
 
 def classify(a, p: Projection, tol: Tolerance = DEFAULT_TOL) -> ProjectivePoint:
     """Canonical representative of the class of ``a``.
 
     The representative is the polar-part partial isometry ``a |a|^(-1)`` with
-    the inverse taken in the corner ``pAp``; the range projection is attached
-    as the complete invariant of the class.  An element that is already a
-    partial isometry (``a*a = p`` within ``eq_tol / n``) is returned unchanged.
+    the inverse taken in the corner ``pAp``, from the eigendecomposition of
+    the corner Gram matrix that decided membership; the range projection is
+    attached as the complete invariant of the class.  An element that is
+    already a partial isometry (``a*a = p`` within ``eq_tol / n``) is
+    returned unchanged.
 
     Raises
     ------
     NotInLp
         If ``a`` does not satisfy the membership test :func:`in_lp`.
     """
-    a = as_matrix(a, square=True)
-    if not in_lp(a, p, tol):
+    gram = _corner_gram(a, p, tol)
+    if gram is None:
         raise NotInLp("element is not equivalent to any partial isometry over p")
+    a, aa, w, v = gram
     if p.rank == 0:
         zero = np.zeros_like(p.mat)
         rng = _trusted(Projection, mat=zero, rank=0)
         return _trusted(ProjectivePoint, rep=PartialIsometry(zero, p, tol), range=rng)
     # the trace of the range projection ``a a*`` sums up to n entry errors
     # of a*a - p, and must still pass Projection's eq_tol check
-    if a.shape[0] * np.abs(a.conj().T @ a - p.mat).max() <= tol.eq_tol:
+    if a.shape[0] * np.abs(aa - p.mat).max() <= tol.eq_tol:
         rep = a
     else:
         b = p.range_basis
-        c = herm(b.conj().T @ (a.conj().T @ a) @ b)
-        w, v = np.linalg.eigh(c)
         inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
         rep = a @ b @ inv_sqrt @ b.conj().T
     cols = rep @ p.range_basis
@@ -260,8 +283,7 @@ def unitary_extension(g, p: Projection, tol: Tolerance = DEFAULT_TOL) -> np.ndar
     g = as_matrix(g, square=True)
     if g.shape != p.mat.shape:
         raise InvalidInput("element and projection dimensions differ")
-    s = np.linalg.svd(g, compute_uv=False)
-    if s.min() <= tol.eq_tol * s.max():
+    if _is_singular(g, tol.eq_tol):
         raise NotInvertible("matrix is singular within eq_tol")
     n = g.shape[0]
     if p.rank == 0:
@@ -285,7 +307,9 @@ def random_projection(n: int, rank: int, seed: int, tol: Tolerance = DEFAULT_TOL
     random Hermitian matrix."""
     if not (isinstance(n, (int, np.integer)) and isinstance(rank, (int, np.integer))):
         raise InvalidInput("dimension and rank must be integers")
-    if n < 1 or rank < 0 or rank > n:
+    if n < 1:
+        raise InvalidInput(f"dimension must be at least 1, got {n}")
+    if rank < 0 or rank > n:
         raise InvalidInput(f"rank must lie in [0, {n}]")
     if rank == 0:
         return Projection(np.zeros((n, n), dtype=complex), tol)

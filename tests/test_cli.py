@@ -380,6 +380,13 @@ class TestRandomCommand:
             m = se.point_from_obj(obj)
             assert m.range.rank == 2
 
+    @pytest.mark.parametrize("kind", ["projection", "point", "tangent", "hpvector",
+                                      "pos-eps-unitary", "invertible", "unitary"])
+    @pytest.mark.parametrize("dim", ["0", "-2"])
+    def test_nonpositive_dim_is_input_error(self, kind, dim, capsys):
+        assert cli.main(["random", "--kind", kind, "--dim", dim]) == 2
+        assert "dimension must be at least 1" in capsys.readouterr().err
+
     def test_env_seed_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GRASSGEO_SEED", "99")
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"

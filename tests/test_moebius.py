@@ -243,3 +243,31 @@ class TestFiniteness:
             except OutOfRange:
                 by_spherical = False
             assert by_corner == by_chordal == by_spherical == finite
+
+
+class TestRankZero:
+    """At rank 0 the corner is 0 x 0 and every chart coordinate is zero; at
+    rank n the complement is zero, and so is every coordinate again."""
+
+    DIMS = (2, 3, 4, 5, 6, 7, 8, 16, 32, 64)
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_chart_transition_at_rank_zero_and_n(self, n):
+        for k in (0, n):
+            q = pj.random_projection(n, k, n)
+            zero = mo.HpVector(np.zeros((n, n), dtype=complex), q)
+            out = mo.chart_transition(q, q, zero)
+            assert out.context is q
+            assert out.mat.shape == (n, n) and not out.mat.any()
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_corner_results_at_rank_zero(self, n, rng):
+        p = pj.random_projection(n, 0, n)
+        a = la.random_invertible(n, rng)
+        assert not pj.corner_inverse(a, p).any()
+        assert not mo.chart_inv(pj.classify(p.mat, p)).mat.any()
+        b = mo.HpVector(np.zeros((n, n), dtype=complex), p)
+        g = mo.MoebiusMap(a, p)
+        assert mo.moebius_domain(g, b)
+        out = mo.moebius_apply(g, b)
+        assert out.mat.shape == (n, n) and not out.mat.any()

@@ -223,3 +223,10 @@ class TestPointFromProjection:
         q = pj.random_projection(5, 3, 4)
         with pytest.raises(InvalidInput):
             pj.point_from_projection(q, p)
+
+
+class TestRandomProjectionDimension:
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_nonpositive_dimension(self, n):
+        with pytest.raises(InvalidInput, match="dimension must be at least 1"):
+            pj.random_projection(n, 0, 1)
