@@ -143,10 +143,14 @@ def geodesic(p: Projection, z: TangentVector, t: float, tol: Tolerance = DEFAULT
 def geodesic_log(p: Projection, q: Projection, tol: Tolerance = DEFAULT_TOL) -> TangentVector:
     """The unique tangent ``z`` with ``exp(z) p exp(-z) = q`` and norm < pi/2.
 
-    The product of the two symmetries ``(2q - 1)(2p - 1)`` equals
-    ``exp(2z)`` and is unitary with spectrum avoiding -1 exactly when the
-    chordal distance is below 1, so half of its principal logarithm inverts
-    the exponential.  The result is checked against its defining equation.
+    ``z`` equals half the principal logarithm of the product of symmetries
+    ``(2q - 1)(2p - 1) = exp(2z)``, which is defined exactly when the
+    chordal distance is below 1.  It is computed from the principal angles
+    of the range bases ``Bp`` and ``Bq`` (the Grassmann logarithm of
+    Edelman, Arias and Smith, 1998): with ``M = Bp* Bq`` and the thin SVD
+    ``U tan(Theta) V*`` of ``(Bq - Bp M) M^{-1}``, ``z = D Bp* - Bp D*``
+    with ``D = U Theta V*``.  The result is checked against its defining
+    equation.
 
     Raises
     ------
@@ -163,9 +167,13 @@ def geodesic_log(p: Projection, q: Projection, tol: Tolerance = DEFAULT_TOL) -> 
         raise InvalidInput("projections have different ranks")
     if op_norm(p.mat - q.mat) >= 1.0 - tol.eq_tol:
         raise OutOfRange("chordal distance reaches 1; no unique short geodesic")
-    w = q.eps @ p.eps
-    z = 0.5 * linalg.log_unitary(w, tol)
-    zvec = TangentVector(z, p, tol)
+    bp, bq = p.range_basis, q.range_basis
+    m = adj(bp) @ bq
+    # (Bq - Bp M) M^{-1} = ((M*)^{-1} (Bq - Bp M)*)*: one solve, no inverse
+    u, tan_theta, vh = np.linalg.svd(adj(np.linalg.solve(adj(m), adj(bq - bp @ m))),
+                                     full_matrices=False)
+    lift = (u * np.arctan(tan_theta)) @ vh @ adj(bp)
+    zvec = TangentVector(lift - adj(lift), p, tol)
     endpoint = geodesic(p, zvec, 1.0, tol)
     if np.abs(endpoint.mat - q.mat).max() > tol.geo_tol:
         raise ResidualError("geodesic log failed to reproduce the endpoint")

@@ -12,8 +12,10 @@ every Hermitian matrix function of the package goes through it.
 
 Only :func:`log_unitary` and the non-normal branch of :func:`expm` need
 scipy; they import ``scipy.linalg`` on first use, so that code which never
-reaches them (the closed-form metrics, charts and Moebius maps, and the CLI
-commands built on them) starts without loading scipy.
+reaches them starts without loading scipy.  Of the library only the
+``verify`` properties reach them (the unitary-log round trip, and general
+exponentials in the Moebius properties); the Grassmann log works from
+principal angles.  So ``verify`` is the only CLI command that loads scipy.
 """
 
 from __future__ import annotations

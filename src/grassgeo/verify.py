@@ -198,8 +198,10 @@ def _classify_idempotent(n: int, rng: np.random.Generator, tol: Tolerance) -> fl
 def _rank_preserved(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
     p = _rand_proj(n, rng, tol)
     m = _rand_point(p, rng, tol)
+    # a partial isometry has singular values 0 and 1 only: count the 1s
+    rank = int(np.sum(np.linalg.svd(m.rep.mat, compute_uv=False) > 0.5))
     return _worst((abs(float(np.trace(m.range.mat).real) - p.rank),
-                   0.0 if m.range.rank == p.rank else 1.0))
+                   0.0 if rank == p.rank else 1.0))
 
 
 def _unitary_extension(n: int, rng: np.random.Generator, tol: Tolerance) -> float:

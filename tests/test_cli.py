@@ -425,8 +425,9 @@ class TestRandomCommand:
         assert final_len == pytest.approx(value, abs=1e-3)
 
 
-# Runs in a fresh interpreter: the short commands must not load scipy, and
-# the kernel named by the second argument must load it on first use.
+# Runs in a fresh interpreter: the short commands, the Grassmann table
+# commands and an in-process geodesic_log must not load scipy, and the kernel
+# named by the second argument must load it on first use.
 _SCIPY_FREE_RUN = """
 import contextlib, io, json, sys
 import numpy as np
@@ -442,11 +443,14 @@ for argv in json.loads(sys.argv[1]):
     assert code == 0, (argv, code)
     assert not scipy_loaded(), argv
 
-if sys.argv[2] == "geodesic_log":
-    p = projective.random_projection(4, 2, 1)
-    q = projective.random_projection(4, 2, 2)
-    z = grassmann.geodesic_log(p, q)
-    assert np.abs(grassmann.geodesic(p, z, 1.0).mat - q.mat).max() < 1e-9
+p = projective.random_projection(4, 2, 1)
+q = projective.random_projection(4, 2, 2)
+z = grassmann.geodesic_log(p, q)
+assert np.abs(grassmann.geodesic(p, z, 1.0).mat - q.mat).max() < 1e-9
+assert not scipy_loaded()
+
+if sys.argv[2] == "log_unitary":
+    assert np.abs(linalg.log_unitary(q.eps @ p.eps) - 2 * z.mat).max() < 1e-12
 else:
     a = np.array([[1.0, 2.0], [0.0, 1.0]])  # 1 + nilpotent, so exp(a) = e a
     assert np.abs(linalg.expm(a) - np.e * a).max() < 1e-12
@@ -455,7 +459,7 @@ assert "scipy.linalg" in sys.modules
 
 
 class TestScipyOnDemand:
-    @pytest.mark.parametrize("kernel", ["geodesic_log", "expm"])
+    @pytest.mark.parametrize("kernel", ["log_unitary", "expm"])
     def test_short_commands_start_without_scipy(self, hyperbolic_files, tmp_path, kernel):
         base, hyp = hyperbolic_files
         p = plane_projection()
@@ -467,7 +471,10 @@ class TestScipyOnDemand:
         argvs += [["chart", "--context", ctx, b],
                   ["chart", "--context", ctx, "--inverse", hyp],
                   ["moebius", "--context", ctx, swap, b],
-                  ["disk-dist", base, hyp]]
+                  ["disk-dist", base, hyp],
+                  ["geodesic", "--samples", "50", base, hyp],
+                  ["geodesic", "--samples", "50", "--format", "csv", base, hyp],
+                  ["length", "--samples", "50", base, hyp]]
         src = str(Path(grassgeo.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

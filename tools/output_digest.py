@@ -127,6 +127,13 @@ def sweep(gg, dims, rec: Digests):
             rec.record("eps_geodesic_samples", gg.disk.eps_geodesic_samples, mu, nu, np.array(T_GRID))
             rec.record("cone_to_disk", gg.cone_to_disk, mu)
 
+            # the last angle puts the chordal distance within eq_tol of 1
+            # for 0 < k < n, so the pair is out of range
+            tangent_rng = np.random.default_rng(seed + 4)
+            for theta in (1e-6, 0.5, 1.5, np.pi / 2 - 1e-6):
+                q = gg.geodesic(p, gg.random_tangent(p, tangent_rng, theta), 1.0)
+                rec.record("geodesic_log", gg.geodesic_log, p, q)
+
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
