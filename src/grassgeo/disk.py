@@ -24,7 +24,7 @@ from .errors import (
     NotInDisk,
     NotPositive,
 )
-from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, herm, op_norm, psd_sqrt, spectral
+from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, herm, op_norm, spectral
 from .moebius import HpVector, chart_inv, random_hp_vector
 from .projective import Projection, ProjectivePoint, _trusted, classify
 from .grassmann import _check_context, d_chordal
@@ -211,9 +211,12 @@ def cone_to_disk(lam: PositiveEpsUnitary, tol: Tolerance = DEFAULT_TOL) -> DiskP
 def disk_to_cone(m, tol: Tolerance = DEFAULT_TOL) -> PositiveEpsUnitary:
     """The cone preimage of a disk point, recomputed from its representative.
 
-    With chart coordinate ``c`` the square root of the preimage is
-    assembled from ``d = c (p - c* c)^{-1/2}`` as the positive block matrix
-    with corners ``(p + d* d)^{1/2}`` and ``(1 - p + d d*)^{1/2}``.
+    The cone element ``exp(x + x*)`` with corner ``x = U S V*`` has the disk
+    point with chart coordinate ``U tanh(S/2) V*``.  So a point with chart
+    coordinate ``c`` comes from the corner
+    ``x = c Bp V diag(2 artanh(s) / s) V* Bp*``, where ``s^2`` and ``V`` are
+    the eigenvalues and eigenvectors of ``Bp* c*c Bp`` (the ratio is 2 at
+    s = 0), and the preimage is ``PositiveEpsUnitary.from_xparam(x)``.
 
     Raises
     ------
@@ -226,24 +229,14 @@ def disk_to_cone(m, tol: Tolerance = DEFAULT_TOL) -> PositiveEpsUnitary:
         c = chart_inv(point, tol)
     except NotFinitePoint as exc:
         raise NotInDisk("point is not finite, hence outside the disk") from exc
-    if p.rank == 0:
-        return PositiveEpsUnitary(np.eye(p.dim, dtype=complex), p, tol)
     b = p.range_basis
-    bc = p.null_basis
-    cc = herm(b.conj().T @ (c.mat.conj().T @ c.mat) @ b)
-    w, v = np.linalg.eigh(cc)
-    if w.max() >= 1.0 - tol.eq_tol:
+    w, v = np.linalg.eigh(herm(adj(b) @ (adj(c.mat) @ c.mat) @ b))
+    if (w >= 1.0 - tol.eq_tol).any():
         raise NotInDisk("chart norm of the point reaches 1")
-    inv_sqrt = (v / np.sqrt(1.0 - w)) @ v.conj().T
-    d = c.mat @ b @ inv_sqrt @ b.conj().T
-    # the corner square roots are taken inside their corners, where the
-    # spectra are bounded below by 1; a full-matrix psd sqrt would turn
-    # kernel-block rounding noise into sqrt-scale errors
-    corner_p = herm(np.eye(p.rank) + b.conj().T @ (d.conj().T @ d) @ b)
-    corner_c = herm(np.eye(p.dim - p.rank) + bc.conj().T @ (d @ d.conj().T) @ bc)
-    root = (b @ psd_sqrt(corner_p) @ b.conj().T + d + d.conj().T
-            + bc @ psd_sqrt(corner_c) @ bc.conj().T)
-    return PositiveEpsUnitary(herm(root @ root), p, tol)
+    s = np.sqrt(np.clip(w, 0.0, None))
+    ratio = np.divide(2 * np.arctanh(s), s, out=np.full_like(s, 2.0), where=s > 0)
+    x = c.mat @ b @ spectral(v, ratio) @ adj(b)
+    return PositiveEpsUnitary.from_xparam(_trusted(HpVector, mat=x, context=p), tol)
 
 
 def to_disk_point(point: ProjectivePoint, tol: Tolerance = DEFAULT_TOL) -> DiskPoint:

@@ -22,7 +22,7 @@ from .errors import (
     OutsideDomain,
 )
 from .linalg import DEFAULT_TOL, Tolerance, _is_singular, as_matrix, op_norm
-from .projective import Projection, ProjectivePoint, _corner_inv, classify
+from .projective import Projection, ProjectivePoint, _corner_inv, _trusted, classify
 
 __all__ = [
     "HpVector",
@@ -103,7 +103,7 @@ def chart_inv(m: ProjectivePoint, tol: Tolerance = DEFAULT_TOL) -> HpVector:
     x = _chart_coordinate(m.rep.mat, p, tol)
     if x is None:
         raise NotFinitePoint("point lies outside the affine chart at p")
-    return HpVector(x, p, tol)
+    return _trusted(HpVector, mat=x, context=p)
 
 
 def d_chart(m: ProjectivePoint, n: ProjectivePoint, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -156,7 +156,7 @@ def moebius_apply(g: MoebiusMap, b: HpVector, tol: Tolerance = DEFAULT_TOL) -> H
         raise OutsideDomain("coordinate lies outside the Moebius domain")
     num = g.block_cp + g.block_cc @ b.mat
     bb = p.range_basis
-    return HpVector(num @ (bb @ t_inv @ bb.conj().T), p, tol)
+    return _trusted(HpVector, mat=num @ (bb @ t_inv @ bb.conj().T), context=p)
 
 
 def chart_transition(q: Projection, r: Projection, x: HpVector,
@@ -182,4 +182,4 @@ def chart_transition(q: Projection, r: Projection, x: HpVector,
     out = _chart_coordinate(r.mat + x.mat, q, tol)
     if out is None:
         raise OutsideDomain("transported point lies outside the chart at q")
-    return HpVector(out, q, tol)
+    return _trusted(HpVector, mat=out, context=q)

@@ -8,7 +8,8 @@ projections, which are a complete invariant of the class.
 
 Constructors check their invariants.  Results computed from validated
 objects whose invariants hold by construction (range projections of
-orthonormal columns, canonical points) are built unchecked by ``_trusted``.
+orthonormal columns, canonical points, chart coordinates) are built
+unchecked by ``_trusted``.
 """
 
 from __future__ import annotations

@@ -239,8 +239,9 @@ class TestCurveLength:
         with pytest.raises(InvalidInput):
             gr.Curve(lambda t: pj.Projection(p.mat), resolution=1)
 
-    def test_batched_engine_matches_curve_length(self, rng):
-        p = pj.random_projection(6, 4, 5)
+    @pytest.mark.parametrize("n, k", [(6, 4), (6, 0), (6, 6), (16, 12), (32, 20)])
+    def test_batched_engine_matches_curve_length(self, rng, n, k):
+        p = pj.random_projection(n, k, 5)
         z = gr.random_tangent(p, rng, 1.1)
         ws = [gr.random_tangent(p, rng, 0.3) for _ in range(3)]
         geo, pert = gr.tangent_path_lengths(p, z, ws, 500)

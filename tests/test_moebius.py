@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from grassgeo import disk as dk
 from grassgeo import grassmann as gr
 from grassgeo import linalg as la
 from grassgeo import moebius as mo
@@ -271,3 +272,43 @@ class TestRankZero:
         assert mo.moebius_domain(g, b)
         out = mo.moebius_apply(g, b)
         assert out.mat.shape == (n, n) and not out.mat.any()
+
+
+class TestNearChartEdge:
+    """Finite points whose chart coordinate is large: the compression that
+    is inverted has smallest singular value about s, between 1e-9 and 1e-7.
+    Such coordinates are valid results, not bad input."""
+
+    @staticmethod
+    def edge_case(n, e):
+        s = 10.0 ** e
+        p = pj.random_projection(n, n // 2, n)
+        z = gr.random_tangent(p, np.random.default_rng(n), np.pi / 2 - s)
+        return p, z, s, 1.0 / np.tan(s)
+
+    @pytest.mark.parametrize("n", [2, 6, 16])
+    @pytest.mark.parametrize("e", [-8.5, -8.0, -7.5, -7.0])
+    def test_chart_inv_and_in_disk(self, n, e):
+        p, z, _, expected = self.edge_case(n, e)
+        point = pj.point_from_projection(gr.geodesic(p, z, 1.0), p)
+        assert mo.chart_inv(point).norm == pytest.approx(expected, rel=1e-5)
+        assert dk.in_disk(point) is False
+
+    @pytest.mark.parametrize("n", [2, 6, 16])
+    @pytest.mark.parametrize("e", [-8.5, -8.0, -7.5, -7.0])
+    def test_moebius_apply(self, n, e):
+        p, z, _, expected = self.edge_case(n, e)
+        zero = mo.HpVector(np.zeros((n, n), dtype=complex), p)
+        moved = mo.moebius_apply(mo.MoebiusMap(la.expm(z.mat), p), zero)
+        assert moved.norm == pytest.approx(expected, rel=1e-5)
+
+    @pytest.mark.parametrize("n", [2, 6, 16])
+    @pytest.mark.parametrize("e", [-8.5, -8.0, -7.5, -7.0])
+    def test_chart_transition(self, n, e):
+        # the point [p + x] at angle pi/4 from p, seen from a base q at
+        # angle pi/2 - s from it along the same geodesic
+        p, _, s, expected = self.edge_case(n, e)
+        w = gr.random_tangent(p, np.random.default_rng(n), np.pi / 4)
+        x = mo.chart_inv(pj.point_from_projection(gr.geodesic(p, w, 1.0), p))
+        q = gr.geodesic(p, w, 1.0 - (np.pi / 2 - s) / (np.pi / 4))
+        assert mo.chart_transition(q, p, x).norm == pytest.approx(expected, rel=1e-5)

@@ -18,5 +18,6 @@ def test_digests_repeat():
     assert first == digests()
     names = {line.split()[0] for line in first}
     assert {"classify", "in_lp", "chart_inv", "chart_transition", "corner_inverse",
-            "moebius_domain", "moebius_apply", "eps_geodesic"} <= names
+            "moebius_domain", "moebius_apply", "eps_geodesic", "geodesic", "geodesic_curve",
+            "tangent_path_lengths", "disk_to_cone", "to_disk_point"} <= names
     assert all(len(line.split()[2]) == 64 for line in first)

@@ -134,6 +134,25 @@ def sweep(gg, dims, rec: Digests):
                 q = gg.geodesic(p, gg.random_tangent(p, tangent_rng, theta), 1.0)
                 rec.record("geodesic_log", gg.geodesic_log, p, q)
 
+            curve_rng = np.random.default_rng(seed + 5)
+            z = gg.random_tangent(p, curve_rng, 1.2)
+            for t in T_GRID:
+                rec.record("geodesic", gg.geodesic, p, z, t)
+            rec.record("geodesic_curve", gg.geodesic_curve(p, z).sample, np.array(T_GRID))
+            ws = [gg.random_tangent(p, curve_rng, 0.3) for _ in range(2)]
+            rec.record("tangent_path_lengths", gg.tangent_path_lengths, p, z, ws, 50)
+
+            # chart radii from the center to past the rim; corner norms
+            # 2 artanh(r) reach 8, where cone elements fail their checks
+            disk_rng = np.random.default_rng(seed + 6)
+            points = [m, far, gg.cone_to_disk(mu).point]
+            points += [gg.chart(gg.random_hp_vector(p, disk_rng, r))
+                       for r in (1e-8, 0.5, 0.9, 0.999, 0.9995, 0.9999, 1 - 1e-6, 1.5)]
+            for point in points:
+                if point is not None:
+                    rec.record("disk_to_cone", gg.disk_to_cone, point)
+                    rec.record("to_disk_point", gg.to_disk_point, point)
+
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
