@@ -270,7 +270,7 @@ def _geodesic_table(args, space: str) -> tuple:
     ts = np.linspace(0.0, 1.0, args.samples)
     if space == "grassmann":
         z = gr.geodesic_log(m.range, n.range, tol)
-        curve = gr.geodesic_curve(m.range, z, args.samples, tol)
+        curve = gr.geodesic_curve(m.range, z, args.samples)
         mats = curve.sample(ts)
         cum = _cumulative(gr.chordal_steps(mats))
         closed = gr.d_spherical(m, n, tol)

@@ -213,10 +213,9 @@ def disk_to_cone(m, tol: Tolerance = DEFAULT_TOL) -> PositiveEpsUnitary:
 
     The cone element ``exp(x + x*)`` with corner ``x = U S V*`` has the disk
     point with chart coordinate ``U tanh(S/2) V*``.  So a point with chart
-    coordinate ``c`` comes from the corner
-    ``x = c Bp V diag(2 artanh(s) / s) V* Bp*``, where ``s^2`` and ``V`` are
-    the eigenvalues and eigenvectors of ``Bp* c*c Bp`` (the ratio is 2 at
-    s = 0), and the preimage is ``PositiveEpsUnitary.from_xparam(x)``.
+    coordinate ``c`` comes from the corner ``x = U diag(2 artanh(s)) V* Bp*``,
+    where ``U diag(s) V*`` is the thin SVD of ``c Bp`` that decides
+    membership, and the preimage is ``PositiveEpsUnitary.from_xparam(x)``.
 
     Raises
     ------
@@ -230,12 +229,10 @@ def disk_to_cone(m, tol: Tolerance = DEFAULT_TOL) -> PositiveEpsUnitary:
     except NotFinitePoint as exc:
         raise NotInDisk("point is not finite, hence outside the disk") from exc
     b = p.range_basis
-    w, v = np.linalg.eigh(herm(adj(b) @ (adj(c.mat) @ c.mat) @ b))
-    if (w >= 1.0 - tol.eq_tol).any():
+    u, s, vh = np.linalg.svd(c.mat @ b, full_matrices=False)
+    if (s * s >= 1.0 - tol.eq_tol).any():
         raise NotInDisk("chart norm of the point reaches 1")
-    s = np.sqrt(np.clip(w, 0.0, None))
-    ratio = np.divide(2 * np.arctanh(s), s, out=np.full_like(s, 2.0), where=s > 0)
-    x = c.mat @ b @ spectral(v, ratio) @ adj(b)
+    x = (u * (2 * np.arctanh(s))) @ vh @ adj(b)
     return PositiveEpsUnitary.from_xparam(_trusted(HpVector, mat=x, context=p), tol)
 
 

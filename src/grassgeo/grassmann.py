@@ -153,8 +153,10 @@ def geodesic_log(p: Projection, q: Projection, tol: Tolerance = DEFAULT_TOL) -> 
     ``z`` equals half the principal logarithm of the product of symmetries
     ``(2q - 1)(2p - 1) = exp(2z)``, which is defined exactly when the
     chordal distance is below 1.  It is computed from the principal angles
-    of the range bases ``Bp`` and ``Bq`` (the Grassmann logarithm of
-    Edelman, Arias and Smith, 1998): with ``M = Bp* Bq`` and the thin SVD
+    of the range bases (Bjorck and Golub, 1973; Edelman, Arias and Smith,
+    1998).  The thin SVD ``W cos(Phi) Y*`` of ``M = Bp* Bq`` decides the
+    domain, the chordal distance being the sine of the largest angle, and
+    gives ``M^{-1} = Y cos(Phi)^{-1} W*``.  With the thin SVD
     ``U tan(Theta) V*`` of ``(Bq - Bp M) M^{-1}``, ``z = D Bp* - Bp D*``
     with ``D = U Theta V*``.  The result is checked against its defining
     equation.
@@ -172,12 +174,13 @@ def geodesic_log(p: Projection, q: Projection, tol: Tolerance = DEFAULT_TOL) -> 
         raise InvalidInput("projections live in different ambient dimensions")
     if p.rank != q.rank:
         raise InvalidInput("projections have different ranks")
-    if op_norm(p.mat - q.mat) >= 1.0 - tol.eq_tol:
-        raise OutOfRange("chordal distance reaches 1; no unique short geodesic")
     bp, bq = p.range_basis, q.range_basis
     m = adj(bp) @ bq
-    # (Bq - Bp M) M^{-1} = ((M*)^{-1} (Bq - Bp M)*)*: one solve, no inverse
-    u, tan_theta, vh = np.linalg.svd(adj(np.linalg.solve(adj(m), adj(bq - bp @ m))),
+    w, cos_phi, yh = np.linalg.svd(m)
+    # sin^2 = 1 - cos^2 >= (1 - eq_tol)^2
+    if (cos_phi * cos_phi <= tol.eq_tol * (2.0 - tol.eq_tol)).any():
+        raise OutOfRange("chordal distance reaches 1; no unique short geodesic")
+    u, tan_theta, vh = np.linalg.svd(((bq - bp @ m) @ adj(yh) / cos_phi) @ adj(w),
                                      full_matrices=False)
     lift = (u * np.arctan(tan_theta)) @ vh @ adj(bp)
     zvec = TangentVector(lift - adj(lift), p, tol)
@@ -317,14 +320,13 @@ def _path_sampler(p: Projection, z_mat: np.ndarray, w_mat: np.ndarray | None) ->
     return sampler
 
 
-def geodesic_curve(p: Projection, z: TangentVector, resolution: int = 2000,
-                   tol: Tolerance = DEFAULT_TOL) -> Curve:
+def geodesic_curve(p: Projection, z: TangentVector, resolution: int = 2000) -> Curve:
     """The geodesic through ``p`` with velocity ``z`` as a sampled curve."""
     return Curve(_path_sampler(p, z.mat, None), resolution)
 
 
 def perturbed_curve(p: Projection, z: TangentVector, w: TangentVector,
-                    resolution: int = 2000, tol: Tolerance = DEFAULT_TOL) -> Curve:
+                    resolution: int = 2000) -> Curve:
     """The path exp(z(t)) p exp(-z(t)) with z(t) = t z + t (1-t) w.
 
     Shares the geodesic's endpoints for every perturbation ``w``, which makes

@@ -4,12 +4,15 @@ A point is an equivalence class of full-rank elements ``a`` with ``a = a p``,
 two elements being equivalent when they differ by a right factor invertible
 in the corner ``pAp``.  Classes are represented canonically by the partial
 isometry of the polar decomposition, and compared through their range
-projections, which are a complete invariant of the class.
+projections, which are a complete invariant of the class.  Both come from
+the thin SVD ``U S V*`` of ``a Bp``, with ``Bp`` the range basis of ``p``:
+its singular values decide membership, and ``U V* Bp*`` and ``U U*`` are
+the representative and the range.
 
 Constructors check their invariants.  Results computed from validated
 objects whose invariants hold by construction (range projections of
-orthonormal columns, canonical points, chart coordinates) are built
-unchecked by ``_trusted``.
+orthonormal columns, canonical representatives and points, chart
+coordinates) are built unchecked by ``_trusted``.
 """
 
 from __future__ import annotations
@@ -189,63 +192,58 @@ def corner_inverse(a: np.ndarray, p: Projection, tol: Tolerance = DEFAULT_TOL) -
     return b @ c_inv @ b.conj().T
 
 
-def _corner_gram(a, p: Projection, tol: Tolerance):
-    """``(a, a*a, w, v)``, with ``(w, v)`` the eigendecomposition of the corner
-    Gram matrix ``herm(b* a*a b)``, when ``a`` represents a point; None when
-    ``a != a p`` or some ``w`` is at most eq_tol."""
+def _polar_svd(a, p: Projection, tol: Tolerance):
+    """``(a, u, vh)``, with ``u diag(s) vh`` the thin SVD of the n x k matrix
+    ``a Bp``, when ``a`` represents a point; None when ``a != a p`` or some
+    ``s^2`` is at most eq_tol."""
     a = as_matrix(a, square=True)
     if a.shape != p.mat.shape:
         raise InvalidInput("element and projection dimensions differ")
     if np.abs(a @ p.mat - a).max() > tol.eq_tol:
         return None
-    aa = a.conj().T @ a
-    w, v = np.linalg.eigh(herm(corner_compress(aa, p)))
-    if (w <= tol.eq_tol).any():
+    u, s, vh = np.linalg.svd(a @ p.range_basis, full_matrices=False)
+    if (s * s <= tol.eq_tol).any():
         return None
-    return a, aa, w, v
+    return a, u, vh
 
 
 def in_lp(a, p: Projection, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether ``a`` represents a point: ``a = a p`` and a*a invertible in pAp,
-    that is every eigenvalue of the corner Gram matrix ``b* a*a b`` above
-    eq_tol; :func:`classify` decides membership the same way."""
-    return _corner_gram(a, p, tol) is not None
+    that is every squared singular value of ``a Bp`` above eq_tol, with
+    ``Bp`` the range basis of ``p``; :func:`classify` decides membership
+    the same way."""
+    return _polar_svd(a, p, tol) is not None
 
 
 def classify(a, p: Projection, tol: Tolerance = DEFAULT_TOL) -> ProjectivePoint:
     """Canonical representative of the class of ``a``.
 
     The representative is the polar-part partial isometry ``a |a|^(-1)`` with
-    the inverse taken in the corner ``pAp``, from the eigendecomposition of
-    the corner Gram matrix that decided membership; the range projection is
-    attached as the complete invariant of the class.  An element that is
-    already a partial isometry (``a*a = p`` within ``eq_tol / n``) is
-    returned unchanged.
+    the inverse taken in the corner ``pAp``: ``U V* Bp*``, from the thin SVD
+    ``U S V*`` of ``a Bp`` that decided membership, so a partial isometry by
+    construction.  The range projection ``U U*`` is attached as the complete
+    invariant of the class.  An element that is already a partial isometry
+    (``a*a = p`` within ``eq_tol / n``) is returned unchanged.
 
     Raises
     ------
     NotInLp
         If ``a`` does not satisfy the membership test :func:`in_lp`.
     """
-    gram = _corner_gram(a, p, tol)
-    if gram is None:
+    polar = _polar_svd(a, p, tol)
+    if polar is None:
         raise NotInLp("element is not equivalent to any partial isometry over p")
-    a, aa, w, v = gram
-    if p.rank == 0:
-        zero = np.zeros_like(p.mat)
-        rng = _trusted(Projection, mat=zero, rank=0)
-        return _trusted(ProjectivePoint, rep=PartialIsometry(zero, p, tol), range=rng)
+    a, u, vh = polar
+    b = p.range_basis
     # the trace of the range projection ``a a*`` sums up to n entry errors
     # of a*a - p, and must still pass Projection's eq_tol check
-    if a.shape[0] * np.abs(aa - p.mat).max() <= tol.eq_tol:
-        rep = a
+    if a.shape[0] * np.abs(a.conj().T @ a - p.mat).max() <= tol.eq_tol:
+        rep, cols = a, a @ b
     else:
-        b = p.range_basis
-        inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-        rep = a @ b @ inv_sqrt @ b.conj().T
-    cols = rep @ p.range_basis
+        cols = u @ vh
+        rep = cols @ b.conj().T
     rng = _trusted(Projection, mat=cols @ cols.conj().T, rank=p.rank, range_basis=cols)
-    return _trusted(ProjectivePoint, rep=PartialIsometry(rep, p, tol), range=rng)
+    return _trusted(ProjectivePoint, rep=_trusted(PartialIsometry, mat=rep, context=p), range=rng)
 
 
 def class_equal(m: ProjectivePoint, n: ProjectivePoint, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -272,14 +270,18 @@ def point_from_projection(q: Projection, p: Projection, tol: Tolerance = DEFAULT
 def unitary_extension(g, p: Projection, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """A unitary ``v`` with ``[v p] = [g p]``, for invertible ``g``.
 
-    ran(g p) and ran(g (1-p)) span the whole space, so the polar isometries
-    of ``g p`` and ``g (1-p)`` can be completed to a unitary by rotating the
-    second range onto the orthogonal complement of the first.
+    ran(g p) and ran(g (1-p)) span the whole space.  With the thin SVDs
+    ``g Bp = U1 S1 V1*``, ``g Bp' = U2 S2 V2*`` (``Bp'`` a basis of the
+    kernel of ``p``) and ``(1 - U1 U1*) U2 = W T Z*``, the polar isometry
+    ``U1 V1* Bp*`` of ``g p`` is completed by ``W Z* V2* Bp'*``, which
+    rotates the second range onto the orthogonal complement of the first.
 
     Raises
     ------
     NotInvertible
         If ``g`` is singular within ``eq_tol`` (relative to its norm).
+    ResidualError
+        If rounding leaves the result further than eq_tol from unitary.
     """
     g = as_matrix(g, square=True)
     if g.shape != p.mat.shape:
@@ -289,15 +291,11 @@ def unitary_extension(g, p: Projection, tol: Tolerance = DEFAULT_TOL) -> np.ndar
     n = g.shape[0]
     if p.rank == 0:
         return np.eye(n, dtype=complex)
-    if p.rank == n:
-        return classify(g, p, tol).rep.mat
-    pc = p.complement(tol)
-    v1 = classify(g @ p.mat, p, tol).rep.mat
-    v2 = classify(g @ pc.mat, pc, tol).rep.mat
-    q1 = v1 @ v1.conj().T
-    q2p = classify(v2, pc, tol).range
-    u = classify((np.eye(n, dtype=complex) - q1) @ q2p.mat, q2p, tol).rep.mat
-    v = v1 + u @ v2
+    b, bc = p.range_basis, p.null_basis
+    u1, _, v1h = np.linalg.svd(g @ b, full_matrices=False)
+    u2, _, v2h = np.linalg.svd(g @ bc, full_matrices=False)
+    w, _, zh = np.linalg.svd(u2 - u1 @ (u1.conj().T @ u2), full_matrices=False)
+    v = u1 @ v1h @ b.conj().T + w @ zh @ v2h @ bc.conj().T
     if np.abs(v.conj().T @ v - np.eye(n)).max() > tol.eq_tol:
         raise ResidualError("unitary completion failed its unitarity check")
     return v

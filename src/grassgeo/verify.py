@@ -242,7 +242,7 @@ def _minimality_instance(n: int, rng: np.random.Generator, tol: Tolerance, paths
 
 def _geodesic_arc_length(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
     p, z, _ = _minimality_instance(n, rng, tol, 0)
-    length = gr.curve_length(gr.geodesic_curve(p, z, 2000, tol), tol)
+    length = gr.curve_length(gr.geodesic_curve(p, z, 2000), tol)
     q = gr.geodesic(p, z, 1.0, tol)
     return abs(length - np.arcsin(min(1.0, la.op_norm(p.mat - q.mat))))
 

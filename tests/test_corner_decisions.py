@@ -8,6 +8,7 @@ not within rounding of the threshold.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,14 +43,21 @@ def clear_of_threshold(s: float) -> bool:
 
 
 def raised(fn, *args):
-    """The type of package error ``fn(*args)`` raises, or None.  Past the
-    corner decision a result may still fail its own invariant check (on an
-    ill-conditioned corner), which is not the decision under test."""
+    """The type of package error ``fn(*args)`` raises, or None."""
     try:
         fn(*args)
     except GrassgeoError as exc:
         return type(exc)
     return None
+
+
+def gram_element(p: pj.Projection, lam_min: float, rng: np.random.Generator) -> np.ndarray:
+    """An element whose corner Gram matrix ``b* a*a b`` has smallest
+    eigenvalue ``lam_min`` and the rest in [0.5, 2]."""
+    n, k, b = p.dim, p.rank, p.range_basis
+    lam = np.concatenate([[lam_min], rng.uniform(0.5, 2.0, size=k - 1)])
+    v = la.random_unitary(k, rng)
+    return la.random_unitary(n, rng) @ b @ (v * np.sqrt(lam)) @ v.conj().T @ b.conj().T
 
 
 def fuzz(test):
@@ -59,17 +67,27 @@ def fuzz(test):
 @fuzz
 def test_in_lp_decides_classify(case):
     n, k, seed, lam_min = case
-    rng = np.random.default_rng(seed)
     p = pj.random_projection(n, k, seed)
-    b = p.range_basis
-    # a*a compresses to the Hermitian corner Gram matrix v diag(lam) v*
-    lam = np.concatenate([[lam_min], rng.uniform(0.5, 2.0, size=k - 1)])
-    v = la.random_unitary(k, rng)
-    a = la.random_unitary(n, rng) @ b @ (v * np.sqrt(lam)) @ v.conj().T @ b.conj().T
+    a = gram_element(p, lam_min, np.random.default_rng(seed))
     member = pj.in_lp(a, p)
-    assert member == (raised(pj.classify, a, p) is not NotInLp)
+    # a member classifies; the representative is a partial isometry by
+    # construction, so no later check may reject it
+    assert raised(pj.classify, a, p) is (None if member else NotInLp)
     if clear_of_threshold(lam_min):
         assert member == (lam_min > EQ)
+
+
+@pytest.mark.parametrize("n", [2, 6, 16])
+@pytest.mark.parametrize("tenths", range(-89, -69))
+def test_near_threshold_members_classify(n, tenths):
+    # smallest corner Gram eigenvalue 10^e, e = -8.9 ... -7.0, just above
+    # eq_tol: a Gram-matrix route loses about kappa^2 eps there
+    rng = np.random.default_rng([n, -tenths])
+    p = pj.random_projection(n, n // 2, -tenths)
+    a = gram_element(p, 10.0 ** (tenths / 10), rng)
+    assert pj.in_lp(a, p)
+    v = pj.classify(a, p).rep.mat
+    assert la.op_norm(v.conj().T @ v - p.mat) <= 1e-12 * n
 
 
 @fuzz

@@ -11,7 +11,7 @@ random tangent whose largest principal angle is log-uniform in
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from grassgeo import grassmann as gr
@@ -61,6 +61,36 @@ def test_out_of_range_exactly_at_chordal_threshold(case, log_gap):
     # 1 - eq_tol at gap ~ 4.5e-5, inside the drawn range of gaps
     p, q = moved_pair(*case, np.pi / 2 - np.exp(log_gap))
     beyond = la.op_norm(p.mat - q.mat) >= 1.0 - DEFAULT_TOL.eq_tol
+    try:
+        gr.geodesic_log(p, q)
+    except OutOfRange:
+        assert beyond
+    else:
+        assert not beyond
+
+
+# the largest angle pi/2 - delta at which sin reaches 1 - eq_tol
+THRESHOLD_DELTA = float(np.arccos(1.0 - DEFAULT_TOL.eq_tol))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=rank_and_seed(), log_delta=st.floats(np.log(1e-12), np.log(1e-2)))
+@example(case=(6, 0, 1), log_delta=float(np.log(1e-12)))
+@example(case=(6, 6, 1), log_delta=float(np.log(1e-12)))
+@example(case=(64, 0, 2), log_delta=float(np.log(1e-12)))
+@example(case=(64, 64, 2), log_delta=float(np.log(1e-12)))
+@example(case=(16, 8, 3), log_delta=float(np.log(1e-12)))
+@example(case=(16, 8, 3), log_delta=float(np.log(1e-2)))
+def test_cosine_decision_matches_chordal_distance(case, log_delta):
+    # the domain is decided on the cosines of the principal angles; away
+    # from the threshold it must agree with the chordal distance test
+    delta = np.exp(log_delta)
+    assume(abs(delta / THRESHOLD_DELTA - 1.0) > 0.05)
+    n, k, _ = case
+    p, q = moved_pair(*case, np.pi / 2 - delta)
+    beyond = la.op_norm(p.mat - q.mat) >= 1.0 - DEFAULT_TOL.eq_tol
+    if k in (0, n):
+        assert not beyond  # q = p, which must be accepted
     try:
         gr.geodesic_log(p, q)
     except OutOfRange:

@@ -85,6 +85,16 @@ def sweep(gg, dims, rec: Digests):
                 rec.record("classify", gg.classify, elem, p)
                 rec.record("corner_min_sv", gg.projective.corner_min_sv, elem, p)
                 rec.record("corner_inverse", gg.projective.corner_inverse, elem, p)
+            # members whose corner Gram matrix b* a*a b has smallest
+            # eigenvalue 10^e, from eq_tol up to where rounding matters
+            gram_rng = np.random.default_rng(seed + 7)
+            for e in (-9.0, -8.5, -8.0, -7.5, -7.0) if k else ():
+                lam = np.concatenate([[10.0 ** e], gram_rng.uniform(0.5, 2.0, size=k - 1)])
+                v = gg.linalg.random_unitary(k, gram_rng)
+                bv = p.range_basis @ v
+                elem = u @ (bv * np.sqrt(lam)) @ bv.conj().T
+                rec.record("in_lp", gg.in_lp, elem, p)
+                rec.record("classify", gg.classify, elem, p)
 
             m = gg.random_point_near(p, 0.9, seed + 1) if k not in (0, n) else gg.classify(p.mat, p)
             far = None
@@ -133,6 +143,11 @@ def sweep(gg, dims, rec: Digests):
             for theta in (1e-6, 0.5, 1.5, np.pi / 2 - 1e-6):
                 q = gg.geodesic(p, gg.random_tangent(p, tangent_rng, theta), 1.0)
                 rec.record("geodesic_log", gg.geodesic_log, p, q)
+            # largest angle pi/2 - delta, chordal distance cos(delta); it
+            # reaches 1 - eq_tol at delta ~ 4.47e-5
+            for delta in (1e-3, 1e-4, 5e-5, 4e-5, 1e-5, 1e-7):
+                z = gg.random_tangent(p, tangent_rng, np.pi / 2 - delta)
+                rec.record("geodesic_log", gg.geodesic_log, p, gg.geodesic(p, z, 1.0))
 
             curve_rng = np.random.default_rng(seed + 5)
             z = gg.random_tangent(p, curve_rng, 1.2)
