@@ -11,7 +11,18 @@ classical cos/sinc block structure (Edelman, Arias and Smith, 1998): with
 ``a = (1-p) z Bp``, ``exp(z) Bp = Bp cos|a| + a sinc|a|``, where
 ``|a| = (a* a)^(1/2)``.  Geodesic points and the curve samplers are all
 computed from these blocks, without an n x n exponential; the samplers use
-the smaller of the two subspaces to sample long paths in closed form.
+the smaller of the two subspaces, of dimension k, to sample long paths in
+closed form.
+
+:func:`tangent_path_lengths` measures the geodesic and its perturbed
+companions on that small side alone.  Path by path it moves the generator
+block into the span of ``[a_z, a_w]`` (one thin QR, at most 2k
+coordinates), takes each step as the sine of the largest principal angle
+between consecutive moved bases, computed from the residual
+``C_{j+1} - C_j (C_j* C_{j+1})`` so that short steps keep their accuracy,
+and uses closed forms with the samples on the last axis for k <= 2: scalars
+at k = 1, one Jacobi rotation and a 2 x 2 eigenvalue at k = 2.  For k >= 3
+batched ``eigh`` and ``eigvalsh`` do the same work.
 """
 
 from __future__ import annotations
@@ -132,6 +143,14 @@ def d_spherical(m: ProjectivePoint, n: ProjectivePoint, tol: Tolerance = DEFAULT
     return float(np.arcsin(min(d, 1.0)))
 
 
+def _check_tangent(p: Projection, z: TangentVector, tol: Tolerance = DEFAULT_TOL):
+    """Raise ``InvalidTangent`` unless ``z`` is a tangent at ``p``."""
+    if z.context.mat.shape != p.mat.shape:
+        raise InvalidTangent("tangent and base projection dimensions differ")
+    if np.abs(z.context.mat - p.mat).max() > tol.eq_tol:
+        raise InvalidTangent("tangent context differs from the base projection")
+
+
 def geodesic(p: Projection, z: TangentVector, t: float, tol: Tolerance = DEFAULT_TOL) -> Projection:
     """Point of the geodesic through ``p`` with velocity ``z`` at time ``t``.
 
@@ -139,8 +158,7 @@ def geodesic(p: Projection, z: TangentVector, t: float, tol: Tolerance = DEFAULT
     ``exp(tz) Bp = Bp cos|a| + a sinc|a|`` with ``a = t (1-p) z Bp``,
     computed from the cos/sinc blocks over ran(p).
     """
-    if np.abs(z.context.mat - p.mat).max() > tol.eq_tol:
-        raise InvalidTangent("tangent context differs from the base projection")
+    _check_tangent(p, z, tol)
     bp = p.range_basis
     top, bot = _cos_sinc_blocks(t * (p.comp @ (z.mat @ bp)))
     cols = bp @ top + bot
@@ -321,7 +339,11 @@ def _path_sampler(p: Projection, z_mat: np.ndarray, w_mat: np.ndarray | None) ->
 
 
 def geodesic_curve(p: Projection, z: TangentVector, resolution: int = 2000) -> Curve:
-    """The geodesic through ``p`` with velocity ``z`` as a sampled curve."""
+    """The geodesic through ``p`` with velocity ``z`` as a sampled curve.
+
+    Raises ``InvalidTangent`` if ``z`` is not a tangent at ``p``.
+    """
+    _check_tangent(p, z)
     return Curve(_path_sampler(p, z.mat, None), resolution)
 
 
@@ -330,18 +352,46 @@ def perturbed_curve(p: Projection, z: TangentVector, w: TangentVector,
     """The path exp(z(t)) p exp(-z(t)) with z(t) = t z + t (1-t) w.
 
     Shares the geodesic's endpoints for every perturbation ``w``, which makes
-    it the comparison family for minimality checks.
+    it the comparison family for minimality checks.  Raises
+    ``InvalidTangent`` if ``z`` or ``w`` is not a tangent at ``p``.
     """
+    _check_tangent(p, z)
+    _check_tangent(p, w)
     return Curve(_path_sampler(p, z.mat, w.mat), resolution)
 
 
 def tangent_path_lengths(p: Projection, z: TangentVector, ws, resolution: int = 2000):
     """Discretized lengths of the geodesic and its perturbed companions.
 
-    Vectorizes the whole family ``z(t) = t z + t (1-t) w`` over all
-    perturbations at once; consecutive chordal distances are obtained from
-    principal angles, ``d = sqrt(1 - sigma_min(C_j* C_{j+1})^2)``, without
-    forming the ambient projections.
+    Path ``i`` is ``t -> exp(z_i(t)) p exp(-z_i(t))`` with
+    ``z_i(t) = t z + t (1-t) w_i`` on the uniform grid of ``resolution``
+    points; the geodesic is the path with ``w = 0``.  The lengths are sums
+    of chordal steps, as :func:`curve_length` gives for the sampled curves,
+    computed without forming a projection:
+
+    - Span reduction.  On the small side, of dimension k, the generator
+      block ``a(t) = t a_z + t (1-t) a_w`` lies in the column span of
+      ``[a_z, a_w]``.  The thin QR ``[a_z, a_w] = Q [r_z, r_w]`` of each
+      path moves that span into ``min(n-k, 2k)`` coordinates, where the
+      moved small side ``[cos|a|; a sinc|a|]`` becomes
+      ``[cos|r|; r sinc|r|]`` with ``r(t) = t r_z + t (1-t) r_w``.
+    - Sine steps.  A step is ``||C_{j+1} - C_j (C_j* C_{j+1})||``, the sine
+      of the largest principal angle between consecutive moved bases,
+      computed from the residual itself so that short steps keep their
+      relative accuracy.  Each basis is taken in the eigenbasis ``V`` of
+      ``a* a``, as ``[V cos(s); a V sinc(s)]``; that spans the same
+      subspace as ``[cos|a|; a sinc|a|]``.
+    - Closed forms for k <= 2.  The sample axis is last and all per-sample
+      algebra is elementwise: at k = 1 every quantity is a scalar, at k = 2
+      ``V`` is one Jacobi rotation and the step is the largest eigenvalue
+      of a 2 x 2 Hermitian matrix.  No LAPACK call is made per sample.
+      For k >= 3 batched ``eigh`` and ``eigvalsh`` do the same work.
+    - One path at a time, so that temporaries stay the size of one path.
+
+    Raises
+    ------
+    InvalidTangent
+        If ``z`` or a perturbation is not a tangent at ``p``.
 
     Returns
     -------
@@ -350,22 +400,78 @@ def tangent_path_lengths(p: Projection, z: TangentVector, ws, resolution: int = 
     """
     if resolution < 2:
         raise InvalidInput("resolution must be at least 2")
+    for v in (z, *ws):
+        _check_tangent(p, v)
+    k = min(p.rank, p.dim - p.rank)
+    if k == 0:
+        return 0.0, np.zeros(len(ws))
+    ts = np.linspace(0.0, 1.0, resolution)
+    path_steps = _closed_form_steps if k <= 2 else _lapack_steps
+    lengths = [path_steps(r_z, r_w, ts).sum() for r_z, r_w in _reduced_blocks(p, z, ws)]
+    return float(lengths[0]), np.array(lengths[1:])
+
+
+def _reduced_blocks(p: Projection, z: TangentVector, ws):
+    """Per path, geodesic first, the blocks ``(r_z, r_w)`` of ``a_z`` and
+    ``a_w`` in an orthonormal basis of the span of ``[a_z, a_w]``."""
     small, big, _ = _side_blocks(p)
     k = small.shape[1]
-    n_paths = len(ws)
-    if k == 0:
-        return 0.0, np.zeros(n_paths)
-    ts = np.linspace(0.0, 1.0, resolution)
     a_z = adj(big) @ z.mat @ small
-    blocks = [np.zeros_like(a_z)] + [adj(big) @ w.mat @ small for w in ws]
-    a_ws = np.stack(blocks)
-    a = ts[None, :, None, None] * a_z + (ts * (1.0 - ts))[None, :, None, None] * a_ws[:, None]
-    flat = a.reshape(-1, *a.shape[2:])
-    top, bot = _cos_sinc_blocks(flat)
-    top = top.reshape(n_paths + 1, resolution, k, k)
-    bot = bot.reshape(n_paths + 1, resolution, big.shape[1], k)
-    g = adj(top[:, :-1]) @ top[:, 1:] + adj(bot[:, :-1]) @ bot[:, 1:]
-    gram = adj(g) @ g
-    smin2 = np.clip(np.linalg.eigvalsh(gram)[..., 0], 0.0, 1.0)
-    lengths = np.sqrt(1.0 - smin2).sum(axis=1)
-    return float(lengths[0]), lengths[1:]
+    for a_w in [np.zeros_like(a_z)] + [adj(big) @ w.mat @ small for w in ws]:
+        r = np.linalg.qr(np.concatenate([a_z, a_w], axis=1), mode="r")
+        yield r[:, :k], r[:, k:]
+
+
+def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x* y`` for stacks of matrices with the sample axis last."""
+    return (x.conj()[:, :, None] * y[:, None, :]).sum(axis=0)
+
+
+def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x y`` for stacks of matrices with the sample axis last."""
+    return (x[:, :, None] * y[None]).sum(axis=1)
+
+
+def _largest_eig_2x2(h: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of stacked 2 x 2 Hermitian matrices."""
+    mean, half_gap = (h[0, 0].real + h[1, 1].real) / 2, (h[0, 0].real - h[1, 1].real) / 2
+    return mean + np.hypot(half_gap, np.abs(h[0, 1]))
+
+
+def _closed_form_steps(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Chordal steps along ``r(t) = t r_z + t (1-t) r_w`` for k <= 2, in
+    closed form with the sample axis last.
+
+    At k = 2, with ``r* r = [[h00, h01], [conj(h01), h11]]``, the eigenbasis
+    is the rotation by ``atan2(|h01|, (h00 - h11) / 2) / 2`` after the phase
+    of ``h01`` is taken out (the symmetric Schur decomposition of Golub and
+    Van Loan, Matrix Computations, 8.5).
+    """
+    r = r_z[..., None] * ts + r_w[..., None] * (ts * (1.0 - ts))
+    h = _gram(r, r)
+    if r.shape[1] == 1:
+        s = np.sqrt(h[0, 0].real)
+        basis = np.concatenate([np.cos(s)[None, None], r * np.sinc(s / np.pi)])
+    else:
+        lam = _largest_eig_2x2(h)
+        angle = np.arctan2(np.abs(h[0, 1]), (h[0, 0].real - h[1, 1].real) / 2) / 2
+        cos, sin, phase = np.cos(angle), np.sin(angle), np.exp(-1j * np.angle(h[0, 1]))
+        v = np.array([[cos, -sin], [phase * sin, phase * cos]])
+        s = np.sqrt(np.clip([lam, h[0, 0].real + h[1, 1].real - lam], 0.0, None))
+        basis = np.concatenate([v * np.cos(s), _times(r, v) * np.sinc(s / np.pi)])
+    prev, nxt = basis[..., :-1], basis[..., 1:]
+    res = nxt - _times(prev, _gram(prev, nxt))
+    g = _gram(res, res)
+    return np.sqrt(g[0, 0].real if r.shape[1] == 1 else _largest_eig_2x2(g))
+
+
+def _lapack_steps(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Chordal steps along ``r(t) = t r_z + t (1-t) r_w`` for any k, from
+    batched ``eigh`` and ``eigvalsh``."""
+    r = ts[:, None, None] * r_z + (ts * (1.0 - ts))[:, None, None] * r_w
+    w, v = np.linalg.eigh(herm(adj(r) @ r))
+    s = np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+    basis = np.concatenate([v * np.cos(s), (r @ v) * np.sinc(s / np.pi)], axis=-2)
+    prev, nxt = basis[:-1], basis[1:]
+    res = nxt - prev @ (adj(prev) @ nxt)
+    return np.sqrt(np.clip(np.linalg.eigvalsh(adj(res) @ res)[:, -1], 0.0, None))

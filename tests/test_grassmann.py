@@ -143,6 +143,27 @@ class TestGeodesic:
         with pytest.raises(InvalidTangent):
             gr.geodesic(other, z, 1.0)
 
+    @pytest.mark.parametrize("other", [pj.random_projection(6, 2, 1), pj.random_projection(5, 2, 0)],
+                             ids=["other-base", "other-dimension"])
+    def test_curve_functions_check_tangent_base(self, rng, other):
+        # a tangent at another projection, of the same or another dimension,
+        # is rejected by every function that moves p along it
+        p = pj.random_projection(6, 2, 0)
+        z = gr.random_tangent(p, rng, 0.9)
+        w = gr.random_tangent(p, rng, 0.3)
+        stray = gr.random_tangent(other, rng, 0.3)
+        calls = [
+            lambda: gr.geodesic(p, stray, 1.0),
+            lambda: gr.geodesic_curve(p, stray),
+            lambda: gr.perturbed_curve(p, stray, w),
+            lambda: gr.perturbed_curve(p, z, stray),
+            lambda: gr.tangent_path_lengths(p, stray, [w], 50),
+            lambda: gr.tangent_path_lengths(p, z, [w, stray], 50),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidTangent):
+                call()
+
 
 class TestGeodesicLog:
     def test_equal_points(self):
@@ -239,16 +260,36 @@ class TestCurveLength:
         with pytest.raises(InvalidInput):
             gr.Curve(lambda t: pj.Projection(p.mat), resolution=1)
 
-    @pytest.mark.parametrize("n, k", [(6, 4), (6, 0), (6, 6), (16, 12), (32, 20)])
-    def test_batched_engine_matches_curve_length(self, rng, n, k):
+    @pytest.mark.parametrize("n, k, norm, resolution", [
+        pytest.param(n, k, norm, res, id=f"{n}-{k}" + ("" if norm == 1.1 else f"-short{norm:g}"))
+        for n, k in [(6, 4), (6, 0), (6, 6), (16, 12), (32, 20)]
+        for norm, res in [(1.1, 500), (1e-4, 2000), (1e-3, 2000)]])
+    def test_batched_engine_matches_curve_length(self, rng, n, k, norm, resolution):
         p = pj.random_projection(n, k, 5)
-        z = gr.random_tangent(p, rng, 1.1)
+        z = gr.random_tangent(p, rng, norm)
         ws = [gr.random_tangent(p, rng, 0.3) for _ in range(3)]
-        geo, pert = gr.tangent_path_lengths(p, z, ws, 500)
-        assert geo == pytest.approx(gr.curve_length(gr.geodesic_curve(p, z, 500)), abs=1e-8)
+        geo, pert = gr.tangent_path_lengths(p, z, ws, resolution)
+        assert geo == pytest.approx(
+            gr.curve_length(gr.geodesic_curve(p, z, resolution)), abs=1e-8)
         for w, value in zip(ws, pert):
             assert value == pytest.approx(
-                gr.curve_length(gr.perturbed_curve(p, z, w, 500)), abs=1e-8)
+                gr.curve_length(gr.perturbed_curve(p, z, w, resolution)), abs=1e-8)
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 9) for k in range(1, n)]
+                             + [(n, k) for n in (16, 32, 64)
+                                for k in sorted({1, 2, n // 4, n // 2, n - 1})])
+    def test_geodesic_polyline_is_exact(self, rng, n, k):
+        # the N samples of a geodesic of speed |z| are equally spaced at
+        # spherical distance |z| / (N-1), so its polyline is exactly
+        # (N-1) sin(|z| / (N-1)), for short geodesics too
+        p = pj.random_projection(n, k, 7)
+        for norm in (1e-4, 1e-3, 0.7, np.pi / 2 - 1e-6, 2.5):
+            z = gr.random_tangent(p, rng, norm)
+            for samples in (50, 2000):
+                geo, pert = gr.tangent_path_lengths(p, z, [], samples)
+                exact = (samples - 1) * np.sin(norm / (samples - 1))
+                assert abs(geo - exact) <= 1e-12 * exact, (norm, samples)
+                assert pert.shape == (0,)
 
 
     def test_chordal_steps_are_consecutive_chordal_distances(self, rng):

@@ -156,6 +156,16 @@ def sweep(gg, dims, rec: Digests):
             rec.record("geodesic_curve", gg.geodesic_curve(p, z).sample, np.array(T_GRID))
             ws = [gg.random_tangent(p, curve_rng, 0.3) for _ in range(2)]
             rec.record("tangent_path_lengths", gg.tangent_path_lengths, p, z, ws, 50)
+            # short geodesics at full resolution, and perturbations that
+            # leave the span of [a_z, a_w] rank-deficient
+            path_rng = np.random.default_rng(seed + 8)
+            for norm in (1e-4, 1e-3):
+                z = gg.random_tangent(p, path_rng, norm)
+                ws = [gg.random_tangent(p, path_rng, norm / 2)]
+                rec.record("tangent_path_lengths", gg.tangent_path_lengths, p, z, ws, 2000)
+            z = gg.random_tangent(p, path_rng, 1.2)
+            ws = [gg.TangentVector(0 * z.mat, p), gg.TangentVector(2 * z.mat, p)]
+            rec.record("tangent_path_lengths", gg.tangent_path_lengths, p, z, ws, 50)
 
             # chart radii from the center to past the rim; corner norms
             # 2 artanh(r) reach 8, where cone elements fail their checks
