@@ -8,6 +8,15 @@ radius 1.  Positive definite eps-unitaries form a cone parametrized by
 ``lam -> [sqrt(lam) p]`` identifies the cone with the disk.  The disk
 carries the pseudo-chordal and non-Euclidean metrics; the latter is half
 the geodesic metric of the cone.
+
+Cone curves are built from their generator.  Congruence by ``nu^{-1/2}``
+is a cone isometry, so ``L = log(nu^{-1/2} mu nu^{-1/2})`` is off-diagonal
+and the geodesic from ``nu`` to ``mu`` is ``nu^{1/2} exp(tL) nu^{1/2}``
+(Bhatia, *Positive Definite Matrices*, 2007, ch. 6).  Geodesic samples
+take one product each from the eigenbasis of ``nu^{-1/2} mu nu^{-1/2}``.
+Perturbed paths exponentiate ``tL + t(1-t)H`` through cosh/sinhc blocks
+on the small side of ``p``, so every sample lies in the cone exactly.
+Polyline steps come from one Cholesky factor per sample.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from .errors import (
 from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, herm, op_norm, spectral
 from .moebius import HpVector, chart_inv, random_hp_vector
 from .projective import Projection, ProjectivePoint, _trusted, classify
-from .grassmann import _check_context, d_chordal
+from .grassmann import _check_context, _side_blocks, d_chordal
 
 __all__ = [
     "EpsSymmetry",
@@ -298,26 +307,59 @@ def eps_geodesic(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary, t: float,
     return PositiveEpsUnitary(eps_geodesic_samples(mu, nu, [t])[0], mu.context, tol)
 
 
+def _relative_spectrum(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary):
+    """Eigendecomposition ``V diag(w) V*`` of ``nu^{-1/2} mu nu^{-1/2}``;
+    InvalidInput if the two matrices differ in dimension."""
+    if mu.mat.shape != nu.mat.shape:
+        raise InvalidInput("cone elements have different dimensions")
+    return np.linalg.eigh(herm(nu.inv_sqrt @ mu.mat @ nu.inv_sqrt))
+
+
 def eps_geodesic_samples(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
                          ts: np.ndarray) -> np.ndarray:
-    """Stack of cone geodesic samples for a whole parameter grid."""
-    a = herm(nu.inv_sqrt @ mu.mat @ nu.inv_sqrt)
-    w, v = np.linalg.eigh(a)
+    """Stack of cone geodesic samples for a whole parameter grid.
+
+    With ``nu^{-1/2} mu nu^{-1/2} = V diag(w) V*`` and ``G = nu^{1/2} V``,
+    the sample at t is ``G diag(w^t) G*``: one product per sample.
+
+    Raises
+    ------
+    InvalidInput
+        If the two matrices have different dimensions.
+    """
+    w, v = _relative_spectrum(mu, nu)
+    g = nu.sqrt @ v
     ts = np.asarray(ts, dtype=float)
-    inner = spectral(v, w[None, :] ** ts[:, None])
-    return herm(nu.sqrt[None] @ inner @ nu.sqrt[None])
+    return herm((g * (w ** ts[:, None])[:, None, :]) @ adj(g))
 
 
 def cone_polyline_steps(lams: np.ndarray) -> np.ndarray:
-    """Cone distances between consecutive positive matrices of a stack."""
+    """Cone distances between consecutive positive matrices of a stack.
+
+    Each sample is factored once, ``A_j = L_j L_j*`` (Cholesky).  The
+    distance ``|| log(A_{j+1}^{-1/2} A_j A_{j+1}^{-1/2}) ||`` depends only
+    on the eigenvalues of that matrix, which are those of ``Y Y*`` for
+    ``Y = L_{j+1}^{-1} L_j``; so each step is twice the largest
+    ``|log sigma|`` over the singular values of ``Y``.
+
+    Raises
+    ------
+    InvalidInput
+        If ``lams`` is not a stack of square matrices or is not finite.
+    NotPositive
+        If a sample is not positive definite.
+    """
     lams = np.asarray(lams, dtype=complex)
-    w, v = np.linalg.eigh(herm(lams))
-    if w.min() <= 0.0:
-        raise NotPositive("polyline samples must be positive definite")
-    inv_sqrt = (v / np.sqrt(w)[..., None, :]) @ adj(v)
-    mid = inv_sqrt[1:] @ lams[:-1] @ inv_sqrt[1:]
-    ev = np.linalg.eigvalsh(herm(mid))
-    return np.abs(np.log(ev)).max(axis=-1)
+    if lams.ndim != 3 or lams.shape[1] != lams.shape[2]:
+        raise InvalidInput(f"expected a stack of square matrices, got shape {lams.shape}")
+    if not np.all(np.isfinite(lams.view(float))):
+        raise InvalidInput("polyline samples have non-finite entries")
+    try:
+        chol = np.linalg.cholesky(herm(lams))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositive("polyline samples must be positive definite") from exc
+    sv = np.linalg.svd(np.linalg.solve(chol[1:], chol[:-1]), compute_uv=False)
+    return 2 * np.abs(np.log(sv)).max(axis=-1)
 
 
 def cone_polyline_length(lams: np.ndarray) -> float:
@@ -325,28 +367,78 @@ def cone_polyline_length(lams: np.ndarray) -> float:
     return float(cone_polyline_steps(lams).sum())
 
 
+def _cosh_sinhc_blocks(gram: np.ndarray):
+    """Eigenbasis and factors of exp for stacked off-diagonal Hermitian
+    generators, from the Gram matrices ``a* a`` of their corners.
+
+    For ``X = [[0, a*], [a, 0]]`` with ``a`` mapping the small side into the
+    big side and ``a* a = V diag(s^2) V*``, ``exp(X) - 1`` has the blocks
+    ``V (cosh s - 1) V*`` on the small side, ``a V sinhc(s) V*`` from the
+    small side into the big side, and ``a V phi(s) V* a*`` on the big side,
+    with ``phi(s) = (cosh s - 1)/s^2``.  Returns ``V`` and the factors
+    ``cosh s - 1``, ``sinhc s`` and ``phi s``.  They come from
+    ``sinhc(s/2)`` alone, as ``phi = sinhc(s/2)^2 / 2`` and
+    ``sinhc s = sinhc(s/2) cosh(s/2)``; the direct form of ``phi`` cancels
+    at small ``s``.  The cos/sinc blocks of ``grassmann._cos_sinc_blocks``
+    are the compact analogue (Edelman, Arias and Smith, 1998).
+    """
+    w, v = np.linalg.eigh(gram)
+    s2 = np.clip(w, 0.0, None)
+    s_half = np.sqrt(s2) / 2
+    # sinhc(s/2), with value 1 at 0
+    half = np.divide(np.sinh(s_half), s_half, out=np.ones_like(s_half), where=s_half > 0)
+    phi = half * half / 2
+    return v, s2 * phi, half * np.cosh(s_half), phi
+
+
 def cone_perturbed_path(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
                         h: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """A cone path with the geodesic's endpoints, perturbed by ``t(1-t) h``.
 
-    The raw perturbation ``gamma(t) exp(t(1-t) h)`` leaves the cone, so each
-    sample is re-projected in two steps: the positive part of its polar
-    decomposition restores positivity, and dropping the diagonal blocks of
-    the logarithm restores the indefinite-isometry constraint (the cone is
-    exactly ``exp`` of the off-diagonal Hermitian corner).
+    Congruence by ``nu^{-1/2}`` is a cone isometry, so
+    ``L = log(nu^{-1/2} mu nu^{-1/2})`` is off-diagonal for ``p`` and the
+    geodesic is ``nu^{1/2} exp(tL) nu^{1/2}``.  The path is
+    ``nu^{1/2} exp(tL + t(1-t)H) nu^{1/2}``, with ``H`` the off-diagonal
+    part of ``herm(h)``: every sample is a positive eps-unitary by
+    construction, the ends are ``nu`` at t = 0 and ``mu`` at t = 1, and an
+    ``h`` with no off-diagonal part gives the geodesic.
+
+    Only the corners count: with ``k = min(rank, n - rank)`` and bases
+    ``Bs`` of the small side and ``Bb`` of the big side, the generator's
+    corner at t is ``y(t) = t l + t(1-t) eta`` (``l = Bb* L Bs``,
+    ``eta = Bb* herm(h) Bs``), and the exponential comes from the
+    cosh/sinhc blocks of one batched ``eigh`` of the k×k Gram matrices
+    ``y* y``.  With ``P = nu^{1/2} Bs V`` and ``R = nu^{1/2} Bb y V`` the
+    sample is the rank-2k update
+    ``nu + [P, R] [[cosh s - 1, sinhc s], [sinhc s, phi s]] [P, R]*``.
+    Ranks 0 and n give the constant stack ``nu``.
+
+    Raises
+    ------
+    InvalidInput
+        If ``mu``, ``nu`` and ``h`` differ in dimension, or the contexts of
+        ``mu`` and ``nu`` differ by more than eq_tol.
     """
+    w, v = _relative_spectrum(mu, nu)
     p = mu.context
+    if np.abs(p.mat - nu.context.mat).max() > DEFAULT_TOL.eq_tol:
+        raise InvalidInput("cone elements have different context projections")
+    h = as_matrix(h, square=True)
+    if h.shape != p.mat.shape:
+        raise InvalidInput("perturbation and cone element dimensions differ")
+    small, big, _ = _side_blocks(p)
+    ell = ((adj(big) @ v) * np.log(w)) @ (adj(v) @ small)
+    eta = adj(big) @ herm(h) @ small
     ts = np.asarray(ts, dtype=float)
-    gam = eps_geodesic_samples(mu, nu, ts)
-    hw, hv = np.linalg.eigh(herm(np.asarray(h, dtype=complex)))
-    s = ts * (1.0 - ts)
-    c = gam @ spectral(hv, np.exp(s[:, None] * hw[None, :]))
-    w, v = np.linalg.eigh(herm(adj(c) @ c))
-    logs = herm(spectral(v, np.log(w) / 2))
-    pm, pcm = p.mat[None], p.comp[None]
-    off = logs - pm @ logs @ pm - pcm @ logs @ pcm
-    ow, ov = np.linalg.eigh(herm(off))
-    return herm(spectral(ov, np.exp(ow)))
+    tt, st = ts[:, None, None], (ts * (1.0 - ts))[:, None, None]
+    y = tt * ell + st * eta
+    v_s, *factors = _cosh_sinhc_blocks(herm(adj(y) @ y))
+    cosh_1, sinhc, phi = (f[:, None, :] for f in factors)
+    sqrt_big = nu.sqrt @ big
+    pv = nu.sqrt @ small @ v_s
+    rv = (tt * (sqrt_big @ ell) + st * (sqrt_big @ eta)) @ v_s
+    left = np.concatenate([pv * cosh_1 + rv * sinhc, pv * sinhc + rv * phi], axis=-1)
+    return herm(nu.mat + left @ adj(np.concatenate([pv, rv], axis=-1)))
 
 
 def eps_action(u, m: DiskPoint, tol: Tolerance = DEFAULT_TOL) -> DiskPoint:

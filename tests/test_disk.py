@@ -9,7 +9,7 @@ from grassgeo import linalg as la
 from grassgeo import moebius as mo
 from grassgeo import projective as pj
 from grassgeo import verify
-from grassgeo.errors import InvalidInput, NotEpsUnitary, NotInDisk
+from grassgeo.errors import InvalidInput, NotEpsUnitary, NotInDisk, NotPositive
 
 from conftest import random_hermitian
 
@@ -376,6 +376,136 @@ class TestConeGeodesics:
             residual = np.abs(path @ eps @ path - eps).max()
             assert residual < 1e-8
             assert dk.cone_polyline_length(path) >= dist - 1e-6
+
+
+def _kernel_cases():
+    small = [(n, r) for n in range(2, 9) for r in range(n + 1)]
+    large = [(n, r) for n in (16, 32, 64) for r in sorted({0, 1, n // 4, n // 2, n - 1, n})]
+    return small + large
+
+
+def _oracle_steps(lams):
+    """Cone steps by the inverse square root of every sample: the eigenvalues
+    of ``A_{j+1}^{-1/2} A_j A_{j+1}^{-1/2}``."""
+    w, v = np.linalg.eigh(la.herm(lams))
+    inv_sqrt = (v / np.sqrt(w)[..., None, :]) @ la.adj(v)
+    mid = inv_sqrt[1:] @ lams[:-1] @ inv_sqrt[1:]
+    return np.abs(np.log(np.linalg.eigvalsh(la.herm(mid)))).max(axis=-1)
+
+
+def _cone_instance(n, rank):
+    seed = 100 * n + rank
+    p = pj.random_projection(n, rank, seed)
+    mu = dk.random_pos_eps_unitary(p, 1.0, seed + 1)
+    nu = dk.random_pos_eps_unitary(p, 1.0, seed + 2)
+    h = random_hermitian(n, np.random.default_rng(seed + 3))
+    h *= 0.3 / np.linalg.norm(h, 2)
+    return p, mu, nu, h
+
+
+class TestConeCurveKernels:
+    """The generator-form perturbed path, the one-product geodesic samples
+    and the Cholesky polyline steps, at every rank of small dimensions and
+    at ranks 0, 1, n/4, n/2, n-1 and n of 16, 32 and 64."""
+
+    @pytest.mark.parametrize("n, rank", _kernel_cases())
+    def test_perturbed_path_is_a_cone_path(self, n, rank):
+        p, mu, nu, h = _cone_instance(n, rank)
+        path = dk.cone_perturbed_path(mu, nu, h, np.linspace(0.0, 1.0, 41))
+        # rounding of lam eps lam grows with the squared norm of the samples
+        scale = 1e-14 * n * max(np.linalg.norm(nu.mat, 2), np.linalg.norm(mu.mat, 2)) ** 2
+        assert np.abs(path[0] - nu.mat).max() <= scale
+        assert np.abs(path[-1] - mu.mat).max() <= scale
+        assert np.abs(path @ p.eps @ path - p.eps).max() <= scale * np.abs(path).max() ** 2
+        assert np.abs(path - la.adj(path)).max() == 0.0
+        assert np.linalg.eigvalsh(path).min() > 0.0
+
+    @pytest.mark.parametrize("n, rank", _kernel_cases())
+    def test_block_diagonal_perturbation_gives_the_geodesic(self, n, rank):
+        p, mu, nu, h = _cone_instance(n, rank)
+        ts = np.linspace(0.0, 1.0, 41)
+        geo = dk.eps_geodesic_samples(mu, nu, ts)
+        for block_diagonal in (p.mat @ h @ p.mat + p.comp @ h @ p.comp, 0 * h):
+            path = dk.cone_perturbed_path(mu, nu, block_diagonal, ts)
+            assert np.abs(path - geo).max() <= 1e-12 * np.abs(geo).max()
+
+    @pytest.mark.parametrize("n, rank", _kernel_cases())
+    def test_steps_match_inverse_square_root_oracle(self, n, rank):
+        _, mu, nu, h = _cone_instance(n, rank)
+        ts = np.linspace(0.0, 1.0, 41)
+        for stack in (dk.eps_geodesic_samples(mu, nu, ts), dk.cone_perturbed_path(mu, nu, h, ts)):
+            steps, oracle = dk.cone_polyline_steps(stack), _oracle_steps(stack)
+            assert steps.shape == oracle.shape == (len(ts) - 1,)
+            assert np.abs(steps - oracle).max() <= 1e-12 * oracle.max() + 1e-14
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_steps_of_commuting_matrices(self, n):
+        # off the cone, the spectrum of a step is not closed under inversion:
+        # the log-eigenvalues move by -0.3 on one axis and by 0.1 on the
+        # others, then back, so both the largest and the smallest
+        # eigenvalue of a step decide its length once
+        rng = np.random.default_rng(n)
+        u = la.random_unitary(n, rng)
+        move = np.full(n, 0.1)
+        move[0] = -0.3
+        start = rng.uniform(-1.0, 1.0, size=n)
+        logs = np.stack([start, start + move, start])
+        lams = (u * np.exp(logs)[:, None, :]) @ u.conj().T
+        np.testing.assert_allclose(dk.cone_polyline_steps(lams), [0.3, 0.3], rtol=1e-12)
+
+    @pytest.mark.parametrize("n, rank", _kernel_cases())
+    def test_geodesic_polyline_equals_cone_distance(self, n, rank):
+        _, mu, nu, _ = _cone_instance(n, rank)
+        length = dk.cone_polyline_length(dk.eps_geodesic_samples(mu, nu, np.linspace(0, 1, 41)))
+        dist = dk.d_cone(mu, nu)
+        assert abs(length - dist) <= 1e-11 * dist + 1e-14
+
+
+class TestConeCurveInputs:
+    """The cone curve functions check their inputs where they enter."""
+
+    def test_geodesic_samples_dimension_mismatch(self):
+        mu = dk.random_pos_eps_unitary(pj.random_projection(4, 2, 1), 1.0, 2)
+        five = dk.random_pos_eps_unitary(pj.random_projection(5, 2, 1), 1.0, 3)
+        with pytest.raises(InvalidInput):
+            dk.eps_geodesic_samples(mu, five, [0.0, 0.5])
+
+    def test_perturbed_path_dimension_mismatch(self):
+        mu = dk.random_pos_eps_unitary(pj.random_projection(4, 2, 1), 1.0, 2)
+        five = dk.random_pos_eps_unitary(pj.random_projection(5, 2, 1), 1.0, 3)
+        with pytest.raises(InvalidInput):
+            dk.cone_perturbed_path(mu, five, np.zeros((4, 4)), [0.0, 0.5])
+
+    def test_perturbed_path_context_mismatch(self):
+        mu = dk.random_pos_eps_unitary(pj.random_projection(4, 2, 1), 1.0, 2)
+        nu = dk.random_pos_eps_unitary(pj.random_projection(4, 2, 5), 1.0, 3)
+        with pytest.raises(InvalidInput):
+            dk.cone_perturbed_path(mu, nu, np.zeros((4, 4)), [0.0, 0.5])
+
+    def test_perturbation_of_wrong_shape(self):
+        p = pj.random_projection(4, 2, 1)
+        mu, nu = dk.random_pos_eps_unitary(p, 1.0, 2), dk.random_pos_eps_unitary(p, 1.0, 3)
+        with pytest.raises(InvalidInput):
+            dk.cone_perturbed_path(mu, nu, np.zeros((3, 3)), [0.0, 0.5])
+
+    def test_steps_of_a_single_matrix(self):
+        with pytest.raises(InvalidInput):
+            dk.cone_polyline_steps(np.eye(3))
+
+    def test_steps_of_a_nan_sample(self):
+        lams = np.stack([np.eye(3), np.full((3, 3), np.nan), np.eye(3)]).astype(complex)
+        with pytest.raises(InvalidInput):
+            dk.cone_polyline_steps(lams)
+
+    def test_steps_of_a_sample_with_negative_eigenvalue(self):
+        lams = np.stack([np.eye(3), np.diag([1.0, -0.5, 2.0]), np.eye(3)]).astype(complex)
+        with pytest.raises(NotPositive):
+            dk.cone_polyline_steps(lams)
+
+    def test_steps_of_a_singular_sample(self):
+        lams = np.stack([np.eye(3), np.diag([1.0, 0.0, 2.0]), np.eye(3)]).astype(complex)
+        with pytest.raises(NotPositive):
+            dk.cone_polyline_steps(lams)
 
 
 class TestDiskAction:

@@ -19,5 +19,6 @@ def test_digests_repeat():
     names = {line.split()[0] for line in first}
     assert {"classify", "in_lp", "chart_inv", "chart_transition", "corner_inverse",
             "moebius_domain", "moebius_apply", "eps_geodesic", "geodesic", "geodesic_curve",
-            "tangent_path_lengths", "disk_to_cone", "to_disk_point"} <= names
+            "tangent_path_lengths", "disk_to_cone", "to_disk_point", "cone_perturbed_path",
+            "cone_polyline_steps"} <= names
     assert all(len(line.split()[2]) == 64 for line in first)

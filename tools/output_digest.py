@@ -134,8 +134,20 @@ def sweep(gg, dims, rec: Digests):
             nu = gg.random_pos_eps_unitary(p, 0.5, seed + 3)
             for t in T_GRID:
                 rec.record("eps_geodesic", gg.eps_geodesic, mu, nu, t)
-            rec.record("eps_geodesic_samples", gg.disk.eps_geodesic_samples, mu, nu, np.array(T_GRID))
+            samples = rec.record("eps_geodesic_samples", gg.disk.eps_geodesic_samples,
+                                 mu, nu, np.array(T_GRID))
             rec.record("cone_to_disk", gg.cone_to_disk, mu)
+            # a perturbation with every block, and its block-diagonal part,
+            # whose path is the geodesic
+            cone_rng = np.random.default_rng(seed + 9)
+            h = cone_rng.standard_normal((n, n)) + 1j * cone_rng.standard_normal((n, n))
+            h = 0.2 * (h + h.conj().T) / np.linalg.norm(h + h.conj().T, 2)
+            stacks = [samples]
+            for pert in (h, p.mat @ h @ p.mat + p.comp @ h @ p.comp):
+                stacks.append(rec.record("cone_perturbed_path", gg.disk.cone_perturbed_path,
+                                         mu, nu, pert, np.array(T_GRID)))
+            for stack in stacks:
+                rec.record("cone_polyline_steps", gg.disk.cone_polyline_steps, stack)
 
             # the last angle puts the chordal distance within eq_tol of 1
             # for 0 < k < n, so the pair is out of range
