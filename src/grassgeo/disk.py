@@ -315,6 +315,19 @@ def _relative_spectrum(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary):
     return np.linalg.eigh(herm(nu.inv_sqrt @ mu.mat @ nu.inv_sqrt))
 
 
+def _sample_times(ts) -> np.ndarray:
+    """``ts`` as a float array; InvalidInput unless it is finite and 1-d."""
+    try:
+        ts = np.asarray(ts, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInput("sample times must be real numbers") from None
+    if ts.ndim != 1:
+        raise InvalidInput(f"sample times must be a 1-d array, got shape {ts.shape}")
+    if not np.all(np.isfinite(ts)):
+        raise InvalidInput("sample times must be finite")
+    return ts
+
+
 def eps_geodesic_samples(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
                          ts: np.ndarray) -> np.ndarray:
     """Stack of cone geodesic samples for a whole parameter grid.
@@ -325,11 +338,12 @@ def eps_geodesic_samples(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
     Raises
     ------
     InvalidInput
-        If the two matrices have different dimensions.
+        If the two matrices have different dimensions, or ``ts`` is not a
+        finite 1-d array.
     """
     w, v = _relative_spectrum(mu, nu)
+    ts = _sample_times(ts)
     g = nu.sqrt @ v
-    ts = np.asarray(ts, dtype=float)
     return herm((g * (w ** ts[:, None])[:, None, :]) @ adj(g))
 
 
@@ -416,8 +430,9 @@ def cone_perturbed_path(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
     Raises
     ------
     InvalidInput
-        If ``mu``, ``nu`` and ``h`` differ in dimension, or the contexts of
-        ``mu`` and ``nu`` differ by more than eq_tol.
+        If ``mu``, ``nu`` and ``h`` differ in dimension, the contexts of
+        ``mu`` and ``nu`` differ by more than eq_tol, or ``ts`` is not a
+        finite 1-d array.
     """
     w, v = _relative_spectrum(mu, nu)
     p = mu.context
@@ -429,7 +444,7 @@ def cone_perturbed_path(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
     small, big, _ = _side_blocks(p)
     ell = ((adj(big) @ v) * np.log(w)) @ (adj(v) @ small)
     eta = adj(big) @ herm(h) @ small
-    ts = np.asarray(ts, dtype=float)
+    ts = _sample_times(ts)
     tt, st = ts[:, None, None], (ts * (1.0 - ts))[:, None, None]
     y = tt * ell + st * eta
     v_s, *factors = _cosh_sinhc_blocks(herm(adj(y) @ y))

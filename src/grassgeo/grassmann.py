@@ -22,11 +22,14 @@ between consecutive moved bases, computed from the residual
 ``C_{j+1} - C_j (C_j* C_{j+1})`` so that short steps keep their accuracy,
 and uses closed forms with the samples on the last axis for k <= 2: scalars
 at k = 1, one Jacobi rotation and a 2 x 2 eigenvalue at k = 2.  For k >= 3
-batched ``eigh`` and ``eigvalsh`` do the same work.
+the moved basis, an entire function of t, is computed at a few dozen
+Chebyshev nodes per path and interpolated to the samples (Trefethen,
+Approximation Theory and Approximation Practice, 2013, ch. 8).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -102,8 +105,18 @@ class Curve:
     resolution: int = 2000
 
     def __post_init__(self):
-        if self.resolution < 2:
-            raise InvalidInput("curve resolution must be at least 2")
+        _check_resolution(self.resolution)
+
+
+def _check_resolution(resolution) -> None:
+    """Raise ``InvalidInput`` unless ``resolution`` is an integer of at
+    least 2; numpy integers count as integers."""
+    try:
+        resolution = operator.index(resolution)
+    except TypeError:
+        raise InvalidInput(f"resolution must be an integer, got {resolution!r}") from None
+    if resolution < 2:
+        raise InvalidInput("resolution must be at least 2")
 
 
 def random_tangent(p: Projection, rng: np.random.Generator, norm: float = 1.0) -> TangentVector:
@@ -235,8 +248,7 @@ def curve_length(curve: Curve, tol: Tolerance = DEFAULT_TOL) -> float:
     InvalidCurve
         If a sample fails the projection invariants within eq_tol.
     """
-    if curve.resolution < 2:
-        raise InvalidInput("resolution must be at least 2")
+    _check_resolution(curve.resolution)
     ts = np.linspace(0.0, 1.0, curve.resolution)
     qs = _sample_matrices(curve, ts)
     if not np.all(np.isfinite(qs.view(float))):
@@ -378,14 +390,21 @@ def tangent_path_lengths(p: Projection, z: TangentVector, ws, resolution: int = 
     - Sine steps.  A step is ``||C_{j+1} - C_j (C_j* C_{j+1})||``, the sine
       of the largest principal angle between consecutive moved bases,
       computed from the residual itself so that short steps keep their
-      relative accuracy.  Each basis is taken in the eigenbasis ``V`` of
-      ``a* a``, as ``[V cos(s); a V sinc(s)]``; that spans the same
-      subspace as ``[cos|a|; a sinc|a|]``.
-    - Closed forms for k <= 2.  The sample axis is last and all per-sample
-      algebra is elementwise: at k = 1 every quantity is a scalar, at k = 2
-      ``V`` is one Jacobi rotation and the step is the largest eigenvalue
-      of a 2 x 2 Hermitian matrix.  No LAPACK call is made per sample.
-      For k >= 3 batched ``eigh`` and ``eigvalsh`` do the same work.
+      relative accuracy.
+    - Closed forms for k <= 2.  Each basis is taken in the eigenbasis ``V``
+      of ``r* r``, as ``[V cos(s); r V sinc(s)]``, which spans the same
+      subspace as ``[cos|r|; r sinc|r|]``.  The sample axis is last and all
+      per-sample algebra is elementwise: at k = 1 every quantity is a
+      scalar, at k = 2 ``V`` is one Jacobi rotation and the step is the
+      largest eigenvalue of a 2 x 2 Hermitian matrix.  No LAPACK call is
+      made per sample.
+    - Chebyshev interpolation for k >= 3.  ``[cos|r|; r sinc|r|]`` is an
+      entire function of t.  Less ``[1; 0]``, it is computed from one
+      batched ``eigh`` at the ``deg + 1`` Chebyshev nodes on [0, 1], where
+      ``deg`` is the least degree that a Bernstein-ellipse bound makes
+      exact to 2^-53, and interpolated to each sample and to each
+      difference ``C_{j+1} - C_j``.  With no more samples than nodes it is
+      computed at the samples.  One ``eigvalsh`` per step gives the norm.
     - One path at a time, so that temporaries stay the size of one path.
 
     Raises
@@ -398,15 +417,14 @@ def tangent_path_lengths(p: Projection, z: TangentVector, ws, resolution: int = 
     (float, ndarray)
         Length of the geodesic, then one length per perturbation.
     """
-    if resolution < 2:
-        raise InvalidInput("resolution must be at least 2")
+    _check_resolution(resolution)
     for v in (z, *ws):
         _check_tangent(p, v)
     k = min(p.rank, p.dim - p.rank)
     if k == 0:
         return 0.0, np.zeros(len(ws))
     ts = np.linspace(0.0, 1.0, resolution)
-    path_steps = _closed_form_steps if k <= 2 else _lapack_steps
+    path_steps = _closed_form_steps if k <= 2 else _interpolated_steps
     lengths = [path_steps(r_z, r_w, ts).sum() for r_z, r_w in _reduced_blocks(p, z, ws)]
     return float(lengths[0]), np.array(lengths[1:])
 
@@ -465,13 +483,90 @@ def _closed_form_steps(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray) -> np.n
     return np.sqrt(g[0, 0].real if r.shape[1] == 1 else _largest_eig_2x2(g))
 
 
-def _lapack_steps(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Chordal steps along ``r(t) = t r_z + t (1-t) r_w`` for any k, from
-    batched ``eigh`` and ``eigvalsh``."""
+# Radii of the Bernstein ellipses over which _interpolation_degree minimises
+_ELLIPSES = np.array([1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 16.0, 32.0, 64.0])
+
+
+def _interpolation_degree(r_z: np.ndarray, r_w: np.ndarray) -> int:
+    """Degree of a Chebyshev interpolant of the lifted basis of
+    ``r(t) = t r_z + t (1-t) r_w`` on [0, 1] that is exact to 2^-53.
+
+    In ``x = 2t - 1`` the Bernstein ellipse of radius ``rho`` has semi-major
+    axis ``c = (rho + 1/rho) / 2``; on it ``|t| <= (1 + c) / 2`` and
+    ``|t (1-t)| <= c^2 / 4``, so the moved basis, a column block of the
+    exponential of an anti-Hermitian generator of norm ``||r(t)||`` for real
+    t, is bounded by ``M = exp((1 + c)/2 ||r_z|| + c^2/4 ||r_w||)`` and the
+    lifted basis by ``2M``.  The interpolant of degree ``deg`` then errs by
+    at most ``4 (2M) rho^-deg / (rho - 1)`` (Trefethen, Approximation Theory
+    and Approximation Practice, 2013, Thm 8.2); the degree is the smallest
+    that brings this to 2^-53 on the best of a fixed set of ellipses.
+    """
+    rho = _ELLIPSES
+    c = (rho + 1 / rho) / 2
+    log_m = (1 + c) / 2 * np.linalg.norm(r_z, 2) + c * c / 4 * np.linalg.norm(r_w, 2)
+    deg = (np.log(8 / (rho - 1)) + log_m + 53 * np.log(2)) / np.log(rho)
+    return int(np.ceil(deg.min()))
+
+
+def _lifted_basis(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The moved basis ``[cos|r|; r sinc|r|]`` less ``[1; 0]`` at each t of
+    ``ts``, from one batched ``eigh`` of ``r* r``.
+
+    Each block is taken in canonical form ``V f(s) V*``, an entire function
+    of t; the eigenvector form ``[V cos s; r V sinc s]`` changes phase and
+    column order from one t to the next and cannot be interpolated.  The top
+    block is ``cos|r| - 1 = -2 sin^2(|r|/2)``, which keeps its relative
+    accuracy on short paths.
+    """
     r = ts[:, None, None] * r_z + (ts * (1.0 - ts))[:, None, None] * r_w
     w, v = np.linalg.eigh(herm(adj(r) @ r))
-    s = np.sqrt(np.clip(w, 0.0, None))[:, None, :]
-    basis = np.concatenate([v * np.cos(s), (r @ v) * np.sinc(s / np.pi)], axis=-2)
-    prev, nxt = basis[:-1], basis[1:]
-    res = nxt - prev @ (adj(prev) @ nxt)
+    s = np.sqrt(np.clip(w, 0.0, None))
+    return np.concatenate([spectral(v, -2 * np.sin(s / 2) ** 2),
+                           r @ spectral(v, np.sinc(s / np.pi))], axis=-2)
+
+
+def _chebyshev_rows(deg: int, ts: np.ndarray):
+    """The Chebyshev-Lobatto nodes ``t_j = cos^2(j pi / (2 deg))`` on
+    [0, 1], j = 0..deg, and the rows mapping values there to the
+    interpolant at ``ts[:-1]`` and to its differences between consecutive
+    samples.
+
+    With ``t = cos^2(theta / 2)`` the interpolant is
+    ``sum_l c_l cos(l theta)``, its coefficients the discrete cosine
+    transform of the node values.  The difference rows use
+    ``cos(l b) - cos(l a) = -2 sin(l (a+b)/2) sin(l (b-a)/2)``, so that short
+    steps do not cancel.
+    """
+    order = np.arange(deg + 1)
+    coef = np.cos(np.outer(order, order) * (np.pi / deg)) * (2.0 / deg)
+    coef[:, [0, -1]] /= 2
+    coef[[0, -1]] /= 2
+    theta = 2 * np.arctan2(np.sqrt(1.0 - ts), np.sqrt(ts))
+    mid, half = (theta[1:] + theta[:-1]) / 2, (theta[1:] - theta[:-1]) / 2
+    at = np.cos(np.outer(theta[:-1], order))
+    diff = -2 * np.sin(np.outer(mid, order)) * np.sin(np.outer(half, order))
+    return np.cos(order * (np.pi / (2 * deg))) ** 2, at @ coef, diff @ coef
+
+
+def _interpolated_steps(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Chordal steps along ``r(t) = t r_z + t (1-t) r_w`` for any k.
+
+    The lifted basis is computed at ``deg + 1`` Chebyshev nodes, with
+    ``deg`` from :func:`_interpolation_degree`, and interpolated to the
+    samples, or at the samples themselves when there are no more of them.  Each step is the
+    largest singular value of ``D - C (C* D)``, with ``C`` the moved basis
+    at a sample and ``D`` the difference to the next one.
+    """
+    deg = _interpolation_degree(r_z, r_w)
+    if deg + 1 >= ts.size:
+        lifted = _lifted_basis(r_z, r_w, ts)
+        delta, prev = np.diff(lifted, axis=0), lifted[:-1]
+    else:
+        nodes, *rows = _chebyshev_rows(deg, ts)
+        lifted = _lifted_basis(r_z, r_w, nodes)
+        flat = lifted.reshape(deg + 1, -1).view(float)
+        prev, delta = ((m @ flat).view(complex).reshape(-1, *lifted.shape[1:]) for m in rows)
+    k = r_z.shape[1]
+    prev[:, range(k), range(k)] += 1.0
+    res = delta - prev @ (adj(prev) @ delta)
     return np.sqrt(np.clip(np.linalg.eigvalsh(adj(res) @ res)[:, -1], 0.0, None))

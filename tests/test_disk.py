@@ -488,6 +488,16 @@ class TestConeCurveInputs:
         with pytest.raises(InvalidInput):
             dk.cone_perturbed_path(mu, nu, np.zeros((3, 3)), [0.0, 0.5])
 
+    @pytest.mark.parametrize("ts", [0.5, [[0.1, 0.2]], [np.nan], [np.inf]],
+                             ids=["scalar", "grid", "nan", "inf"])
+    @pytest.mark.parametrize("curve", ["eps_geodesic_samples", "cone_perturbed_path"])
+    def test_sample_times_not_finite_1d(self, curve, ts):
+        p = pj.random_projection(4, 2, 1)
+        mu, nu = dk.random_pos_eps_unitary(p, 1.0, 2), dk.random_pos_eps_unitary(p, 0.5, 3)
+        args = (mu, nu) if curve == "eps_geodesic_samples" else (mu, nu, np.zeros((4, 4)))
+        with pytest.raises(InvalidInput):
+            getattr(dk, curve)(*args, ts)
+
     def test_steps_of_a_single_matrix(self):
         with pytest.raises(InvalidInput):
             dk.cone_polyline_steps(np.eye(3))

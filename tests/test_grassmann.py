@@ -260,6 +260,26 @@ class TestCurveLength:
         with pytest.raises(InvalidInput):
             gr.Curve(lambda t: pj.Projection(p.mat), resolution=1)
 
+    @pytest.mark.parametrize("resolution", [2.5, 50.0, "50", None],
+                             ids=["fraction", "float", "string", "none"])
+    def test_resolution_not_an_integer(self, rng, resolution):
+        p = pj.random_projection(4, 2, 1)
+        z = gr.random_tangent(p, rng, 0.5)
+        with pytest.raises(InvalidInput):
+            gr.Curve(lambda t: pj.Projection(p.mat), resolution=resolution)
+        with pytest.raises(InvalidInput):
+            gr.tangent_path_lengths(p, z, [], resolution)
+
+    @pytest.mark.parametrize("resolution", [np.int64(50), np.int32(50), np.array(50)],
+                             ids=["int64", "int32", "0d-array"])
+    def test_resolution_numpy_integer(self, rng, resolution):
+        p = pj.random_projection(4, 2, 1)
+        z = gr.random_tangent(p, rng, 0.5)
+        curve = gr.geodesic_curve(p, z, resolution)
+        assert gr.curve_length(curve) == pytest.approx(49 * np.sin(0.5 / 49), rel=1e-12)
+        geo, _ = gr.tangent_path_lengths(p, z, [], resolution)
+        assert geo == pytest.approx(49 * np.sin(0.5 / 49), rel=1e-12)
+
     @pytest.mark.parametrize("n, k, norm, resolution", [
         pytest.param(n, k, norm, res, id=f"{n}-{k}" + ("" if norm == 1.1 else f"-short{norm:g}"))
         for n, k in [(6, 4), (6, 0), (6, 6), (16, 12), (32, 20)]

@@ -1,10 +1,10 @@
-"""The closed-form step kernel of ``tangent_path_lengths`` (small side
-k <= 2) against its batched ``eigh``/``eigvalsh`` kernel on the same
-reduced blocks.
+"""The step kernels of ``tangent_path_lengths`` against a reference kernel
+on the same reduced blocks: the closed forms (small side k <= 2) and the
+Chebyshev-interpolated kernel (k >= 3).
 
-Both kernels return the chordal steps of one path; the LAPACK kernel is the
-reference.  Steps are sines, so they are compared absolutely, and the path
-lengths relatively.
+The reference takes one batched ``eigh`` per sample and one ``eigvalsh``
+per step.  Every kernel returns the chordal steps of one path.  Steps are
+sines, so they are compared absolutely, and the path lengths relatively.
 """
 
 import numpy as np
@@ -12,15 +12,28 @@ import pytest
 
 from grassgeo import grassmann as gr
 from grassgeo import projective as pj
+from grassgeo.linalg import adj, herm
 
 SIZES = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2), (6, 2), (6, 5), (7, 5),
          (16, 2), (16, 15), (64, 1), (64, 62)]
 
 
+def lapack_steps(r_z, r_w, ts):
+    """Chordal steps along ``r(t) = t r_z + t (1-t) r_w`` for any k, from
+    one ``eigh`` per sample and one ``eigvalsh`` per step."""
+    r = ts[:, None, None] * r_z + (ts * (1.0 - ts))[:, None, None] * r_w
+    w, v = np.linalg.eigh(herm(adj(r) @ r))
+    s = np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+    basis = np.concatenate([v * np.cos(s), (r @ v) * np.sinc(s / np.pi)], axis=-2)
+    prev, nxt = basis[:-1], basis[1:]
+    res = nxt - prev @ (adj(prev) @ nxt)
+    return np.sqrt(np.clip(np.linalg.eigvalsh(adj(res) @ res)[:, -1], 0.0, None))
+
+
 def assert_kernels_agree(r_z, r_w, samples):
     ts = np.linspace(0.0, 1.0, samples)
     closed = gr._closed_form_steps(r_z, r_w, ts)
-    ref = gr._lapack_steps(r_z, r_w, ts)
+    ref = lapack_steps(r_z, r_w, ts)
     assert closed.shape == ref.shape == (samples - 1,)
     assert np.all(np.isfinite(closed))
     assert np.abs(closed - ref).max() <= 1e-13
@@ -95,3 +108,74 @@ def test_small_side_makes_no_eigensolver_call(monkeypatch, n, rank):
     geo, pert = gr.tangent_path_lengths(p, z, ws, 2000)
     assert geo == pytest.approx(1.0 * 1999 * np.sin(1.0 / 1999), rel=1e-12)
     assert pert.shape == (3,)
+
+
+ENGINE_SIZES = [(6, 3), (7, 4), (8, 4), (16, 4), (16, 12), (32, 8), (64, 16), (64, 32)]
+
+
+def interpolated_errors(r_z, r_w, samples):
+    """Largest step error and length error of the interpolated kernel
+    against the reference, the latter less its 1e-14 absolute allowance
+    and relative to the reference length."""
+    ts = np.linspace(0.0, 1.0, samples)
+    steps = gr._interpolated_steps(r_z, r_w, ts)
+    ref = lapack_steps(r_z, r_w, ts)
+    assert steps.shape == ref.shape == (samples - 1,)
+    assert np.all(np.isfinite(steps))
+    length_err = max(abs(steps.sum() - ref.sum()) - 1e-14, 0.0) / max(ref.sum(), 1e-300)
+    return np.abs(steps - ref).max(), length_err
+
+
+@pytest.mark.parametrize("samples", [2, 3, 50, 2000])
+@pytest.mark.parametrize("n, rank", ENGINE_SIZES, ids=[f"{n}-{r}" for n, r in ENGINE_SIZES])
+def test_interpolated_matches_lapack(n, rank, samples):
+    rng = np.random.default_rng(100 * n + rank)
+    p = pj.random_projection(n, rank, n + rank)
+    zero = gr.TangentVector(np.zeros((n, n), dtype=complex), p)
+    worst_step = worst_length = 0.0
+    for norm in (1e-4, 0.7, 2.5, 6.0):
+        z = gr.random_tangent(p, rng, norm)
+        # w = -z gives r(t) = t^2 r_z, stationary at t = 0
+        ws = [zero, gr.TangentVector(2 * z.mat, p), gr.TangentVector(-z.mat, p),
+              gr.random_tangent(p, rng, norm)]
+        for r_z, r_w in list(gr._reduced_blocks(p, z, ws))[1:]:
+            assert r_z.shape[1] == min(rank, n - rank) >= 3
+            step_err, length_err = interpolated_errors(r_z, r_w, samples)
+            worst_step, worst_length = max(worst_step, step_err), max(worst_length, length_err)
+    assert worst_step <= 1e-13
+    assert worst_length <= 1e-12
+
+
+@pytest.mark.parametrize("n, rank, norm, samples", [(8, 4, 30.0, 50), (16, 12, 12.0, 40)])
+def test_interpolated_direct_route(monkeypatch, n, rank, norm, samples):
+    # with no fewer samples than nodes the basis is computed at the samples
+    rng = np.random.default_rng(n)
+    p = pj.random_projection(n, rank, 5)
+    z = gr.random_tangent(p, rng, norm)
+    [(r_z, r_w)] = list(gr._reduced_blocks(p, z, [gr.random_tangent(p, rng, norm / 2)]))[1:]
+    assert gr._interpolation_degree(r_z, r_w) + 1 >= samples
+    step_err, length_err = interpolated_errors(r_z, r_w, samples)
+    assert step_err <= 1e-13 and length_err <= 1e-12
+    sizes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+    gr._interpolated_steps(r_z, r_w, np.linspace(0.0, 1.0, samples))
+    assert sizes == [samples]
+
+
+@pytest.mark.parametrize("n, rank", [(6, 3), (16, 4), (32, 24)])
+def test_interpolated_eigh_count(monkeypatch, n, rank):
+    rng = np.random.default_rng(rank)
+    p = pj.random_projection(n, rank, 6)
+    z = gr.random_tangent(p, rng, 1.5)
+    ws = [gr.random_tangent(p, rng, norm) for norm in (0.0, 1e-3, 1.0, 8.0)]
+    _ = p.range_basis, p.null_basis
+    degrees = [gr._interpolation_degree(r_z, r_w) for r_z, r_w in gr._reduced_blocks(p, z, ws)]
+    assert min(degrees) + 1 < 2000
+    sizes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+    gr.tangent_path_lengths(p, z, ws, 2000)
+    # one call per path, on at most deg + 1 matrices
+    assert len(sizes) == len(degrees)
+    assert all(size <= min(deg + 1, 2000) for size, deg in zip(sizes, degrees))

@@ -178,6 +178,14 @@ def sweep(gg, dims, rec: Digests):
             z = gg.random_tangent(p, path_rng, 1.2)
             ws = [gg.TangentVector(0 * z.mat, p), gg.TangentVector(2 * z.mat, p)]
             rec.record("tangent_path_lengths", gg.tangent_path_lengths, p, z, ws, 50)
+            # long paths on a small side of at least 3, with more
+            # interpolation nodes than samples, so the moved bases are
+            # computed at the samples themselves
+            if min(k, n - k) >= 3:
+                long_rng = np.random.default_rng(seed + 10)
+                z = gg.random_tangent(p, long_rng, 30.0)
+                ws = [gg.TangentVector(0 * z.mat, p), gg.random_tangent(p, long_rng, 15.0)]
+                rec.record("tangent_path_lengths", gg.tangent_path_lengths, p, z, ws, 50)
 
             # chart radii from the center to past the rim; corner norms
             # 2 artanh(r) reach 8, where cone elements fail their checks
