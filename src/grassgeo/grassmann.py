@@ -24,7 +24,8 @@ and uses closed forms with the samples on the last axis for k <= 2: scalars
 at k = 1, one Jacobi rotation and a 2 x 2 eigenvalue at k = 2.  For k >= 3
 the moved basis, an entire function of t, is computed at a few dozen
 Chebyshev nodes per path and interpolated to the samples (Trefethen,
-Approximation Theory and Approximation Practice, 2013, ch. 8).
+Approximation Theory and Approximation Practice, 2013, ch. 8), or at the
+samples themselves where a long path would need too high a degree.
 """
 
 from __future__ import annotations
@@ -399,12 +400,13 @@ def tangent_path_lengths(p: Projection, z: TangentVector, ws, resolution: int = 
       largest eigenvalue of a 2 x 2 Hermitian matrix.  No LAPACK call is
       made per sample.
     - Chebyshev interpolation for k >= 3.  ``[cos|r|; r sinc|r|]`` is an
-      entire function of t.  Less ``[1; 0]``, it is computed from one
-      batched ``eigh`` at the ``deg + 1`` Chebyshev nodes on [0, 1], where
-      ``deg`` is the least degree that a Bernstein-ellipse bound makes
-      exact to 2^-53, and interpolated to each sample and to each
-      difference ``C_{j+1} - C_j``.  With no more samples than nodes it is
-      computed at the samples.  One ``eigvalsh`` per step gives the norm.
+      entire function of t.  It is computed from one batched ``eigh`` at
+      the ``deg + 1`` Chebyshev nodes on [0, 1], where ``deg`` is the least
+      degree that a Bernstein-ellipse bound makes exact to 2^-53, and
+      interpolated to each sample and to each difference
+      ``C_{j+1} - C_j``.  Where the degree is high against the number of
+      samples it is computed at the samples instead.  One ``eigvalsh`` per
+      step gives the norm.
     - One path at a time, so that temporaries stay the size of one path.
 
     Raises
@@ -488,48 +490,45 @@ _ELLIPSES = np.array([1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 16.0, 32.0, 64.0])
 
 
 def _interpolation_degree(r_z: np.ndarray, r_w: np.ndarray) -> int:
-    """Degree of a Chebyshev interpolant of the lifted basis of
+    """Degree of a Chebyshev interpolant of the moved basis of
     ``r(t) = t r_z + t (1-t) r_w`` on [0, 1] that is exact to 2^-53.
 
     In ``x = 2t - 1`` the Bernstein ellipse of radius ``rho`` has semi-major
     axis ``c = (rho + 1/rho) / 2``; on it ``|t| <= (1 + c) / 2`` and
     ``|t (1-t)| <= c^2 / 4``, so the moved basis, a column block of the
     exponential of an anti-Hermitian generator of norm ``||r(t)||`` for real
-    t, is bounded by ``M = exp((1 + c)/2 ||r_z|| + c^2/4 ||r_w||)`` and the
-    lifted basis by ``2M``.  The interpolant of degree ``deg`` then errs by
-    at most ``4 (2M) rho^-deg / (rho - 1)`` (Trefethen, Approximation Theory
-    and Approximation Practice, 2013, Thm 8.2); the degree is the smallest
-    that brings this to 2^-53 on the best of a fixed set of ellipses.
+    t, is bounded by ``M = exp((1 + c)/2 ||r_z|| + c^2/4 ||r_w||)``.  The
+    interpolant of degree ``deg`` then errs by at most
+    ``4 M rho^-deg / (rho - 1)`` (Trefethen, Approximation Theory and
+    Approximation Practice, 2013, Thm 8.2); the degree is the smallest that
+    brings this to 2^-53 on the best of a fixed set of ellipses.
     """
     rho = _ELLIPSES
     c = (rho + 1 / rho) / 2
     log_m = (1 + c) / 2 * np.linalg.norm(r_z, 2) + c * c / 4 * np.linalg.norm(r_w, 2)
-    deg = (np.log(8 / (rho - 1)) + log_m + 53 * np.log(2)) / np.log(rho)
+    deg = (np.log(4 / (rho - 1)) + log_m + 53 * np.log(2)) / np.log(rho)
     return int(np.ceil(deg.min()))
 
 
-def _lifted_basis(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """The moved basis ``[cos|r|; r sinc|r|]`` less ``[1; 0]`` at each t of
-    ``ts``, from one batched ``eigh`` of ``r* r``.
+def _moved_basis(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The moved basis ``[cos|r|; r sinc|r|]`` at each t of ``ts``, from one
+    batched ``eigh`` of ``r* r``.
 
     Each block is taken in canonical form ``V f(s) V*``, an entire function
     of t; the eigenvector form ``[V cos s; r V sinc s]`` changes phase and
-    column order from one t to the next and cannot be interpolated.  The top
-    block is ``cos|r| - 1 = -2 sin^2(|r|/2)``, which keeps its relative
-    accuracy on short paths.
+    column order from one t to the next and cannot be interpolated.
     """
     r = ts[:, None, None] * r_z + (ts * (1.0 - ts))[:, None, None] * r_w
     w, v = np.linalg.eigh(herm(adj(r) @ r))
     s = np.sqrt(np.clip(w, 0.0, None))
-    return np.concatenate([spectral(v, -2 * np.sin(s / 2) ** 2),
-                           r @ spectral(v, np.sinc(s / np.pi))], axis=-2)
+    return np.concatenate([spectral(v, np.cos(s)), r @ spectral(v, np.sinc(s / np.pi))], axis=-2)
 
 
 def _chebyshev_rows(deg: int, ts: np.ndarray):
     """The Chebyshev-Lobatto nodes ``t_j = cos^2(j pi / (2 deg))`` on
-    [0, 1], j = 0..deg, and the rows mapping values there to the
-    interpolant at ``ts[:-1]`` and to its differences between consecutive
-    samples.
+    [0, 1], j = 0..deg, the matrix mapping values there to Chebyshev
+    coefficients, and the rows mapping coefficients to the interpolant at
+    ``ts[:-1]`` and to its differences between consecutive samples.
 
     With ``t = cos^2(theta / 2)`` the interpolant is
     ``sum_l c_l cos(l theta)``, its coefficients the discrete cosine
@@ -545,28 +544,30 @@ def _chebyshev_rows(deg: int, ts: np.ndarray):
     mid, half = (theta[1:] + theta[:-1]) / 2, (theta[1:] - theta[:-1]) / 2
     at = np.cos(np.outer(theta[:-1], order))
     diff = -2 * np.sin(np.outer(mid, order)) * np.sin(np.outer(half, order))
-    return np.cos(order * (np.pi / (2 * deg))) ** 2, at @ coef, diff @ coef
+    return np.cos(order * (np.pi / (2 * deg))) ** 2, coef, at, diff
 
 
 def _interpolated_steps(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Chordal steps along ``r(t) = t r_z + t (1-t) r_w`` for any k.
 
-    The lifted basis is computed at ``deg + 1`` Chebyshev nodes, with
+    The moved basis is computed at ``deg + 1`` Chebyshev nodes, with
     ``deg`` from :func:`_interpolation_degree`, and interpolated to the
-    samples, or at the samples themselves when there are no more of them.  Each step is the
+    samples, or at the N samples themselves where that is cheaper.  In
+    units of the direct route's work at one sample, each node costs about
+    2 and the interpolation rows ``N (deg + 1) / (20 k)``; the constants
+    are fitted to per-path timings on one core at k = 3 to 32 and 20 to
+    2000 samples, erring towards the direct route.  Each step is the
     largest singular value of ``D - C (C* D)``, with ``C`` the moved basis
     at a sample and ``D`` the difference to the next one.
     """
     deg = _interpolation_degree(r_z, r_w)
-    if deg + 1 >= ts.size:
-        lifted = _lifted_basis(r_z, r_w, ts)
-        delta, prev = np.diff(lifted, axis=0), lifted[:-1]
+    if (deg + 1) * (2 / ts.size + 1 / (20 * r_z.shape[1])) >= 1:
+        basis = _moved_basis(r_z, r_w, ts)
+        prev, delta = basis[:-1], np.diff(basis, axis=0)
     else:
-        nodes, *rows = _chebyshev_rows(deg, ts)
-        lifted = _lifted_basis(r_z, r_w, nodes)
-        flat = lifted.reshape(deg + 1, -1).view(float)
-        prev, delta = ((m @ flat).view(complex).reshape(-1, *lifted.shape[1:]) for m in rows)
-    k = r_z.shape[1]
-    prev[:, range(k), range(k)] += 1.0
+        nodes, coef, *rows = _chebyshev_rows(deg, ts)
+        basis = _moved_basis(r_z, r_w, nodes)
+        c = coef @ basis.reshape(deg + 1, -1).view(float)
+        prev, delta = ((m @ c).view(complex).reshape(-1, *basis.shape[1:]) for m in rows)
     res = delta - prev @ (adj(prev) @ delta)
     return np.sqrt(np.clip(np.linalg.eigvalsh(adj(res) @ res)[:, -1], 0.0, None))

@@ -146,21 +146,26 @@ def test_interpolated_matches_lapack(n, rank, samples):
     assert worst_length <= 1e-12
 
 
-@pytest.mark.parametrize("n, rank, norm, samples", [(8, 4, 30.0, 50), (16, 12, 12.0, 40)])
-def test_interpolated_direct_route(monkeypatch, n, rank, norm, samples):
-    # with no fewer samples than nodes the basis is computed at the samples
+# (n, rank, norm of z, samples, whether eigh runs at the samples)
+ROUTES = [(8, 4, 30.0, 50, True), (16, 12, 12.0, 40, True), (6, 3, 30.0, 200, True),
+          (6, 3, 100.0, 2000, True), (16, 8, 30.0, 2000, False), (32, 16, 30.0, 500, False)]
+
+
+@pytest.mark.parametrize("n, rank, norm, samples, direct", ROUTES)
+def test_interpolated_routes(monkeypatch, n, rank, norm, samples, direct):
+    # long paths: the basis is computed at the samples where that costs
+    # less than interpolating it from a high degree
     rng = np.random.default_rng(n)
     p = pj.random_projection(n, rank, 5)
     z = gr.random_tangent(p, rng, norm)
     [(r_z, r_w)] = list(gr._reduced_blocks(p, z, [gr.random_tangent(p, rng, norm / 2)]))[1:]
-    assert gr._interpolation_degree(r_z, r_w) + 1 >= samples
     step_err, length_err = interpolated_errors(r_z, r_w, samples)
     assert step_err <= 1e-13 and length_err <= 1e-12
     sizes = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
     gr._interpolated_steps(r_z, r_w, np.linspace(0.0, 1.0, samples))
-    assert sizes == [samples]
+    assert sizes == [samples if direct else gr._interpolation_degree(r_z, r_w) + 1]
 
 
 @pytest.mark.parametrize("n, rank", [(6, 3), (16, 4), (32, 24)])
