@@ -17,6 +17,10 @@ take one product each from the eigenbasis of ``nu^{-1/2} mu nu^{-1/2}``.
 Perturbed paths exponentiate ``tL + t(1-t)H`` through cosh/sinhc blocks
 on the small side of ``p``, so every sample lies in the cone exactly.
 Polyline steps come from one Cholesky factor per sample.
+
+Cone elements built from a generator (``from_xparam``, ``power``) and the
+disk points built from them skip the constructors' checks; results read
+back from a computed matrix (``eps_geodesic``, ``eps_action``) keep them.
 """
 
 from __future__ import annotations
@@ -130,9 +134,9 @@ class PositiveEpsUnitary:
 
     @classmethod
     def from_xparam(cls, x: HpVector, tol: Tolerance = DEFAULT_TOL) -> "PositiveEpsUnitary":
-        """exp(x + x*) for a corner parameter ``x``."""
-        big_x = x.mat + x.mat.conj().T
-        return cls(linalg.expm(big_x), x.context, tol)
+        """exp(x + x*) for a corner parameter ``x``, unchecked, from one eigh."""
+        w, v = np.linalg.eigh(x.mat + adj(x.mat))
+        return _cone_element(v, np.exp(w), x)
 
     @cached_property
     def sqrt(self) -> np.ndarray:
@@ -143,12 +147,18 @@ class PositiveEpsUnitary:
         return herm((self._v / np.sqrt(self._w)) @ self._v.conj().T)
 
     def power(self, t: float) -> "PositiveEpsUnitary":
-        """Real power through the spectrum; stays in the cone."""
-        out = herm(spectral(self._v, self._w ** float(t)))
-        return PositiveEpsUnitary(out, self.context)
+        """Real power through the spectrum: ``exp`` of the corner ``t x``."""
+        x = _trusted(HpVector, mat=float(t) * self.xparam.mat, context=self.context)
+        return _cone_element(self._v, self._w ** float(t), x)
 
     def __repr__(self):
         return f"PositiveEpsUnitary(dim={self.context.dim}, xnorm={self.xparam.norm:.6g})"
+
+
+def _cone_element(v: np.ndarray, w: np.ndarray, x: HpVector) -> PositiveEpsUnitary:
+    """exp(x + x*) = V diag(w) V*, unchecked; ``log w`` are its eigenvalues."""
+    return _trusted(PositiveEpsUnitary, mat=herm(spectral(v, w)), context=x.context,
+                    _w=w, _v=v, xparam=x)
 
 
 class DiskPoint:
@@ -157,8 +167,8 @@ class DiskPoint:
     Caching the preimage makes it the canonical coordinate: every metric is
     computed from the positive square-root representatives.  The constructor
     checks that ``lam`` maps to ``point`` and that the point lies in the
-    disk; :func:`cone_to_disk`, which computes the point from the preimage
-    itself, builds its result without these checks.
+    disk; ``cone_to_disk``, ``to_disk_point`` and ``base_disk_point``
+    build their results without these checks.
     """
 
     def __init__(self, point: ProjectivePoint, lam: PositiveEpsUnitary,
@@ -200,21 +210,28 @@ def random_eps_unitary(p: Projection, rng: np.random.Generator, scale: float = 0
     the construction reaches the whole group.
     """
     x = random_hp_vector(p, rng, norm=scale * rng.uniform())
-    pos = linalg.expm(x.mat + x.mat.conj().T)
-    r = p.rank
-    b, bc = p.range_basis, p.null_basis
-    w = np.zeros_like(p.mat)
-    if r > 0:
-        w += b @ linalg.random_unitary(r, rng) @ b.conj().T
-    if p.dim - r > 0:
-        w += bc @ linalg.random_unitary(p.dim - r, rng) @ bc.conj().T
-    return EpsUnitary(pos @ w, p, tol)
+    w = sum(b @ linalg.random_unitary(b.shape[1], rng) @ adj(b)
+            for b in (p.range_basis, p.null_basis) if b.shape[1])
+    return _trusted(EpsUnitary, mat=PositiveEpsUnitary.from_xparam(x).mat @ w, context=p)
 
 
 def cone_to_disk(lam: PositiveEpsUnitary, tol: Tolerance = DEFAULT_TOL) -> DiskPoint:
     """The disk point ``[sqrt(lam) p]`` of a cone element."""
     p = lam.context
     return _trusted(DiskPoint, point=classify(lam.sqrt @ p.mat, p, tol), lam=lam)
+
+
+def _chart_svd(point: ProjectivePoint, tol: Tolerance):
+    """Thin SVD ``U diag(s) V*`` of ``c Bp`` for the chart coordinate ``c``;
+    NotInDisk unless the point is finite with ``s < 1 - eq_tol``."""
+    try:
+        c = chart_inv(point, tol)
+    except NotFinitePoint as exc:
+        raise NotInDisk("point is not finite, hence outside the disk") from exc
+    u, s, vh = np.linalg.svd(c.mat @ point.context.range_basis, full_matrices=False)
+    if (s >= 1.0 - tol.eq_tol).any():
+        raise NotInDisk("chart norm of the point reaches 1")
+    return u, s, vh
 
 
 def disk_to_cone(m, tol: Tolerance = DEFAULT_TOL) -> PositiveEpsUnitary:
@@ -229,31 +246,24 @@ def disk_to_cone(m, tol: Tolerance = DEFAULT_TOL) -> PositiveEpsUnitary:
     Raises
     ------
     NotInDisk
-        If the point is not finite or its chart norm reaches 1.
+        If the point is not finite or its chart norm reaches 1 - eq_tol.
     """
     point = m.point if isinstance(m, DiskPoint) else m
     p = point.context
-    try:
-        c = chart_inv(point, tol)
-    except NotFinitePoint as exc:
-        raise NotInDisk("point is not finite, hence outside the disk") from exc
-    b = p.range_basis
-    u, s, vh = np.linalg.svd(c.mat @ b, full_matrices=False)
-    if (s * s >= 1.0 - tol.eq_tol).any():
-        raise NotInDisk("chart norm of the point reaches 1")
-    x = (u * (2 * np.arctanh(s))) @ vh @ adj(b)
+    u, s, vh = _chart_svd(point, tol)
+    x = (u * (2 * np.arctanh(s))) @ vh @ adj(p.range_basis)
     return PositiveEpsUnitary.from_xparam(_trusted(HpVector, mat=x, context=p), tol)
 
 
 def to_disk_point(point: ProjectivePoint, tol: Tolerance = DEFAULT_TOL) -> DiskPoint:
     """Attach the cone preimage to a raw projective point."""
-    return DiskPoint(point, disk_to_cone(point, tol), tol)
+    return _trusted(DiskPoint, point=point, lam=disk_to_cone(point, tol))
 
 
 def base_disk_point(p: Projection, tol: Tolerance = DEFAULT_TOL) -> DiskPoint:
     """The center ``[p]`` of the disk, with identity preimage."""
-    lam = PositiveEpsUnitary(np.eye(p.dim, dtype=complex), p, tol)
-    return DiskPoint(classify(p.mat, p, tol), lam, tol)
+    lam = PositiveEpsUnitary.from_xparam(_trusted(HpVector, mat=np.zeros_like(p.mat), context=p))
+    return _trusted(DiskPoint, point=classify(p.mat, p, tol), lam=lam)
 
 
 def rho(m: DiskPoint, n: DiskPoint, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -271,11 +281,8 @@ def d_pseudo_chordal(m: DiskPoint, n: DiskPoint, tol: Tolerance = DEFAULT_TOL) -
 
 
 def d_non_euclidean(m: DiskPoint, n: DiskPoint, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Non-Euclidean distance artanh of the pseudo-chordal distance.
-
-    Equals half the cone geodesic distance of the preimages.
-    """
-    return float(np.arctanh(d_pseudo_chordal(m, n, tol)))
+    """Non-Euclidean distance arsinh(rho) = artanh(d_pc), half the cone distance."""
+    return float(np.arcsinh(rho(m, n, tol)))
 
 
 def d_cone(m, n, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -473,14 +480,14 @@ def eps_action(u, m: DiskPoint, tol: Tolerance = DEFAULT_TOL) -> DiskPoint:
 
 
 def in_disk(m: ProjectivePoint, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Disk membership: the point is finite with chart norm below 1.
+    """Disk membership: finite, with chart norm below 1 - eq_tol (as in disk_to_cone).
 
     Equivalent characterizations (chordal distance to ``[p]`` below
     sqrt(2)/2, spherical distance below pi/4) are exercised in the test
     suite; this predicate uses the chart norm.
     """
     try:
-        coord = chart_inv(m, tol)
-    except NotFinitePoint:
+        _chart_svd(m, tol)
+    except NotInDisk:
         return False
-    return coord.norm < 1.0 - tol.eq_tol
+    return True

@@ -124,9 +124,7 @@ def random_tangent(p: Projection, rng: np.random.Generator, norm: float = 1.0) -
     """Random tangent at ``p`` scaled to the requested operator norm."""
     z = random_offdiag_antiherm(p, rng)
     zn = np.linalg.norm(z, 2)
-    if zn == 0.0:
-        return TangentVector(np.zeros_like(p.mat), p)
-    return TangentVector(z * (norm / zn), p)
+    return _trusted(TangentVector, mat=z * (norm / zn) if zn else np.zeros_like(z), context=p)
 
 
 def _check_context(m: ProjectivePoint, n: ProjectivePoint, tol: Tolerance):
@@ -215,7 +213,7 @@ def geodesic_log(p: Projection, q: Projection, tol: Tolerance = DEFAULT_TOL) -> 
     u, tan_theta, vh = np.linalg.svd(((bq - bp @ m) @ adj(yh) / cos_phi) @ adj(w),
                                      full_matrices=False)
     lift = (u * np.arctan(tan_theta)) @ vh @ adj(bp)
-    zvec = TangentVector(lift - adj(lift), p, tol)
+    zvec = _trusted(TangentVector, mat=lift - adj(lift), context=p)
     endpoint = geodesic(p, zvec, 1.0, tol)
     if np.abs(endpoint.mat - q.mat).max() > tol.geo_tol:
         raise ResidualError("geodesic log failed to reproduce the endpoint")
@@ -510,20 +508,6 @@ def _interpolation_degree(r_z: np.ndarray, r_w: np.ndarray) -> int:
     return int(np.ceil(deg.min()))
 
 
-def _moved_basis(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """The moved basis ``[cos|r|; r sinc|r|]`` at each t of ``ts``, from one
-    batched ``eigh`` of ``r* r``.
-
-    Each block is taken in canonical form ``V f(s) V*``, an entire function
-    of t; the eigenvector form ``[V cos s; r V sinc s]`` changes phase and
-    column order from one t to the next and cannot be interpolated.
-    """
-    r = ts[:, None, None] * r_z + (ts * (1.0 - ts))[:, None, None] * r_w
-    w, v = np.linalg.eigh(herm(adj(r) @ r))
-    s = np.sqrt(np.clip(w, 0.0, None))
-    return np.concatenate([spectral(v, np.cos(s)), r @ spectral(v, np.sinc(s / np.pi))], axis=-2)
-
-
 def _chebyshev_rows(deg: int, ts: np.ndarray):
     """The Chebyshev-Lobatto nodes ``t_j = cos^2(j pi / (2 deg))`` on
     [0, 1], j = 0..deg, the matrix mapping values there to Chebyshev
@@ -559,14 +543,23 @@ def _interpolated_steps(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray) -> np.
     2000 samples, erring towards the direct route.  Each step is the
     largest singular value of ``D - C (C* D)``, with ``C`` the moved basis
     at a sample and ``D`` the difference to the next one.
+
+    The moved basis ``[cos|r|; r sinc|r|]`` comes from
+    :func:`_cos_sinc_blocks` in canonical form ``V f(s) V*``, an entire
+    function of t; the eigenvector form ``[V cos s; r V sinc s]`` changes
+    phase and column order from one t to the next and cannot be
+    interpolated.
     """
     deg = _interpolation_degree(r_z, r_w)
-    if (deg + 1) * (2 / ts.size + 1 / (20 * r_z.shape[1])) >= 1:
-        basis = _moved_basis(r_z, r_w, ts)
+    direct = (deg + 1) * (2 / ts.size + 1 / (20 * r_z.shape[1])) >= 1
+    if not direct:
+        nodes, coef, *rows = _chebyshev_rows(deg, ts)
+    at = ts if direct else nodes
+    r = at[:, None, None] * r_z + (at * (1.0 - at))[:, None, None] * r_w
+    basis = np.concatenate(_cos_sinc_blocks(r), axis=-2)
+    if direct:
         prev, delta = basis[:-1], np.diff(basis, axis=0)
     else:
-        nodes, coef, *rows = _chebyshev_rows(deg, ts)
-        basis = _moved_basis(r_z, r_w, nodes)
         c = coef @ basis.reshape(deg + 1, -1).view(float)
         prev, delta = ((m @ c).view(complex).reshape(-1, *basis.shape[1:]) for m in rows)
     res = delta - prev @ (adj(prev) @ delta)

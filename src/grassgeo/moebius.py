@@ -65,9 +65,7 @@ def random_hp_vector(p: Projection, rng: np.random.Generator, norm: float = 1.0)
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     x = p.comp @ m @ p.mat
     xn = np.linalg.norm(x, 2)
-    if xn == 0.0:
-        return HpVector(np.zeros_like(p.mat), p)
-    return HpVector(x * (norm / xn), p)
+    return _trusted(HpVector, mat=x * (norm / xn) if xn else np.zeros_like(x), context=p)
 
 
 def _chart_coordinate(a: np.ndarray, q: Projection, tol: Tolerance) -> np.ndarray | None:

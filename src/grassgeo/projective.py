@@ -9,10 +9,10 @@ the thin SVD ``U S V*`` of ``a Bp``, with ``Bp`` the range basis of ``p``:
 its singular values decide membership, and ``U V* Bp*`` and ``U U*`` are
 the representative and the range.
 
-Constructors check their invariants.  Results computed from validated
-objects whose invariants hold by construction (range projections of
-orthonormal columns, canonical representatives and points, chart
-coordinates) are built unchecked by ``_trusted``.
+Constructors check what a caller hands in.  Results built from validated
+generators (ranges of orthonormal columns, canonical points, chart
+coordinates, tangents, cone elements, disk points) are built unchecked by
+``_trusted``; results read back from a computed matrix keep their checks.
 """
 
 from __future__ import annotations

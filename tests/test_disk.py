@@ -251,6 +251,18 @@ class TestDiskMetrics:
             alt = la.op_norm(pc @ m.lam.sqrt @ k.lam.inv_sqrt @ p.mat)
             assert r1 == pytest.approx(alt, abs=1e-10)
 
+    @pytest.mark.parametrize("sigma", [1.0, 8.0, 15.0, 28.0])
+    @pytest.mark.parametrize("n, rank", [(2, 1), (4, 1), (6, 3), (8, 5), (16, 4)])
+    def test_non_euclidean_on_a_ray(self, n, rank, sigma):
+        # the disk point of exp(x + x*) lies at exactly ||x|| / 2 from the
+        # center; the artanh form lost 4e-11 at sigma = 15 and 1e-5 at 28
+        p = pj.random_projection(n, rank, n + rank)
+        x = mo.random_hp_vector(p, np.random.default_rng(rank), sigma)
+        m = dk.cone_to_disk(dk.PositiveEpsUnitary.from_xparam(x))
+        base = dk.base_disk_point(p)
+        assert abs(dk.d_non_euclidean(m, base) - sigma / 2) <= 1e-13
+        assert abs(dk.d_non_euclidean(base, m) - sigma / 2) <= 1e-13
+
     def test_scalar_pseudo_chordal_is_tanh(self):
         p = plane_projection()
         r = 0.75
@@ -587,6 +599,22 @@ class TestDiskMembership:
         q = gr.geodesic(p, gr.random_tangent(p, rng, np.pi / 4 + 1e-3), 1.0)
         assert not dk.in_disk(pj.point_from_projection(q, p))
 
+    @pytest.mark.parametrize("n, rank", [(2, 1), (4, 2), (6, 3), (16, 4)])
+    def test_one_threshold(self, n, rank):
+        # chart norm 1 - 2e-9 is inside and 1 - 7e-10 is not, for in_disk,
+        # disk_to_cone and to_disk_point alike
+        p = pj.random_projection(n, rank, n)
+        rng = np.random.default_rng(n)
+        inside = mo.chart(mo.random_hp_vector(p, rng, 1 - 2e-9))
+        sliver = mo.chart(mo.random_hp_vector(p, rng, 1 - 7e-10))
+        assert dk.in_disk(inside)
+        dk.disk_to_cone(inside)
+        dk.to_disk_point(inside)
+        assert not dk.in_disk(sliver)
+        for fn in (dk.disk_to_cone, dk.to_disk_point):
+            with pytest.raises(NotInDisk):
+                fn(sliver)
+
     def test_characterizations_agree(self, rng):
         for _ in range(60):
             n = int(rng.integers(2, 9))
@@ -609,24 +637,53 @@ class TestDiskMembership:
             assert dk.in_disk(m.point)
 
 
-class TestKeptChecks:
-    """Cone elements built near the rim keep their constructor's checks:
-    rounding there breaks the indefinite form, and an unchecked element
-    would carry the defect on silently."""
+def mp_expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) in 40-digit arithmetic from the exact float64 entries."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=complex)
 
-    @pytest.mark.parametrize("n, rank, seed", [(3, 1, 0), (4, 2, 0), (6, 3, 5), (8, 4, 7)])
-    def test_from_xparam_at_corner_norm_8(self, n, rank, seed):
-        p = pj.random_projection(n, rank, seed)
-        x = mo.random_hp_vector(p, np.random.default_rng(seed), 8.0)
-        with pytest.raises(NotEpsUnitary):
-            dk.PositiveEpsUnitary.from_xparam(x)
 
+# every rank at n <= 6, and one case at n = 8
+RIM_CASES = [(n, k) for n in range(2, 7) for k in range(n + 1)] + [(8, 4)]
+
+
+class TestRim:
+    """Cone elements and disk points near the rim, where the corner norm
+    sigma is large.  The absolute eps-unitarity residual of ``exp(x + x*)``
+    grows like e^{2 sigma} times the rounding unit, which measures
+    conditioning, not a defect; so the elements are judged against the
+    exponential in 40-digit arithmetic, relative to its size."""
+
+    @pytest.mark.parametrize("sigma", [8.0, 15.0, 28.0])
+    @pytest.mark.parametrize("n, rank", RIM_CASES)
+    def test_from_xparam_matches_mpmath(self, n, rank, sigma):
+        p = pj.random_projection(n, rank, 100 * n + rank)
+        x = mo.random_hp_vector(p, np.random.default_rng(n + rank), sigma)
+        big_x = x.mat + x.mat.conj().T
+        lam = dk.PositiveEpsUnitary.from_xparam(x)
+        assert lam.xparam is x
+        for got, exact in ((lam.mat, big_x), (lam.sqrt, big_x / 2), (lam.inv_sqrt, -big_x / 2)):
+            ref = mp_expm(exact)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("radius", [0.999, 1 - 1e-6, 1 - 2e-9],
+                             ids=["0.999", "1-1e-6", "1-2e-9"])
     @pytest.mark.parametrize("n, rank, seed", [(2, 1, 0), (4, 2, 1), (6, 3, 2), (8, 4, 3)])
-    def test_disk_to_cone_at_chart_radius_near_1(self, n, rank, seed):
+    def test_chart_round_trip(self, n, rank, seed, radius):
+        # the disk point of the preimage is the point, and its chart
+        # coordinate comes back within the rounding of entries of size
+        # e^{sigma/2} = sqrt((1 + r)/(1 - r))
         p = pj.random_projection(n, rank, seed)
-        x = mo.random_hp_vector(p, np.random.default_rng(seed), 1.0 - 1e-6)
-        with pytest.raises(NotEpsUnitary):
-            dk.disk_to_cone(mo.chart(x))
+        x = mo.random_hp_vector(p, np.random.default_rng(seed), radius)
+        point = mo.chart(x)
+        lam = dk.disk_to_cone(point)
+        m = dk.cone_to_disk(lam)
+        gate = 10 * np.finfo(float).eps * np.sqrt((1 + radius) / (1 - radius))
+        assert np.abs(mo.chart_inv(m.point).mat - x.mat).max() <= gate
+        assert gr.d_chordal(m.point, point) <= gate
+        disk_point = dk.to_disk_point(point)
+        assert disk_point.point is point and np.array_equal(disk_point.lam.mat, lam.mat)
 
 
 class TestSmallCornerNorm:

@@ -1,9 +1,10 @@
 """Objects built without their constructor's checks still meet its invariants.
 
-Range projections of orthonormal columns, canonical points and the disk
-points of cone elements are valid by construction, so the package builds
-them unchecked.  Each site's output must pass the checks it skips, within
-``eq_tol``, at every supported dimension and rank.
+Range projections of orthonormal columns, canonical points, tangents, chart
+coordinates, cone elements built from their generator and the disk points
+built from those are valid by construction, so the package builds them
+unchecked.  Each site's output must pass the constructor it skips, within
+``eq_tol``, at every supported dimension and rank and corner norms up to 2.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from grassgeo import disk as dk
 from grassgeo import grassmann as gr
 from grassgeo import linalg as la
+from grassgeo import moebius as mo
 from grassgeo import projective as pj
 from grassgeo.linalg import DEFAULT_TOL
 
@@ -106,3 +108,76 @@ def test_cone_to_disk(case):
     m = dk.cone_to_disk(dk.random_pos_eps_unitary(p, 1.5, seed))
     assert_point(m.point, p)
     dk.DiskPoint(m.point, m.lam)
+
+
+def assert_cone_element(lam: dk.PositiveEpsUnitary, p: pj.Projection):
+    """``lam`` passes the checked constructor, which recovers the same
+    corner, and its cached spectrum and square roots match its matrix."""
+    assert lam.context is p
+    checked = dk.PositiveEpsUnitary(lam.mat, p)
+    assert np.abs(checked.xparam.mat - lam.xparam.mat).max() <= EQ
+    mo.HpVector(lam.xparam.mat, p)
+    assert np.abs(la.spectral(lam._v, lam._w) - lam.mat).max() <= EQ
+    assert np.abs(lam.sqrt @ lam.sqrt - lam.mat).max() <= EQ
+    assert np.abs(lam.inv_sqrt @ lam.sqrt - np.eye(p.dim)).max() <= EQ
+
+
+def assert_disk_point(m: dk.DiskPoint, p: pj.Projection):
+    assert_point(m.point, p)
+    assert_cone_element(m.lam, p)
+    dk.DiskPoint(m.point, m.lam)
+
+
+@fuzz
+def test_from_xparam_and_power(case):
+    n, k, seed = case
+    p = pj.random_projection(n, k, seed)
+    rng = np.random.default_rng(seed)
+    lam = dk.PositiveEpsUnitary.from_xparam(mo.random_hp_vector(p, rng, rng.uniform(0.0, 2.0)))
+    assert_cone_element(lam, p)
+    for t in (-1.0, 0.3, 0.5, 1.0):
+        assert_cone_element(lam.power(t), p)
+    assert_cone_element(dk.random_pos_eps_unitary(p, 2.0, seed), p)
+
+
+@fuzz
+def test_random_eps_unitary(case):
+    n, k, seed = case
+    p = pj.random_projection(n, k, seed)
+    u = dk.random_eps_unitary(p, np.random.default_rng(seed), 2.0)
+    assert u.context is p
+    dk.EpsUnitary(u.mat, p)
+
+
+@fuzz
+def test_disk_points(case):
+    n, k, seed = case
+    p = pj.random_projection(n, k, seed)
+    rng = np.random.default_rng(seed)
+    base = dk.base_disk_point(p)
+    assert_disk_point(base, p)
+    assert np.array_equal(base.lam.mat, np.eye(n))
+    # chart radius tanh(sigma / 2) for corner norms sigma up to 2
+    point = mo.chart(mo.random_hp_vector(p, rng, np.tanh(rng.uniform(0.0, 1.0))))
+    assert_cone_element(dk.disk_to_cone(point), p)
+    m = dk.to_disk_point(point)
+    assert m.point is point
+    assert_disk_point(m, p)
+
+
+@fuzz
+def test_tangents_and_coordinates(case):
+    n, k, seed = case
+    p = pj.random_projection(n, k, seed)
+    rng = np.random.default_rng(seed)
+    norm = rng.uniform(0.0, 1.5)
+    z = gr.random_tangent(p, rng, norm)
+    x = mo.random_hp_vector(p, rng, norm)
+    for vec in (z, x):
+        assert vec.context is p
+        assert abs(vec.norm - (norm if 0 < k < n else 0.0)) <= EQ
+    gr.TangentVector(z.mat, p)
+    mo.HpVector(x.mat, p)
+    zlog = gr.geodesic_log(p, gr.geodesic(p, z, 1.0))
+    assert zlog.context is p
+    gr.TangentVector(zlog.mat, p)

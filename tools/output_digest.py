@@ -188,11 +188,14 @@ def sweep(gg, dims, rec: Digests):
                 rec.record("tangent_path_lengths", gg.tangent_path_lengths, p, z, ws, 50)
 
             # chart radii from the center to past the rim; corner norms
-            # 2 artanh(r) reach 8, where cone elements fail their checks
+            # 2 artanh(r) reach 14.5 at 1 - 1e-6 and 20.7 at 1 - 2e-9, just
+            # inside the membership threshold (chart norm 1 - eq_tol), and
+            # 1 - 7e-10 lies just outside it
             disk_rng = np.random.default_rng(seed + 6)
             points = [m, far, gg.cone_to_disk(mu).point]
             points += [gg.chart(gg.random_hp_vector(p, disk_rng, r))
-                       for r in (1e-8, 0.5, 0.9, 0.999, 0.9995, 0.9999, 1 - 1e-6, 1.5)]
+                       for r in (1e-8, 0.5, 0.9, 0.999, 0.9995, 0.9999, 1 - 1e-6, 1.5,
+                                 1 - 2e-9, 1 - 7e-10)]
             for point in points:
                 if point is not None:
                     rec.record("disk_to_cone", gg.disk_to_cone, point)
