@@ -228,8 +228,7 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         raise InvalidInput(f"cannot parse dims {args.dims!r}") from exc
     cfg = vf.RunConfig(seed=_seed(args), dims=dims, trials=args.trials,
-                       eq_tol=args.eq_tol, geo_tol=args.geo_tol,
-                       output=args.output, fmt=args.format)
+                       eq_tol=args.eq_tol, geo_tol=args.geo_tol)
     report = vf.run_all(cfg)
     for rec in report.properties:
         status = "pass" if rec.passed else "FAIL"
@@ -275,17 +274,12 @@ def _geodesic_table(args, space: str) -> tuple:
         cum = _cumulative(gr.chordal_steps(mats))
         closed = gr.d_spherical(m, n, tol)
     else:
-        start = dk.disk_to_cone(m, tol)
-        end = dk.disk_to_cone(n, tol)
+        start, end = dk.disk_to_cone(m, tol), dk.disk_to_cone(n, tol)
         mats = dk.eps_geodesic_samples(end, start, ts)
         cum = _cumulative(dk.cone_polyline_steps(mats))
         closed = dk.d_cone(start, end)
         if space == "disk":
-            p = m.context
-            mats = np.stack([
-                dk.cone_to_disk(dk.PositiveEpsUnitary(lam, p, tol), tol).point.range.mat
-                for lam in mats
-            ])
+            mats = dk._eps_geodesic_points(end, start, ts)
     rows = list(zip(ts.tolist(), cum.tolist()))
     return rows, mats, closed
 

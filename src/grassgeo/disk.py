@@ -13,10 +13,11 @@ Cone curves are built from their generator.  Congruence by ``nu^{-1/2}``
 is a cone isometry, so ``L = log(nu^{-1/2} mu nu^{-1/2})`` is off-diagonal
 and the geodesic from ``nu`` to ``mu`` is ``nu^{1/2} exp(tL) nu^{1/2}``
 (Bhatia, *Positive Definite Matrices*, 2007, ch. 6).  Geodesic samples
-take one product each from the eigenbasis of ``nu^{-1/2} mu nu^{-1/2}``.
-Perturbed paths exponentiate ``tL + t(1-t)H`` through cosh/sinhc blocks
-on the small side of ``p``, so every sample lies in the cone exactly.
-Polyline steps come from one Cholesky factor per sample.
+take one product each from the eigenbasis of ``nu^{-1/2} mu nu^{-1/2}``,
+and their disk points one thin QR each.  ``E = exp(Y/2)`` moves the small
+side ``Bs`` of ``p`` by the Grassmann kernel with cosh/sinhc for cos/sinc,
+and perturbed paths are ``exp(Y) = 2 (E Bs)(E Bs)* - eps_s``.  Polyline
+steps come from one Cholesky factor per sample.
 
 Cone elements built from a generator (``from_xparam``, ``power``) and the
 disk points built from them skip the constructors' checks; results read
@@ -40,7 +41,7 @@ from .errors import (
 from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, herm, op_norm, spectral
 from .moebius import HpVector, chart_inv, random_hp_vector
 from .projective import Projection, ProjectivePoint, _trusted, classify
-from .grassmann import _check_context, _side_blocks, d_chordal
+from .grassmann import _check_context, _generator_blocks, _side_blocks, d_chordal
 
 __all__ = [
     "EpsSymmetry",
@@ -216,7 +217,11 @@ def random_eps_unitary(p: Projection, rng: np.random.Generator, scale: float = 0
 
 
 def cone_to_disk(lam: PositiveEpsUnitary, tol: Tolerance = DEFAULT_TOL) -> DiskPoint:
-    """The disk point ``[sqrt(lam) p]`` of a cone element."""
+    """The disk point ``[sqrt(lam) p]`` of a cone element; NotInDisk if its
+    chart norm ``tanh(sigma/2)``, with ``e^sigma`` the largest eigenvalue of
+    ``lam``, reaches 1 - eq_tol, the threshold of :func:`in_disk`."""
+    if np.tanh(np.log(lam._w.max()) / 2) >= 1.0 - tol.eq_tol:
+        raise NotInDisk("chart norm of the cone element's disk point reaches 1")
     p = lam.context
     return _trusted(DiskPoint, point=classify(lam.sqrt @ p.mat, p, tol), lam=lam)
 
@@ -294,13 +299,12 @@ def d_cone(m, n, tol: Tolerance = DEFAULT_TOL) -> float:
     ------
     InvalidInput
         If the two matrices have different dimensions.
+    NotPositive
+        If the computed spectrum of ``nu^{-1/2} mu nu^{-1/2}`` is not positive.
     """
     mu = m.lam if isinstance(m, DiskPoint) else m
     nu = n.lam if isinstance(n, DiskPoint) else n
-    if mu.mat.shape != nu.mat.shape:
-        raise InvalidInput("cone elements have different dimensions")
-    a = herm(nu.inv_sqrt @ mu.mat @ nu.inv_sqrt)
-    w = np.linalg.eigvalsh(a)
+    w, _ = _relative_spectrum(mu, nu, vectors=False)
     return float(np.abs(np.log(w)).max())
 
 
@@ -314,12 +318,17 @@ def eps_geodesic(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary, t: float,
     return PositiveEpsUnitary(eps_geodesic_samples(mu, nu, [t])[0], mu.context, tol)
 
 
-def _relative_spectrum(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary):
-    """Eigendecomposition ``V diag(w) V*`` of ``nu^{-1/2} mu nu^{-1/2}``;
-    InvalidInput if the two matrices differ in dimension."""
+def _relative_spectrum(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary, vectors: bool = True):
+    """Eigenvalues ``w`` and, if ``vectors``, eigenbasis ``V`` (else None) of
+    ``nu^{-1/2} mu nu^{-1/2}``; InvalidInput if the two matrices differ in
+    dimension, NotPositive if the computed ``w`` is not positive."""
     if mu.mat.shape != nu.mat.shape:
         raise InvalidInput("cone elements have different dimensions")
-    return np.linalg.eigh(herm(nu.inv_sqrt @ mu.mat @ nu.inv_sqrt))
+    a = herm(nu.inv_sqrt @ mu.mat @ nu.inv_sqrt)
+    w, v = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
+    if not w.min() > 0:
+        raise NotPositive("relative spectrum of the cone elements is not positive")
+    return w, v
 
 
 def _sample_times(ts) -> np.ndarray:
@@ -347,11 +356,28 @@ def eps_geodesic_samples(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
     InvalidInput
         If the two matrices have different dimensions, or ``ts`` is not a
         finite 1-d array.
+    NotPositive
+        If the computed spectrum of ``nu^{-1/2} mu nu^{-1/2}`` is not positive.
     """
     w, v = _relative_spectrum(mu, nu)
     ts = _sample_times(ts)
     g = nu.sqrt @ v
     return herm((g * (w ** ts[:, None])[:, None, :]) @ adj(g))
+
+
+def _eps_geodesic_points(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
+                         ts: np.ndarray) -> np.ndarray:
+    """Range projections of the disk points ``[lam_t^{1/2} p]`` of the
+    samples ``lam_t`` of :func:`eps_geodesic_samples`.
+
+    ``X_t = nu^{1/2} exp(tL/2) = G diag(w^{t/2}) V*`` is eps-unitary with
+    ``X_t X_t* = lam_t``; its unitary polar factor is eps-unitary too, so it
+    commutes with ``p``, and ``X_t Bp`` spans the range of ``lam_t^{1/2} p``.
+    """
+    w, v = _relative_spectrum(mu, nu)
+    x = (nu.sqrt @ v) * (w ** (_sample_times(ts)[:, None] / 2))[:, None, :]
+    q = np.linalg.qr(x @ (adj(v) @ mu.context.range_basis))[0]
+    return q @ adj(q)
 
 
 def cone_polyline_steps(lams: np.ndarray) -> np.ndarray:
@@ -388,28 +414,8 @@ def cone_polyline_length(lams: np.ndarray) -> float:
     return float(cone_polyline_steps(lams).sum())
 
 
-def _cosh_sinhc_blocks(gram: np.ndarray):
-    """Eigenbasis and factors of exp for stacked off-diagonal Hermitian
-    generators, from the Gram matrices ``a* a`` of their corners.
-
-    For ``X = [[0, a*], [a, 0]]`` with ``a`` mapping the small side into the
-    big side and ``a* a = V diag(s^2) V*``, ``exp(X) - 1`` has the blocks
-    ``V (cosh s - 1) V*`` on the small side, ``a V sinhc(s) V*`` from the
-    small side into the big side, and ``a V phi(s) V* a*`` on the big side,
-    with ``phi(s) = (cosh s - 1)/s^2``.  Returns ``V`` and the factors
-    ``cosh s - 1``, ``sinhc s`` and ``phi s``.  They come from
-    ``sinhc(s/2)`` alone, as ``phi = sinhc(s/2)^2 / 2`` and
-    ``sinhc s = sinhc(s/2) cosh(s/2)``; the direct form of ``phi`` cancels
-    at small ``s``.  The cos/sinc blocks of ``grassmann._cos_sinc_blocks``
-    are the compact analogue (Edelman, Arias and Smith, 1998).
-    """
-    w, v = np.linalg.eigh(gram)
-    s2 = np.clip(w, 0.0, None)
-    s_half = np.sqrt(s2) / 2
-    # sinhc(s/2), with value 1 at 0
-    half = np.divide(np.sinh(s_half), s_half, out=np.ones_like(s_half), where=s_half > 0)
-    phi = half * half / 2
-    return v, s2 * phi, half * np.cosh(s_half), phi
+# the moved-basis functions of a cone generator: cosh s and sinh(s) / s
+_COSH_SINHC = (np.cosh, lambda s: np.divide(np.sinh(s), s, out=np.ones_like(s), where=s > 0))
 
 
 def cone_perturbed_path(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
@@ -427,12 +433,11 @@ def cone_perturbed_path(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
     Only the corners count: with ``k = min(rank, n - rank)`` and bases
     ``Bs`` of the small side and ``Bb`` of the big side, the generator's
     corner at t is ``y(t) = t l + t(1-t) eta`` (``l = Bb* L Bs``,
-    ``eta = Bb* herm(h) Bs``), and the exponential comes from the
-    cosh/sinhc blocks of one batched ``eigh`` of the k×k Gram matrices
-    ``y* y``.  With ``P = nu^{1/2} Bs V`` and ``R = nu^{1/2} Bb y V`` the
-    sample is the rank-2k update
-    ``nu + [P, R] [[cosh s - 1, sinhc s], [sinhc s, phi s]] [P, R]*``.
-    Ranks 0 and n give the constant stack ``nu``.
+    ``eta = Bb* herm(h) Bs``).  With ``a = y/2``, ``E = exp(Y/2)`` moves
+    the small side onto ``Bs cosh|a| + Bb a sinhc|a|``, from one batched
+    ``eigh`` of the k×k matrices ``a* a``.  ``E`` and ``nu^{1/2}`` preserve
+    ``eps_s = 2 Bs Bs* - 1`` (``eps`` or ``-eps``), so with
+    ``P = nu^{1/2} E Bs`` the sample is ``2 P P* - eps_s``.
 
     Raises
     ------
@@ -440,6 +445,8 @@ def cone_perturbed_path(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
         If ``mu``, ``nu`` and ``h`` differ in dimension, the contexts of
         ``mu`` and ``nu`` differ by more than eq_tol, or ``ts`` is not a
         finite 1-d array.
+    NotPositive
+        If the computed spectrum of ``nu^{-1/2} mu nu^{-1/2}`` is not positive.
     """
     w, v = _relative_spectrum(mu, nu)
     p = mu.context
@@ -448,19 +455,15 @@ def cone_perturbed_path(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
     h = as_matrix(h, square=True)
     if h.shape != p.mat.shape:
         raise InvalidInput("perturbation and cone element dimensions differ")
-    small, big, _ = _side_blocks(p)
+    small, big, flipped = _side_blocks(p)
     ell = ((adj(big) @ v) * np.log(w)) @ (adj(v) @ small)
     eta = adj(big) @ herm(h) @ small
     ts = _sample_times(ts)
-    tt, st = ts[:, None, None], (ts * (1.0 - ts))[:, None, None]
-    y = tt * ell + st * eta
-    v_s, *factors = _cosh_sinhc_blocks(herm(adj(y) @ y))
-    cosh_1, sinhc, phi = (f[:, None, :] for f in factors)
-    sqrt_big = nu.sqrt @ big
-    pv = nu.sqrt @ small @ v_s
-    rv = (tt * (sqrt_big @ ell) + st * (sqrt_big @ eta)) @ v_s
-    left = np.concatenate([pv * cosh_1 + rv * sinhc, pv * sinhc + rv * phi], axis=-1)
-    return herm(nu.mat + left @ adj(np.concatenate([pv, rv], axis=-1)))
+    a = ts[:, None, None] * (ell / 2) + (ts * (1.0 - ts))[:, None, None] * (eta / 2)
+    cosh, sinhc = _generator_blocks(a, *_COSH_SINHC)
+    moved = (nu.sqrt @ small) @ cosh + (nu.sqrt @ big) @ (a @ sinhc)
+    eps_s = -p.eps if flipped else p.eps
+    return herm(2 * (moved @ adj(moved)) - eps_s)
 
 
 def eps_action(u, m: DiskPoint, tol: Tolerance = DEFAULT_TOL) -> DiskPoint:

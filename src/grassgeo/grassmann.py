@@ -172,8 +172,9 @@ def geodesic(p: Projection, z: TangentVector, t: float, tol: Tolerance = DEFAULT
     """
     _check_tangent(p, z, tol)
     bp = p.range_basis
-    top, bot = _cos_sinc_blocks(t * (p.comp @ (z.mat @ bp)))
-    cols = bp @ top + bot
+    a = t * (p.comp @ (z.mat @ bp))
+    top, mid = _generator_blocks(a, *_COS_SINC)
+    cols = bp @ top + a @ mid
     return _trusted(Projection, mat=cols @ cols.conj().T, rank=p.rank, range_basis=cols)
 
 
@@ -310,18 +311,22 @@ def _side_blocks(p: Projection):
     return p.null_basis, p.range_basis, True
 
 
-def _cos_sinc_blocks(a: np.ndarray):
-    """cos and sinc blocks of exp for stacked off-diagonal generators.
+# the moved-basis functions of a Grassmann tangent: cos s and sin(s) / s
+_COS_SINC = (np.cos, lambda s: np.sinc(s / np.pi))
 
-    For ``z`` with block ``a`` mapping the small side into the big side,
-    the isometry onto the moved small side has top block cos(|a|) and
-    bottom block a sinc(|a|), where |a| = (a* a)^(1/2).  ``a`` may be given
-    in coordinates of the big side or in the ambient space; the bottom
-    block comes out in the same form.
+
+def _generator_blocks(a: np.ndarray, f: Callable, g: Callable):
+    """``V f(s) V*`` and ``V g(s) V*`` for stacked generator corners ``a``
+    with ``a* a = V diag(s^2) V*``, from one batched ``eigh``.
+
+    The exponential of an off-diagonal generator whose corner ``a`` maps
+    the small side into the big side moves the small side onto
+    ``[f(|a|); a g(|a|)]``: ``(cos, sinc)`` for a Grassmann tangent (Edelman,
+    Arias and Smith, 1998), ``(cosh, sinhc)`` for a cone generator.
     """
     w, v = np.linalg.eigh(herm(adj(a) @ a))
     s = np.sqrt(np.clip(w, 0.0, None))
-    return spectral(v, np.cos(s)), a @ spectral(v, np.sinc(s / np.pi))
+    return spectral(v, f(s)), spectral(v, g(s))
 
 
 def _path_sampler(p: Projection, z_mat: np.ndarray, w_mat: np.ndarray | None) -> Callable:
@@ -336,8 +341,8 @@ def _path_sampler(p: Projection, z_mat: np.ndarray, w_mat: np.ndarray | None) ->
         a = ts[:, None, None] * a_z
         if a_w is not None:
             a = a + (ts * (1.0 - ts))[:, None, None] * a_w
-        top, bot = _cos_sinc_blocks(a)
-        cols = small @ top + big @ bot
+        top, mid = _generator_blocks(a, *_COS_SINC)
+        cols = small @ top + big @ (a @ mid)
         qs = cols @ adj(cols)
         if flipped:
             qs = np.eye(n, dtype=complex) - qs
@@ -545,7 +550,7 @@ def _interpolated_steps(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray) -> np.
     at a sample and ``D`` the difference to the next one.
 
     The moved basis ``[cos|r|; r sinc|r|]`` comes from
-    :func:`_cos_sinc_blocks` in canonical form ``V f(s) V*``, an entire
+    :func:`_generator_blocks` in canonical form ``V f(s) V*``, an entire
     function of t; the eigenvector form ``[V cos s; r V sinc s]`` changes
     phase and column order from one t to the next and cannot be
     interpolated.
@@ -556,7 +561,8 @@ def _interpolated_steps(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray) -> np.
         nodes, coef, *rows = _chebyshev_rows(deg, ts)
     at = ts if direct else nodes
     r = at[:, None, None] * r_z + (at * (1.0 - at))[:, None, None] * r_w
-    basis = np.concatenate(_cos_sinc_blocks(r), axis=-2)
+    top, mid = _generator_blocks(r, *_COS_SINC)
+    basis = np.concatenate([top, r @ mid], axis=-2)
     if direct:
         prev, delta = basis[:-1], np.diff(basis, axis=0)
     else:

@@ -48,16 +48,12 @@ class RunConfig:
     trials: int | None = None
     eq_tol: float = 1e-9
     geo_tol: float = 1e-6
-    output: str | None = None
-    fmt: str = "json"
 
     def __post_init__(self):
         if self.trials is not None and self.trials < 1:
             raise InvalidInput("trials must be at least 1")
         if not self.dims or any(d < 2 for d in self.dims):
             raise InvalidInput("dims must all be at least 2")
-        if self.fmt not in ("json", "csv"):
-            raise InvalidInput("format must be json or csv")
         Tolerance(self.eq_tol, self.geo_tol)
 
     @property

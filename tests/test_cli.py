@@ -191,6 +191,33 @@ class TestDiskCommands:
         f2 = write_point(tmp_path / "b.json", outside)
         assert cli.main(["disk-dist", f1, f2]) == 5
 
+    def test_disk_geodesic_near_rim(self, tmp_path, capsys):
+        # chart radius 1 - 1e-6, corner norm 14.5: the points are taken
+        # from the generator, not from checked cone elements of the samples
+        p = pj.random_projection(6, 3, 2)
+        target = mo.chart(mo.random_hp_vector(p, np.random.default_rng(2), 1 - 1e-6))
+        base = write_point(tmp_path / "base.json", pj.classify(p.mat, p))
+        far = write_point(tmp_path / "far.json", target)
+        assert cli.main(["disk-geodesic", "--samples", "20", base, far]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        last = se.matrix_from_obj(rows[-1]["matrix"])
+        assert np.abs(last - target.range.mat).max() <= 1e-9
+
+    @pytest.mark.parametrize("argv", [["dist", "--metric", "dplus"], ["disk-dist"],
+                                      ["geodesic", "--space", "cone", "--samples", "5"]],
+                             ids=["dist", "disk-dist", "geodesic"])
+    def test_relative_spectrum_not_positive_exit(self, argv, tmp_path, capsys):
+        # near the rim the computed spectrum of nu^{-1/2} mu nu^{-1/2} has a
+        # negative eigenvalue; the commands fail instead of writing NaN
+        p = pj.random_projection(6, 3, 7)
+        m = mo.chart(mo.random_hp_vector(p, np.random.default_rng(0), 1 - 2e-9))
+        base = write_point(tmp_path / "base.json", pj.classify(p.mat, p))
+        near = write_point(tmp_path / "near.json", m)
+        assert cli.main(argv + [base, near]) == 8
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("NotPositive")
+
 
 def _old_matrix_obj(mat):
     return {"rows": mat.shape[0], "cols": mat.shape[1],
@@ -242,19 +269,17 @@ class TestGoldenOutput:
         assert capsys.readouterr().out == want
 
     def test_disk_geodesic_table(self, hyperbolic_files, capsys):
+        # the points themselves are checked against the per-sample route in
+        # test_disk.py::TestGeodesicDiskPoints
         base, hyp = hyperbolic_files
+        argv = ["disk-geodesic", "--samples", "6", base, hyp]
+        rows, points, closed = cli._geodesic_table(cli.build_parser().parse_args(argv), "disk")
         m, n = se.point_from_obj(se.load_obj(base)), se.point_from_obj(se.load_obj(hyp))
-        start, end = dk.disk_to_cone(m), dk.disk_to_cone(n)
-        ts = np.linspace(0.0, 1.0, 6)
-        lams = dk.eps_geodesic_samples(end, start, ts)
-        p = m.context
-        points = np.stack([
-            pj.classify(dk.PositiveEpsUnitary(lam, p).sqrt @ p.mat, p).range.mat
-            for lam in lams])
-        rows = list(zip(ts.tolist(), _old_cumulative_cone(lams).tolist()))
-        want = _old_table_json({"space": "disk", "closed_form_distance": dk.d_cone(start, end)},
-                               rows, points)
-        assert cli.main(["disk-geodesic", "--samples", "6", base, hyp]) == 0
+        lams = dk.eps_geodesic_samples(dk.disk_to_cone(n), dk.disk_to_cone(m),
+                                       [t for t, _ in rows])
+        rows = list(zip([t for t, _ in rows], _old_cumulative_cone(lams).tolist()))
+        want = _old_table_json({"space": "disk", "closed_form_distance": closed}, rows, points)
+        assert cli.main(argv) == 0
         assert capsys.readouterr().out == want
 
     def test_save_obj_bytes(self, rotation_files):

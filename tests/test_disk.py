@@ -255,10 +255,14 @@ class TestDiskMetrics:
     @pytest.mark.parametrize("n, rank", [(2, 1), (4, 1), (6, 3), (8, 5), (16, 4)])
     def test_non_euclidean_on_a_ray(self, n, rank, sigma):
         # the disk point of exp(x + x*) lies at exactly ||x|| / 2 from the
-        # center; the artanh form lost 4e-11 at sigma = 15 and 1e-5 at 28
+        # center; the artanh form lost 4e-11 at sigma = 15 and 1e-5 at 28.
+        # Past sigma = 2 artanh(1 - eq_tol) ~ 21.4 cone_to_disk raises
+        # NotInDisk, so the point is built as it builds it, without that
+        # decision, to check the formula on the whole ray
         p = pj.random_projection(n, rank, n + rank)
         x = mo.random_hp_vector(p, np.random.default_rng(rank), sigma)
-        m = dk.cone_to_disk(dk.PositiveEpsUnitary.from_xparam(x))
+        lam = dk.PositiveEpsUnitary.from_xparam(x)
+        m = pj._trusted(dk.DiskPoint, point=pj.classify(lam.sqrt @ p.mat, p), lam=lam)
         base = dk.base_disk_point(p)
         assert abs(dk.d_non_euclidean(m, base) - sigma / 2) <= 1e-13
         assert abs(dk.d_non_euclidean(base, m) - sigma / 2) <= 1e-13
@@ -473,6 +477,71 @@ class TestConeCurveKernels:
         assert abs(length - dist) <= 1e-11 * dist + 1e-14
 
 
+class TestMovedBasisKernel:
+    """The kernel shared with the Grassmann geodesics, with cosh/sinhc:
+    for an off-diagonal Hermitian ``Y`` with small-side corner ``y``,
+    ``C = Bs cosh|a| + Bb a sinhc|a|`` with ``a = y/2`` is the small side
+    moved by ``exp(Y/2)``, and ``exp(Y) = 2 C C* - eps_s``."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 16, 64])
+    def test_exponential_from_moved_small_side(self, n):
+        for rank in range(n + 1):
+            p = pj.random_projection(n, rank, 10 * n + rank)
+            x = mo.random_hp_vector(p, np.random.default_rng(rank), 1.5)
+            y = x.mat + x.mat.conj().T
+            small, big, flipped = gr._side_blocks(p)
+            a = la.adj(big) @ y @ small / 2
+            cosh, sinhc = gr._generator_blocks(a, *dk._COSH_SINHC)
+            c = small @ cosh + big @ (a @ sinhc)
+            eps_s = -p.eps if flipped else p.eps
+            ref = la.expm(y)
+            assert np.abs(2 * c @ la.adj(c) - eps_s - ref).max() <= 1e-14 * n * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n, rank", [(2, 1), (4, 1), (5, 3), (8, 4), (16, 12)])
+    def test_perturbed_path_against_exponential(self, n, rank):
+        p, mu, nu, h = _cone_instance(n, rank)
+        ts = np.array([-0.5, 0.0, 0.3, 0.7, 1.0, 1.5])
+        ell = la.log_posdef(la.herm(nu.inv_sqrt @ mu.mat @ nu.inv_sqrt))
+        off = p.mat @ h @ p.comp + p.comp @ h @ p.mat
+        path = dk.cone_perturbed_path(mu, nu, h, ts)
+        for t, sample in zip(ts, path):
+            ref = nu.sqrt @ la.expm(t * ell + t * (1 - t) * off) @ nu.sqrt
+            assert np.abs(sample - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+class TestGeodesicDiskPoints:
+    """The disk points of a cone geodesic, taken in one stacked step, against
+    the per-sample route through the checked cone element of each sample."""
+
+    @pytest.mark.parametrize("n, rank", [(n, r) for n in range(2, 9) for r in range(n + 1)]
+                             + [(16, r) for r in (0, 1, 4, 8, 12, 15, 16)])
+    def test_matches_per_sample_route(self, n, rank):
+        p, mu, nu, _ = _cone_instance(n, rank)
+        ts = np.concatenate([[-0.5], np.linspace(0.0, 1.0, 9), [1.5]])
+        points = dk._eps_geodesic_points(mu, nu, ts)
+        assert points.shape == (len(ts), n, n)
+        for lam, point in zip(dk.eps_geodesic_samples(mu, nu, ts), points):
+            ref = dk.cone_to_disk(dk.PositiveEpsUnitary(lam, p)).point.range.mat
+            assert np.abs(point - ref).max() <= 1e-13
+
+
+class TestRelativeSpectrum:
+    """Near the rim the computed spectrum of ``nu^{-1/2} mu nu^{-1/2}`` can
+    lose positivity; the cone functions then raise instead of returning NaN."""
+
+    def test_not_positive_near_rim(self):
+        p = pj.random_projection(6, 3, 7)
+        m = mo.chart(mo.random_hp_vector(p, np.random.default_rng(0), 1 - 2e-9))
+        assert dk.in_disk(m)
+        dm, base = dk.to_disk_point(m), dk.base_disk_point(p)
+        with pytest.raises(NotPositive):
+            dk.d_cone(dm, base)
+        with pytest.raises(NotPositive):
+            dk._relative_spectrum(dm.lam, base.lam)
+        with pytest.raises(NotPositive):
+            dk.eps_geodesic_samples(dm.lam, base.lam, [0.0, 0.5, 1.0])
+
+
 class TestConeCurveInputs:
     """The cone curve functions check their inputs where they enter."""
 
@@ -614,6 +683,22 @@ class TestDiskMembership:
         for fn in (dk.disk_to_cone, dk.to_disk_point):
             with pytest.raises(NotInDisk):
                 fn(sliver)
+
+    @pytest.mark.parametrize("sigma", [21.0, 22.0, 30.0, 34.0])
+    def test_cone_to_disk_decision(self, sigma):
+        # the point of exp(x + x*) has chart norm tanh(||x|| / 2); the
+        # threshold 1 - eq_tol lies at ||x|| ~ 21.4
+        for n in range(2, 9):
+            for rank in range(n + 1):
+                p = pj.random_projection(n, rank, 10 * n + rank)
+                x = mo.random_hp_vector(p, np.random.default_rng(1), sigma)
+                lam = dk.PositiveEpsUnitary.from_xparam(x)
+                corner = sigma if 0 < rank < n else 0.0
+                if np.tanh(corner / 2) >= 1 - la.DEFAULT_TOL.eq_tol:
+                    with pytest.raises(NotInDisk):
+                        dk.cone_to_disk(lam)
+                else:
+                    assert dk.in_disk(dk.cone_to_disk(lam).point)
 
     def test_characterizations_agree(self, rng):
         for _ in range(60):

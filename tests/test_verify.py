@@ -63,8 +63,6 @@ class TestRunConfig:
         with pytest.raises(InvalidInput):
             vf.RunConfig(dims=(1, 2))
         with pytest.raises(InvalidInput):
-            vf.RunConfig(fmt="xml")
-        with pytest.raises(InvalidInput):
             vf.RunConfig(eq_tol=-1.0)
 
 

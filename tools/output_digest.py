@@ -196,10 +196,29 @@ def sweep(gg, dims, rec: Digests):
             points += [gg.chart(gg.random_hp_vector(p, disk_rng, r))
                        for r in (1e-8, 0.5, 0.9, 0.999, 0.9995, 0.9999, 1 - 1e-6, 1.5,
                                  1 - 2e-9, 1 - 7e-10)]
+            disk_points = []
             for point in points:
                 if point is not None:
                     rec.record("disk_to_cone", gg.disk_to_cone, point)
-                    rec.record("to_disk_point", gg.to_disk_point, point)
+                    disk_points.append(rec.record("to_disk_point", gg.to_disk_point, point))
+
+            # cone distances to the center, which lose the positivity of the
+            # relative spectrum near the rim; the stacked disk points of the
+            # cone geodesic; and cone elements of corner norm 21 (inside),
+            # 22 and 30 (outside the disk), from a generator of their own
+            center = gg.base_disk_point(p)
+            for dp in disk_points:
+                if dp is not None:
+                    rec.record("d_cone", gg.d_cone, dp, center)
+                    rec.record("d_cone", gg.d_cone, center, dp)
+            # looked up inside the record, so that a tree without the
+            # function hashes the AttributeError
+            rec.record("eps_geodesic_points",
+                       lambda: gg.disk._eps_geodesic_points(mu, nu, np.array(T_GRID)))
+            decision_rng = np.random.default_rng(seed + 11)
+            for sigma in (21.0, 22.0, 30.0):
+                x = gg.random_hp_vector(p, decision_rng, sigma)
+                rec.record("cone_to_disk", gg.cone_to_disk, gg.PositiveEpsUnitary.from_xparam(x))
 
 
 def main(argv=None) -> int:
