@@ -293,8 +293,12 @@ def _cmd_geodesic(args) -> int:
 
 
 def _cmd_length(args) -> int:
-    rows, _, _ = _geodesic_table(args, "grassmann")
-    _write(args, _fmt(rows[-1][1]) + "\n")
+    tol = _tol(args)
+    if args.samples < 2:
+        raise InvalidInput("samples must be at least 2")
+    m, n = _load_points(args, tol)
+    z = gr.geodesic_log(m.range, n.range, tol)
+    _write(args, _fmt(gr.tangent_path_lengths(m.range, z, [], args.samples)[0]) + "\n")
     return 0
 
 

@@ -167,20 +167,17 @@ class DiskPoint:
 
     Caching the preimage makes it the canonical coordinate: every metric is
     computed from the positive square-root representatives.  The constructor
-    checks that ``lam`` maps to ``point`` and that the point lies in the
-    disk; ``cone_to_disk``, ``to_disk_point`` and ``base_disk_point``
-    build their results without these checks.
+    checks that ``lam`` maps to ``point`` through :func:`cone_to_disk`, which
+    also decides disk membership; ``cone_to_disk``, ``to_disk_point`` and
+    ``base_disk_point`` build their results without these checks.
     """
 
     def __init__(self, point: ProjectivePoint, lam: PositiveEpsUnitary,
                  tol: Tolerance = DEFAULT_TOL):
         if point.context.mat.shape != lam.context.mat.shape:
             raise InvalidInput("point and cone element dimensions differ")
-        image = classify(lam.sqrt @ point.context.mat, point.context, tol)
-        if d_chordal(image, point, tol) > tol.geo_tol:
+        if d_chordal(cone_to_disk(lam, tol).point, point, tol) > tol.geo_tol:
             raise InvalidInput("cone element does not map to the given point")
-        if chart_inv(point, tol).norm >= 1.0 - tol.eq_tol:
-            raise NotInDisk("point lies outside the chart ball of radius 1")
         self.point = point
         self.lam = lam
 
@@ -267,8 +264,8 @@ def to_disk_point(point: ProjectivePoint, tol: Tolerance = DEFAULT_TOL) -> DiskP
 
 def base_disk_point(p: Projection, tol: Tolerance = DEFAULT_TOL) -> DiskPoint:
     """The center ``[p]`` of the disk, with identity preimage."""
-    lam = PositiveEpsUnitary.from_xparam(_trusted(HpVector, mat=np.zeros_like(p.mat), context=p))
-    return _trusted(DiskPoint, point=classify(p.mat, p, tol), lam=lam)
+    zero = _trusted(HpVector, mat=np.zeros_like(p.mat), context=p)
+    return cone_to_disk(PositiveEpsUnitary.from_xparam(zero), tol)
 
 
 def rho(m: DiskPoint, n: DiskPoint, tol: Tolerance = DEFAULT_TOL) -> float:

@@ -5,8 +5,10 @@ invertible.  Finite points are exactly the chart image ``x -> [p + x]`` of
 the corner ``H_p = (1-p) A p``, and carry the chart metric, the operator
 norm distance of chart coordinates.  An invertible ``g`` acts on chart
 coordinates as the Moebius map ``b -> (z + w b)(x + y b)^{-1}`` built from
-its blocks; the corresponding chart transition between two base projections
-has the closed form implemented in :func:`chart_transition`.
+its blocks.  Since ``z + w b = (1-p) g (p + b) p`` and
+``x + y b = p g (p + b) p``, the map is the chart coordinate of the point
+``[g (p + b)]``, and ``chart_inv``, ``chart_transition`` and the Moebius
+maps share one kernel, ``_chart_coordinate``.
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ class MoebiusMap:
 
     Splitting ``g`` into blocks x = p g p, y = p g (1-p), z = (1-p) g p,
     w = (1-p) g (1-p), the map sends ``b`` to ``(z + w b)(x + y b)^{-1}``
-    whenever the inverted factor is invertible in the corner ``pAp``.
+    whenever the inverted factor is invertible in the corner ``pAp``.  It is
+    evaluated as the chart coordinate of the point ``[g (p + b)]``.
     """
 
     def __init__(self, g, context: Projection, tol: Tolerance = DEFAULT_TOL):
@@ -123,13 +126,8 @@ class MoebiusMap:
             raise InvalidInput("matrix and context dimensions differ")
         if _is_singular(g, tol.eq_tol):
             raise NotInvertible("Moebius maps require an invertible matrix")
-        p, pc = context.mat, context.comp
         self.g = g
         self.context = context
-        self.block_pp = p @ g @ p
-        self.block_pc = p @ g @ pc
-        self.block_cp = pc @ g @ p
-        self.block_cc = pc @ g @ pc
 
     def __repr__(self):
         return f"MoebiusMap(dim={self.g.shape[0]}, rank={self.context.rank})"
@@ -137,11 +135,12 @@ class MoebiusMap:
 
 def moebius_domain(g: MoebiusMap, b: HpVector, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether ``b`` lies in the domain: x + y b invertible in the corner."""
-    return _corner_inv(g.block_pp + g.block_pc @ b.mat, g.context, tol) is not None
+    return _corner_inv(g.g @ (g.context.mat + b.mat), g.context, tol) is not None
 
 
 def moebius_apply(g: MoebiusMap, b: HpVector, tol: Tolerance = DEFAULT_TOL) -> HpVector:
-    """Evaluate the Moebius map: (z + w b)(x + y b)^{-1}.
+    """Evaluate the Moebius map: (z + w b)(x + y b)^{-1}, the chart
+    coordinate of ``[g (p + b)]``.
 
     Raises
     ------
@@ -149,12 +148,10 @@ def moebius_apply(g: MoebiusMap, b: HpVector, tol: Tolerance = DEFAULT_TOL) -> H
         If ``b`` fails the domain test.
     """
     p = g.context
-    t_inv = _corner_inv(g.block_pp + g.block_pc @ b.mat, p, tol)
-    if t_inv is None:
+    out = _chart_coordinate(g.g @ (p.mat + b.mat), p, tol)
+    if out is None:
         raise OutsideDomain("coordinate lies outside the Moebius domain")
-    num = g.block_cp + g.block_cc @ b.mat
-    bb = p.range_basis
-    return _trusted(HpVector, mat=num @ (bb @ t_inv @ bb.conj().T), context=p)
+    return _trusted(HpVector, mat=out, context=p)
 
 
 def chart_transition(q: Projection, r: Projection, x: HpVector,

@@ -11,6 +11,7 @@ import pytest
 import grassgeo
 from grassgeo import cli
 from grassgeo import disk as dk
+from grassgeo import grassmann as gr
 from grassgeo import moebius as mo
 from grassgeo import projective as pj
 from grassgeo import serialize as se
@@ -160,6 +161,25 @@ class TestGeodesicTables:
         assert cli.main(["length", "--samples", "2000", first, second]) == 0
         value = float(capsys.readouterr().out)
         assert value == pytest.approx(np.pi / 6, abs=1e-4)
+
+    @pytest.mark.parametrize("n, k", [(6, 3), (64, 16)])
+    def test_length_is_the_exact_polyline(self, tmp_path, capsys, n, k):
+        # the steps of a geodesic of spherical length theta on the uniform
+        # grid of N samples are all sin(theta / (N - 1)); the value is
+        # printed to 12 decimals, hence the half unit in the last place
+        p = pj.random_projection(n, k, n)
+        theta, samples = 1.3, 2000
+        z = gr.random_tangent(p, np.random.default_rng(n), theta)
+        first = write_point(tmp_path / "a.json", pj.classify(p.mat, p))
+        second = write_point(tmp_path / "b.json",
+                             pj.point_from_projection(gr.geodesic(p, z, 1.0), p))
+        assert cli.main(["length", "--samples", str(samples), first, second]) == 0
+        exact = (samples - 1) * np.sin(theta / (samples - 1))
+        assert abs(float(capsys.readouterr().out) - exact) <= 0.5e-12 + 1e-13 * exact
+
+    def test_length_bad_samples(self, rotation_files):
+        first, second = rotation_files
+        assert cli.main(["length", "--samples", "1", first, second]) == 2
 
     def test_bad_samples(self, rotation_files):
         first, second = rotation_files

@@ -98,7 +98,7 @@ def test_moebius_domain_decides_apply(case):
     bb, pc = p.range_basis, p.comp
     x = mo.random_hp_vector(p, rng, rng.uniform(0.1, 2.0))
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    # block_pc = y and block_pp + y x = bb t bb*, with t the prescribed corner
+    # p g (1-p) = y and p g p + y x = bb t bb*: the corner of g (p + x) is t
     y = p.mat @ m @ pc
     g = bb @ corner_matrix(k, s_min, rng) @ bb.conj().T - y @ x.mat + y + pc @ m.conj().T
     try:

@@ -9,7 +9,7 @@ from grassgeo import linalg as la
 from grassgeo import moebius as mo
 from grassgeo import projective as pj
 from grassgeo import verify
-from grassgeo.errors import InvalidInput, NotEpsUnitary, NotInDisk, NotPositive
+from grassgeo.errors import InvalidInput, NotEpsUnitary, NotInDisk, NotInLp, NotPositive
 
 from conftest import random_hermitian
 
@@ -687,18 +687,40 @@ class TestDiskMembership:
     @pytest.mark.parametrize("sigma", [21.0, 22.0, 30.0, 34.0])
     def test_cone_to_disk_decision(self, sigma):
         # the point of exp(x + x*) has chart norm tanh(||x|| / 2); the
-        # threshold 1 - eq_tol lies at ||x|| ~ 21.4
+        # threshold 1 - eq_tol lies at ||x|| ~ 21.4.  The checked DiskPoint
+        # decides as cone_to_disk does; past the threshold the image
+        # [sqrt(lam) p] may have no class at all, and the centre stands in
         for n in range(2, 9):
             for rank in range(n + 1):
                 p = pj.random_projection(n, rank, 10 * n + rank)
                 x = mo.random_hp_vector(p, np.random.default_rng(1), sigma)
                 lam = dk.PositiveEpsUnitary.from_xparam(x)
+                try:
+                    image = pj.classify(lam.sqrt @ p.mat, p)
+                except NotInLp:
+                    image = pj.classify(p.mat, p)
                 corner = sigma if 0 < rank < n else 0.0
                 if np.tanh(corner / 2) >= 1 - la.DEFAULT_TOL.eq_tol:
-                    with pytest.raises(NotInDisk):
-                        dk.cone_to_disk(lam)
+                    for fn in (dk.cone_to_disk, lambda lam: dk.DiskPoint(image, lam)):
+                        with pytest.raises(NotInDisk):
+                            fn(lam)
                 else:
                     assert dk.in_disk(dk.cone_to_disk(lam).point)
+                    assert dk.DiskPoint(image, lam).lam is lam
+
+    @pytest.mark.parametrize("n, rank", [(2, 1), (4, 0), (4, 2), (6, 3), (16, 4), (16, 16)])
+    def test_base_point_construction(self, n, rank):
+        # the centre is cone_to_disk of the identity, bit for bit the point
+        # classify(p) with the identity preimage
+        p = pj.random_projection(n, rank, n + rank)
+        zero = pj._trusted(mo.HpVector, mat=np.zeros_like(p.mat), context=p)
+        lam = dk.PositiveEpsUnitary.from_xparam(zero)
+        point = pj.classify(p.mat, p)
+        base = dk.base_disk_point(p)
+        for got, want in ((base.point.rep.mat, point.rep.mat),
+                          (base.point.range.mat, point.range.mat),
+                          (base.lam.mat, lam.mat), (base.lam.sqrt, lam.sqrt)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_characterizations_agree(self, rng):
         for _ in range(60):

@@ -175,6 +175,61 @@ class TestMoebius:
             mo.MoebiusMap(np.diag([1.0, 0.0]), p)
 
 
+def block_formula(g, p, b):
+    """The Moebius map from the blocks x, y, z, w of ``g``:
+    ``(z + w b)(x + y b)^{-1}``, the inverse taken in pAp, or None when
+    ``x + y b`` is singular there."""
+    pm, pc = p.mat, p.comp
+    t_inv = pj._corner_inv(pm @ g @ pm + pm @ g @ pc @ b, p, la.DEFAULT_TOL)
+    if t_inv is None:
+        return None
+    bb = p.range_basis
+    return (pc @ g @ pm + pc @ g @ pc @ b) @ bb @ t_inv @ bb.conj().T
+
+
+def boundary_map(p, s_min, rng):
+    """An invertible ``g`` and a coordinate ``b`` for which the corner
+    ``x + y b`` has smallest singular value ``s_min`` and the rest in [0.5, 2]."""
+    n, k = p.dim, p.rank
+    bb, pm, pc = p.range_basis, p.mat, p.comp
+    b = mo.random_hp_vector(p, rng, rng.uniform(0.1, 2.0))
+    s = np.concatenate([[s_min], rng.uniform(0.5, 2.0, size=k - 1)])
+    t = (la.random_unitary(k, rng) * s) @ la.random_unitary(k, rng).conj().T
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    y = pm @ m @ pc
+    return bb @ t @ bb.conj().T - y @ b.mat + y + pc @ m.conj().T, b
+
+
+MOEBIUS_CASES = ([(n, k) for n in range(2, 9) for k in range(n + 1)]
+                 + [(n, k) for n in (16, 64) for k in (0, 1, 2, n // 2, n - 1, n)])
+
+
+@pytest.mark.parametrize("n, k", MOEBIUS_CASES)
+def test_moebius_matches_block_formula(n, k):
+    # generic maps at growing coordinate norms, then maps whose corner
+    # x + y b is well conditioned (inside the domain) or singular to 1e-12
+    # (outside): apply and domain agree with the block formula
+    p = pj.random_projection(n, k, 100 * n + k)
+    rng = np.random.default_rng(n + 1000 * k)
+    draws = [(la.random_invertible(n, rng), mo.random_hp_vector(p, rng, r))
+             for r in (0.1, 1.0, 10.0)]
+    if 0 < k < n:
+        draws += [boundary_map(p, s_min, rng) for s_min in (1e-2, 1e-12)]
+    outside = 0
+    for g, b in draws:
+        mm = mo.MoebiusMap(g, p)
+        expected = block_formula(g, p, b.mat)
+        assert mo.moebius_domain(mm, b) == (expected is not None)
+        if expected is None:
+            outside += 1
+            with pytest.raises(OutsideDomain):
+                mo.moebius_apply(mm, b)
+            continue
+        out = mo.moebius_apply(mm, b).mat
+        assert (np.abs(out - expected) <= 1e-11 * np.maximum(1.0, np.abs(expected))).all()
+    assert outside == (1 if 0 < k < n else 0)
+
+
 class TestChartTransition:
     def test_same_base_zero(self):
         q = pj.random_projection(4, 2, 5)

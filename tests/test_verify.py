@@ -114,6 +114,15 @@ class TestRunAll:
         assert len(lines) == 3
 
 
+def test_sin_identity_detects_a_shifted_chordal_distance(monkeypatch):
+    # the identity is checked against the angle the instance is built at,
+    # so a chordal distance off by 1e-7 fails it
+    d_chordal = vf.gr.d_chordal
+    monkeypatch.setattr(vf.gr, "d_chordal", lambda m, n, tol: d_chordal(m, n, tol) + 1e-7)
+    report = vf.run_all(SMALL, names=("chordal-spherical-sin-identity",))
+    assert report.properties[0].max_residual > 9e-8
+    assert not report.properties[0].passed
+
 def _recorder(per_dim):
     """A property whose instances record (dimension, first draw) and pass."""
     seen = []
