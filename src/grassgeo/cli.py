@@ -218,10 +218,6 @@ def _table_text(args, rows, mats, header_extra: dict) -> str:
     return se.dumps(payload)
 
 
-def _cumulative(steps: np.ndarray) -> np.ndarray:
-    return np.concatenate([[0.0], np.cumsum(steps)])
-
-
 def _cmd_verify(args) -> int:
     try:
         dims = tuple(int(d) for d in args.dims.split(","))
@@ -261,7 +257,9 @@ def _cmd_dist(args) -> int:
 
 def _geodesic_table(args, space: str) -> tuple:
     """Rows (t, cumulative length), sampled matrices and closed-form distance
-    of a geodesic; ``disk`` samples the ``cone`` geodesic's disk points."""
+    of a geodesic; ``disk`` samples the ``cone`` geodesic's disk points.
+    The lengths come from the small-side step kernel of each geometry, not
+    from the sampled matrices."""
     tol = _tol(args)
     if args.samples < 2:
         raise InvalidInput("samples must be at least 2")
@@ -269,19 +267,17 @@ def _geodesic_table(args, space: str) -> tuple:
     ts = np.linspace(0.0, 1.0, args.samples)
     if space == "grassmann":
         z = gr.geodesic_log(m.range, n.range, tol)
-        curve = gr.geodesic_curve(m.range, z, args.samples)
-        mats = curve.sample(ts)
-        cum = _cumulative(gr.chordal_steps(mats))
+        [steps] = gr._path_steps(m.range, z.mat, [], args.samples, gr._GRASSMANN)
+        mats = gr.geodesic_curve(m.range, z, args.samples).sample(ts)
         closed = gr.d_spherical(m, n, tol)
     else:
         start, end = dk.disk_to_cone(m, tol), dk.disk_to_cone(n, tol)
-        mats = dk.eps_geodesic_samples(end, start, ts)
-        cum = _cumulative(dk.cone_polyline_steps(mats))
+        [steps] = dk._cone_path_steps(end, start, [], args.samples)
         closed = dk.d_cone(start, end)
-        if space == "disk":
-            mats = dk._eps_geodesic_points(end, start, ts)
-    rows = list(zip(ts.tolist(), cum.tolist()))
-    return rows, mats, closed
+        sampler = dk._eps_geodesic_points if space == "disk" else dk.eps_geodesic_samples
+        mats = sampler(end, start, ts)
+    cum = np.concatenate([[0.0], np.cumsum(steps)])
+    return list(zip(ts.tolist(), cum.tolist())), mats, closed
 
 
 def _cmd_geodesic(args) -> int:

@@ -16,8 +16,11 @@ and the geodesic from ``nu`` to ``mu`` is ``nu^{1/2} exp(tL) nu^{1/2}``
 take one product each from the eigenbasis of ``nu^{-1/2} mu nu^{-1/2}``,
 and their disk points one thin QR each.  ``E = exp(Y/2)`` moves the small
 side ``Bs`` of ``p`` by the Grassmann kernel with cosh/sinhc for cos/sinc,
-and perturbed paths are ``exp(Y) = 2 (E Bs)(E Bs)* - eps_s``.  Polyline
-steps come from one Cholesky factor per sample.
+and perturbed paths are ``exp(Y) = 2 (E Bs)(E Bs)* - eps_s``.  The
+package measures its own cone paths on that small side too, through the
+Grassmann step kernel with the indefinite form (``_cone_path_steps``);
+:func:`cone_polyline_steps` measures stacks that callers supply, with one
+Cholesky factor per sample.
 
 Cone elements built from a generator (``from_xparam``, ``power``) and the
 disk points built from them skip the constructors' checks; results read
@@ -41,7 +44,7 @@ from .errors import (
 from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, herm, op_norm, spectral
 from .moebius import HpVector, chart_inv, random_hp_vector
 from .projective import Projection, ProjectivePoint, _trusted, classify
-from .grassmann import _check_context, _generator_blocks, _side_blocks, d_chordal
+from .grassmann import _check_context, _generator_blocks, _path_steps, _side_blocks, d_chordal
 
 __all__ = [
     "EpsSymmetry",
@@ -411,8 +414,10 @@ def cone_polyline_length(lams: np.ndarray) -> float:
     return float(cone_polyline_steps(lams).sum())
 
 
-# the moved-basis functions of a cone generator: cosh s and sinh(s) / s
+# the moved-basis functions of a cone generator, cosh s and sinh(s) / s,
+# and the sign of the indefinite form on the big side
 _COSH_SINHC = (np.cosh, lambda s: np.divide(np.sinh(s), s, out=np.ones_like(s), where=s > 0))
+_CONE = (*_COSH_SINHC, -1.0)
 
 
 def cone_perturbed_path(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
@@ -461,6 +466,24 @@ def cone_perturbed_path(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
     moved = (nu.sqrt @ small) @ cosh + (nu.sqrt @ big) @ (a @ sinhc)
     eps_s = -p.eps if flipped else p.eps
     return herm(2 * (moved @ adj(moved)) - eps_s)
+
+
+def _cone_path_steps(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary, hs, resolution: int):
+    """Per path, geodesic first, the cone steps of
+    ``cone_perturbed_path(mu, nu, h, ts)`` on the uniform grid ``ts`` of
+    ``resolution`` points, measured on the small side, unchecked.
+
+    Congruence by ``nu^{-1/2}`` is a cone isometry, so ``nu`` enters only
+    through ``L``.  A cone step is twice the non-Euclidean distance between
+    the disk points ``[exp(Y_j / 2) p]``.  The moved small sides
+    ``[cosh|a|; a sinhc|a|]``, ``a = y/2``, are orthonormal for
+    ``J = diag(1_k, -1)``, and the Grassmann step kernel with that form
+    gives ``sinh`` of that distance, so each step is ``2 arsinh`` of it.
+    """
+    w, v = _relative_spectrum(mu, nu)
+    half_hs = [herm(h) / 2 for h in hs]
+    steps = _path_steps(mu.context, spectral(v, np.log(w) / 2), half_hs, resolution, _CONE)
+    return (2 * np.arcsinh(path) for path in steps)
 
 
 def eps_action(u, m: DiskPoint, tol: Tolerance = DEFAULT_TOL) -> DiskPoint:

@@ -15,17 +15,21 @@ the smaller of the two subspaces, of dimension k, to sample long paths in
 closed form.
 
 :func:`tangent_path_lengths` measures the geodesic and its perturbed
-companions on that small side alone.  Path by path it moves the generator
+companions on that small side alone.  One step kernel serves two
+geometries: Grassmann paths, with ``(cos, sinc)`` and the inner product,
+and the cone paths of :mod:`grassgeo.disk`, with ``(cosh, sinhc)`` and the
+indefinite form ``J = diag(1_k, -1)``.  Path by path it moves the generator
 block into the span of ``[a_z, a_w]`` (one thin QR, at most 2k
-coordinates), takes each step as the sine of the largest principal angle
-between consecutive moved bases, computed from the residual
-``C_{j+1} - C_j (C_j* C_{j+1})`` so that short steps keep their accuracy,
-and uses closed forms with the samples on the last axis for k <= 2: scalars
-at k = 1, one Jacobi rotation and a 2 x 2 eigenvalue at k = 2.  For k >= 3
-the moved basis, an entire function of t, is computed at a few dozen
-Chebyshev nodes per path and interpolated to the samples (Trefethen,
-Approximation Theory and Approximation Practice, 2013, ch. 8), or at the
-samples themselves where a long path would need too high a degree.
+coordinates).  Each step comes from the residual
+``C_{j+1} - C_j (C_j* J C_{j+1})`` of consecutive moved bases, so that
+short steps keep their accuracy; for Grassmann paths it is the sine of
+their largest principal angle.  For k <= 2 closed forms run with the
+samples on the last axis: scalars at k = 1, one Jacobi rotation and a
+2 x 2 eigenvalue at k = 2.  For k >= 3 the moved basis, an entire function
+of t, is computed at a few dozen Chebyshev nodes per path and interpolated
+to the samples (Trefethen, Approximation Theory and Approximation Practice,
+2013, ch. 8), or at the samples themselves where a long path would need
+too high a degree.
 """
 
 from __future__ import annotations
@@ -311,8 +315,10 @@ def _side_blocks(p: Projection):
     return p.null_basis, p.range_basis, True
 
 
-# the moved-basis functions of a Grassmann tangent: cos s and sin(s) / s
+# the moved-basis functions of a Grassmann tangent, cos s and sin(s) / s,
+# and the sign of the inner product on the big side
 _COS_SINC = (np.cos, lambda s: np.sinc(s / np.pi))
+_GRASSMANN = (*_COS_SINC, 1.0)
 
 
 def _generator_blocks(a: np.ndarray, f: Callable, g: Callable):
@@ -383,26 +389,32 @@ def tangent_path_lengths(p: Projection, z: TangentVector, ws, resolution: int = 
     ``z_i(t) = t z + t (1-t) w_i`` on the uniform grid of ``resolution``
     points; the geodesic is the path with ``w = 0``.  The lengths are sums
     of chordal steps, as :func:`curve_length` gives for the sampled curves,
-    computed without forming a projection:
+    computed without forming a projection, by the step kernel that also
+    measures cone paths (``disk._cone_path_steps``):
 
     - Span reduction.  On the small side, of dimension k, the generator
       block ``a(t) = t a_z + t (1-t) a_w`` lies in the column span of
       ``[a_z, a_w]``.  The thin QR ``[a_z, a_w] = Q [r_z, r_w]`` of each
       path moves that span into ``min(n-k, 2k)`` coordinates, where the
-      moved small side ``[cos|a|; a sinc|a|]`` becomes
-      ``[cos|r|; r sinc|r|]`` with ``r(t) = t r_z + t (1-t) r_w``.
-    - Sine steps.  A step is ``||C_{j+1} - C_j (C_j* C_{j+1})||``, the sine
-      of the largest principal angle between consecutive moved bases,
-      computed from the residual itself so that short steps keep their
-      relative accuracy.
+      moved small side ``[f(|a|); a g(|a|)]`` becomes
+      ``[f(|r|); r g(|r|)]`` with ``r(t) = t r_z + t (1-t) r_w``; here
+      ``(f, g) = (cos, sinc)``.
+    - Steps from the residual.  With ``J = diag(1_k, sigma)`` the form on
+      the reduced coordinates (``sigma = +1`` here, ``-1`` for the cone),
+      ``C`` the moved basis at a sample and ``D`` the next basis or the
+      difference to it, the residual is ``res = D - C (C* J D)`` and the
+      step is the square root of the largest eigenvalue of
+      ``sigma res* J res``: the sine of the largest principal angle between
+      consecutive moved bases, computed from the residual itself so that
+      short steps keep their relative accuracy.
     - Closed forms for k <= 2.  Each basis is taken in the eigenbasis ``V``
-      of ``r* r``, as ``[V cos(s); r V sinc(s)]``, which spans the same
-      subspace as ``[cos|r|; r sinc|r|]``.  The sample axis is last and all
+      of ``r* r``, as ``[V f(s); r V g(s)]``, which spans the same
+      subspace as ``[f(|r|); r g(|r|)]``.  The sample axis is last and all
       per-sample algebra is elementwise: at k = 1 every quantity is a
       scalar, at k = 2 ``V`` is one Jacobi rotation and the step is the
       largest eigenvalue of a 2 x 2 Hermitian matrix.  No LAPACK call is
       made per sample.
-    - Chebyshev interpolation for k >= 3.  ``[cos|r|; r sinc|r|]`` is an
+    - Chebyshev interpolation for k >= 3.  ``[f(|r|); r g(|r|)]`` is an
       entire function of t.  It is computed from one batched ``eigh`` at
       the ``deg + 1`` Chebyshev nodes on [0, 1], where ``deg`` is the least
       degree that a Bernstein-ellipse bound makes exact to 2^-53, and
@@ -425,29 +437,39 @@ def tangent_path_lengths(p: Projection, z: TangentVector, ws, resolution: int = 
     _check_resolution(resolution)
     for v in (z, *ws):
         _check_tangent(p, v)
-    k = min(p.rank, p.dim - p.rank)
-    if k == 0:
-        return 0.0, np.zeros(len(ws))
-    ts = np.linspace(0.0, 1.0, resolution)
-    path_steps = _closed_form_steps if k <= 2 else _interpolated_steps
-    lengths = [path_steps(r_z, r_w, ts).sum() for r_z, r_w in _reduced_blocks(p, z, ws)]
+    steps = _path_steps(p, z.mat, [w.mat for w in ws], resolution, _GRASSMANN)
+    lengths = [path.sum() for path in steps]
     return float(lengths[0]), np.array(lengths[1:])
 
 
-def _reduced_blocks(p: Projection, z: TangentVector, ws):
-    """Per path, geodesic first, the blocks ``(r_z, r_w)`` of ``a_z`` and
-    ``a_w`` in an orthonormal basis of the span of ``[a_z, a_w]``."""
+def _path_steps(p: Projection, z_mat: np.ndarray, w_mats, resolution: int, geometry: tuple):
+    """Per path, geodesic first, the steps along the moved small side of
+    ``exp(z(t))`` for ``z(t) = t z + t (1-t) w`` on the uniform grid of
+    ``resolution`` points, for generators off-diagonal for ``p``.
+
+    Only the corners ``a = Bb* z Bs`` count.  One thin QR per path moves
+    the span of ``[a_z, a_w]`` into at most 2k coordinates, then the closed
+    forms (k <= 2) or the interpolated kernel (k >= 3) take
+    ``geometry = (f, g, sigma)``.  At k = 0 every step is 0.
+    """
     small, big, _ = _side_blocks(p)
-    k = small.shape[1]
-    a_z = adj(big) @ z.mat @ small
-    for a_w in [np.zeros_like(a_z)] + [adj(big) @ w.mat @ small for w in ws]:
+    a_z, k = adj(big) @ z_mat @ small, small.shape[1]
+    ts = np.linspace(0.0, 1.0, resolution)
+    path_steps = _closed_form_steps if k <= 2 else _interpolated_steps
+    for a_w in [np.zeros_like(a_z)] + [adj(big) @ w @ small for w in w_mats]:
         r = np.linalg.qr(np.concatenate([a_z, a_w], axis=1), mode="r")
-        yield r[:, :k], r[:, k:]
+        yield path_steps(r[:, :k], r[:, k:], ts, *geometry) if k else np.zeros(resolution - 1)
 
 
-def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x* y`` for stacks of matrices with the sample axis last."""
-    return (x.conj()[:, :, None] * y[:, None, :]).sum(axis=0)
+def _gram(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x* diag(w) y`` for stacks of matrices with the sample axis last and
+    real weights ``w`` over the rows, applied in place to the real and
+    imaginary parts of ``conj(x)``, so that no temporary is added to those
+    of ``x* y``."""
+    xc = x.conj()
+    parts = xc.view(float)
+    parts *= w[:, None, None]
+    return (xc[:, :, None] * y[:, None, :]).sum(axis=0)
 
 
 def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -461,9 +483,11 @@ def _largest_eig_2x2(h: np.ndarray) -> np.ndarray:
     return mean + np.hypot(half_gap, np.abs(h[0, 1]))
 
 
-def _closed_form_steps(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Chordal steps along ``r(t) = t r_z + t (1-t) r_w`` for k <= 2, in
-    closed form with the sample axis last.
+def _closed_form_steps(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray,
+                       f: Callable, g: Callable, sigma: float) -> np.ndarray:
+    """Steps along the moved basis ``[f(|r|); r g(|r|)]`` of
+    ``r(t) = t r_z + t (1-t) r_w`` for k <= 2, in closed form with the
+    sample axis last; the form on the big side has sign ``sigma``.
 
     At k = 2, with ``r* r = [[h00, h01], [conj(h01), h11]]``, the eigenbasis
     is the rotation by ``atan2(|h01|, (h00 - h11) / 2) / 2`` after the phase
@@ -471,21 +495,22 @@ def _closed_form_steps(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray) -> np.n
     Van Loan, Matrix Computations, 8.5).
     """
     r = r_z[..., None] * ts + r_w[..., None] * (ts * (1.0 - ts))
-    h = _gram(r, r)
+    h = _gram(r, r, np.ones(len(r)))
     if r.shape[1] == 1:
         s = np.sqrt(h[0, 0].real)
-        basis = np.concatenate([np.cos(s)[None, None], r * np.sinc(s / np.pi)])
+        basis = np.concatenate([f(s)[None, None], r * g(s)])
     else:
         lam = _largest_eig_2x2(h)
         angle = np.arctan2(np.abs(h[0, 1]), (h[0, 0].real - h[1, 1].real) / 2) / 2
         cos, sin, phase = np.cos(angle), np.sin(angle), np.exp(-1j * np.angle(h[0, 1]))
         v = np.array([[cos, -sin], [phase * sin, phase * cos]])
         s = np.sqrt(np.clip([lam, h[0, 0].real + h[1, 1].real - lam], 0.0, None))
-        basis = np.concatenate([v * np.cos(s), _times(r, v) * np.sinc(s / np.pi)])
+        basis = np.concatenate([v * f(s), _times(r, v) * g(s)])
+    form = np.where(np.arange(len(basis)) < r.shape[1], 1.0, sigma)
     prev, nxt = basis[..., :-1], basis[..., 1:]
-    res = nxt - _times(prev, _gram(prev, nxt))
-    g = _gram(res, res)
-    return np.sqrt(g[0, 0].real if r.shape[1] == 1 else _largest_eig_2x2(g))
+    res = nxt - _times(prev, _gram(prev, nxt, form))
+    gram = _gram(res, res, sigma * form)
+    return np.sqrt(np.maximum(gram[0, 0].real if r.shape[1] == 1 else _largest_eig_2x2(gram), 0))
 
 
 # Radii of the Bernstein ellipses over which _interpolation_degree minimises
@@ -499,8 +524,9 @@ def _interpolation_degree(r_z: np.ndarray, r_w: np.ndarray) -> int:
     In ``x = 2t - 1`` the Bernstein ellipse of radius ``rho`` has semi-major
     axis ``c = (rho + 1/rho) / 2``; on it ``|t| <= (1 + c) / 2`` and
     ``|t (1-t)| <= c^2 / 4``, so the moved basis, a column block of the
-    exponential of an anti-Hermitian generator of norm ``||r(t)||`` for real
-    t, is bounded by ``M = exp((1 + c)/2 ||r_z|| + c^2/4 ||r_w||)``.  The
+    exponential of a generator of norm at most ``||r(t)||`` (anti-Hermitian
+    for a Grassmann path, Hermitian for a cone path, at real t), is bounded
+    by ``M = exp((1 + c)/2 ||r_z|| + c^2/4 ||r_w||)``.  The
     interpolant of degree ``deg`` then errs by at most
     ``4 M rho^-deg / (rho - 1)`` (Trefethen, Approximation Theory and
     Approximation Practice, 2013, Thm 8.2); the degree is the smallest that
@@ -536,8 +562,11 @@ def _chebyshev_rows(deg: int, ts: np.ndarray):
     return np.cos(order * (np.pi / (2 * deg))) ** 2, coef, at, diff
 
 
-def _interpolated_steps(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Chordal steps along ``r(t) = t r_z + t (1-t) r_w`` for any k.
+def _interpolated_steps(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray,
+                        f: Callable, g: Callable, sigma: float) -> np.ndarray:
+    """Steps along the moved basis ``[f(|r|); r g(|r|)]`` of
+    ``r(t) = t r_z + t (1-t) r_w`` for any k; the form on the big side has
+    sign ``sigma``.
 
     The moved basis is computed at ``deg + 1`` Chebyshev nodes, with
     ``deg`` from :func:`_interpolation_degree`, and interpolated to the
@@ -546,14 +575,14 @@ def _interpolated_steps(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray) -> np.
     2 and the interpolation rows ``N (deg + 1) / (20 k)``; the constants
     are fitted to per-path timings on one core at k = 3 to 32 and 20 to
     2000 samples, erring towards the direct route.  Each step is the
-    largest singular value of ``D - C (C* D)``, with ``C`` the moved basis
-    at a sample and ``D`` the difference to the next one.
+    square root of the largest eigenvalue of ``sigma res* J res`` for
+    ``res = D - C (C* J D)``, with ``C`` the moved basis at a sample, ``D``
+    the difference to the next one and ``J = diag(1_k, sigma)``.
 
-    The moved basis ``[cos|r|; r sinc|r|]`` comes from
-    :func:`_generator_blocks` in canonical form ``V f(s) V*``, an entire
-    function of t; the eigenvector form ``[V cos s; r V sinc s]`` changes
-    phase and column order from one t to the next and cannot be
-    interpolated.
+    The moved basis comes from :func:`_generator_blocks` in canonical form
+    ``V f(s) V*``, an entire function of t; the eigenvector form
+    ``[V f(s); r V g(s)]`` changes phase and column order from one t to the
+    next and cannot be interpolated.
     """
     deg = _interpolation_degree(r_z, r_w)
     direct = (deg + 1) * (2 / ts.size + 1 / (20 * r_z.shape[1])) >= 1
@@ -561,12 +590,22 @@ def _interpolated_steps(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray) -> np.
         nodes, coef, *rows = _chebyshev_rows(deg, ts)
     at = ts if direct else nodes
     r = at[:, None, None] * r_z + (at * (1.0 - at))[:, None, None] * r_w
-    top, mid = _generator_blocks(r, *_COS_SINC)
+    top, mid = _generator_blocks(r, f, g)
     basis = np.concatenate([top, r @ mid], axis=-2)
     if direct:
         prev, delta = basis[:-1], np.diff(basis, axis=0)
     else:
         c = coef @ basis.reshape(deg + 1, -1).view(float)
         prev, delta = ((m @ c).view(complex).reshape(-1, *basis.shape[1:]) for m in rows)
-    res = delta - prev @ (adj(prev) @ delta)
-    return np.sqrt(np.clip(np.linalg.eigvalsh(adj(res) @ res)[:, -1], 0.0, None))
+    form = np.where(np.arange(basis.shape[-2]) < r_z.shape[1], 1.0, sigma)
+    res = delta - prev @ (_adj_scaled(prev, form) @ delta)
+    gram = _adj_scaled(res, sigma * form) @ res
+    return np.sqrt(np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None))
+
+
+def _adj_scaled(x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``adj(diag(d) x)`` for stacked ``x`` and real ``d`` over its rows, in
+    the one pass over ``x`` that ``adj`` alone takes: the real and
+    imaginary parts are scaled by ``d`` and ``-d``."""
+    signs = np.outer(d, np.tile([1.0, -1.0], x.shape[-1]))
+    return np.swapaxes((x.view(float) * signs).view(complex), -1, -2)

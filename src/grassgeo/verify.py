@@ -455,25 +455,21 @@ def _cone_geodesic_additivity(n: int, rng: np.random.Generator, tol: Tolerance) 
     return _worst(residuals)
 
 
-_CONE_TS = np.linspace(0.0, 1.0, 2000)
-
-
 def _cone_geodesic_length(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
     _, m, nn = _disk_pair(n, rng, tol)
-    samples = dk.eps_geodesic_samples(m.lam, nn.lam, _CONE_TS)
-    return abs(dk.cone_polyline_length(samples) - dk.d_cone(m, nn))
+    [steps] = dk._cone_path_steps(m.lam, nn.lam, [], 2000)
+    return abs(steps.sum() - dk.d_cone(m, nn))
 
 
 def _cone_minimality(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
     _, m, nn = _disk_pair(n, rng, tol)
     dist = dk.d_cone(m, nn)
-    shortfalls = []
+    hs = []
     for _ in range(5):
         h = la.herm(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        h *= rng.uniform(0.05, 0.4) / np.linalg.norm(h, 2)
-        path = dk.cone_perturbed_path(m.lam, nn.lam, h, _CONE_TS)
-        shortfalls.append(dist - dk.cone_polyline_length(path))
-    return _worst(shortfalls)
+        hs.append(h * (rng.uniform(0.05, 0.4) / np.linalg.norm(h, 2)))
+    _, *paths = dk._cone_path_steps(m.lam, nn.lam, hs, 2000)
+    return _worst([dist - steps.sum() for steps in paths])
 
 
 def _disk_characterizations(n: int, rng: np.random.Generator, tol: Tolerance) -> float:

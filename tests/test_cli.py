@@ -177,6 +177,30 @@ class TestGeodesicTables:
         exact = (samples - 1) * np.sin(theta / (samples - 1))
         assert abs(float(capsys.readouterr().out) - exact) <= 0.5e-12 + 1e-13 * exact
 
+    @pytest.mark.parametrize("space", ["grassmann", "cone", "disk"])
+    @pytest.mark.parametrize("n, k", [(6, 3), (16, 12), (64, 16)])
+    def test_cumulative_is_the_exact_polyline(self, tmp_path, space, n, k):
+        # along a geodesic of length d sampled at N uniform points, step j
+        # ends at j sin(d / (N - 1)) (chordal steps) or j d / (N - 1) (cone
+        # steps); the tables print the column with repr, so it is judged
+        # unrounded, from the rows the tables encode
+        p = pj.random_projection(n, k, n)
+        samples, rng = 2000, np.random.default_rng(n)
+        if space == "grassmann":
+            end = pj.point_from_projection(gr.geodesic(p, gr.random_tangent(p, rng, 1.3), 1.0), p)
+        else:
+            end = dk.cone_to_disk(dk.PositiveEpsUnitary.from_xparam(
+                mo.random_hp_vector(p, rng, 2.5))).point
+        first = write_point(tmp_path / "a.json", pj.classify(p.mat, p))
+        second = write_point(tmp_path / "b.json", end)
+        argv = ["disk-geodesic"] if space == "disk" else ["geodesic", "--space", space]
+        args = cli.build_parser().parse_args(argv + ["--samples", str(samples), first, second])
+        rows, _, d = cli._geodesic_table(args, space)
+        j = np.arange(samples)
+        exact = j * (np.sin(d / (samples - 1)) if space == "grassmann" else d / (samples - 1))
+        assert [t for t, _ in rows] == np.linspace(0.0, 1.0, samples).tolist()
+        assert np.abs(np.array([cum for _, cum in rows]) - exact).max() <= 1e-13 * exact[-1]
+
     def test_length_bad_samples(self, rotation_files):
         first, second = rotation_files
         assert cli.main(["length", "--samples", "1", first, second]) == 2
@@ -264,11 +288,6 @@ def _old_table_csv(rows, mats):
     return "\n".join(lines) + "\n"
 
 
-def _old_cumulative_cone(mats):
-    steps = [dk.cone_polyline_length(mats[i:i + 2]) for i in range(len(mats) - 1)]
-    return np.concatenate([[0.0], np.cumsum(steps)])
-
-
 class TestGoldenOutput:
     """Tables and files equal what per-entry encoding with ``json`` writes."""
 
@@ -279,8 +298,6 @@ class TestGoldenOutput:
         first, second = request.getfixturevalue(files)
         argv = ["geodesic", "--space", space, "--samples", "7", "--format", fmt, first, second]
         rows, mats, closed = cli._geodesic_table(cli.build_parser().parse_args(argv), space)
-        if space == "cone":
-            rows = list(zip([t for t, _ in rows], _old_cumulative_cone(mats).tolist()))
         if fmt == "json":
             want = _old_table_json({"space": space, "closed_form_distance": closed}, rows, mats)
         else:
@@ -290,14 +307,11 @@ class TestGoldenOutput:
 
     def test_disk_geodesic_table(self, hyperbolic_files, capsys):
         # the points themselves are checked against the per-sample route in
-        # test_disk.py::TestGeodesicDiskPoints
+        # test_disk.py::TestGeodesicDiskPoints, the lengths in
+        # TestGeodesicTables::test_cumulative_is_the_exact_polyline
         base, hyp = hyperbolic_files
         argv = ["disk-geodesic", "--samples", "6", base, hyp]
         rows, points, closed = cli._geodesic_table(cli.build_parser().parse_args(argv), "disk")
-        m, n = se.point_from_obj(se.load_obj(base)), se.point_from_obj(se.load_obj(hyp))
-        lams = dk.eps_geodesic_samples(dk.disk_to_cone(n), dk.disk_to_cone(m),
-                                       [t for t, _ in rows])
-        rows = list(zip([t for t, _ in rows], _old_cumulative_cone(lams).tolist()))
         want = _old_table_json({"space": "disk", "closed_form_distance": closed}, rows, points)
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == want

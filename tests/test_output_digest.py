@@ -20,5 +20,6 @@ def test_digests_repeat():
     assert {"classify", "in_lp", "chart_inv", "chart_transition", "corner_inverse",
             "moebius_domain", "moebius_apply", "eps_geodesic", "geodesic", "geodesic_curve",
             "tangent_path_lengths", "disk_to_cone", "to_disk_point", "cone_perturbed_path",
-            "cone_polyline_steps", "cone_to_disk", "d_cone", "eps_geodesic_points"} <= names
+            "cone_polyline_steps", "cone_to_disk", "d_cone", "eps_geodesic_points",
+            "cone_path_steps"} <= names
     assert all(len(line.split()[2]) == 64 for line in first)

@@ -30,9 +30,22 @@ def lapack_steps(r_z, r_w, ts):
     return np.sqrt(np.clip(np.linalg.eigvalsh(adj(res) @ res)[:, -1], 0.0, None))
 
 
+def reduced_blocks(p, z, ws):
+    """Per path, geodesic first, the blocks ``(r_z, r_w)`` that the step
+    kernels take: ``a_z`` and ``a_w`` in an orthonormal basis of the span
+    of ``[a_z, a_w]``, from one thin QR, as ``grassmann._path_steps`` forms
+    them."""
+    small, big, _ = gr._side_blocks(p)
+    k = small.shape[1]
+    a_z = adj(big) @ z.mat @ small
+    for a_w in [np.zeros_like(a_z)] + [adj(big) @ w.mat @ small for w in ws]:
+        r = np.linalg.qr(np.concatenate([a_z, a_w], axis=1), mode="r")
+        yield r[:, :k], r[:, k:]
+
+
 def assert_kernels_agree(r_z, r_w, samples):
     ts = np.linspace(0.0, 1.0, samples)
-    closed = gr._closed_form_steps(r_z, r_w, ts)
+    closed = gr._closed_form_steps(r_z, r_w, ts, *gr._GRASSMANN)
     ref = lapack_steps(r_z, r_w, ts)
     assert closed.shape == ref.shape == (samples - 1,)
     assert np.all(np.isfinite(closed))
@@ -59,7 +72,7 @@ def test_closed_form_matches_lapack(n, rank, samples):
         # w = 0 and w = 2z leave the span [a_z, a_w] rank-deficient
         ws = [zero, gr.TangentVector(2 * z.mat, p), gr.random_tangent(p, rng, 0.3)]
         for pair in (z, ws), (zero, ws[-1:]), (zero, [zero]):
-            for r_z, r_w in gr._reduced_blocks(p, *pair):
+            for r_z, r_w in reduced_blocks(p, *pair):
                 assert r_z.shape[0] == min(n - min(rank, n - rank), 2 * r_z.shape[1])
                 assert_kernels_agree(r_z, r_w, samples)
 
@@ -75,7 +88,7 @@ def test_isometric_block(samples, rows):
     # the same block reached from a tangent on the kernel side
     p = pj.random_projection(6, 4, 3)
     z = tangent_from_block(p, 0.9 * np.eye(4, 2))
-    for r_z, r_w in gr._reduced_blocks(p, z, [z]):
+    for r_z, r_w in reduced_blocks(p, z, [z]):
         h = r_z.conj().T @ r_z
         assert abs(h[0, 1]) < 1e-14 and abs(h[0, 0] - h[1, 1]) < 1e-14
         assert_kernels_agree(r_z, r_w, samples)
@@ -88,8 +101,8 @@ def test_empty_perturbations(n, rank):
     z = gr.random_tangent(p, rng, 1.3)
     geo, pert = gr.tangent_path_lengths(p, z, [], 300)
     assert isinstance(geo, float) and pert.shape == (0,)
-    [(r_z, r_w)] = gr._reduced_blocks(p, z, [])
-    assert geo == gr._closed_form_steps(r_z, r_w, np.linspace(0.0, 1.0, 300)).sum()
+    [(r_z, r_w)] = reduced_blocks(p, z, [])
+    assert geo == gr._closed_form_steps(r_z, r_w, np.linspace(0.0, 1.0, 300), *gr._GRASSMANN).sum()
 
 
 @pytest.mark.parametrize("n, rank", [(5, 1), (6, 2), (7, 5), (64, 63)])
@@ -118,7 +131,7 @@ def interpolated_errors(r_z, r_w, samples):
     against the reference, the latter less its 1e-14 absolute allowance
     and relative to the reference length."""
     ts = np.linspace(0.0, 1.0, samples)
-    steps = gr._interpolated_steps(r_z, r_w, ts)
+    steps = gr._interpolated_steps(r_z, r_w, ts, *gr._GRASSMANN)
     ref = lapack_steps(r_z, r_w, ts)
     assert steps.shape == ref.shape == (samples - 1,)
     assert np.all(np.isfinite(steps))
@@ -138,7 +151,7 @@ def test_interpolated_matches_lapack(n, rank, samples):
         # w = -z gives r(t) = t^2 r_z, stationary at t = 0
         ws = [zero, gr.TangentVector(2 * z.mat, p), gr.TangentVector(-z.mat, p),
               gr.random_tangent(p, rng, norm)]
-        for r_z, r_w in list(gr._reduced_blocks(p, z, ws))[1:]:
+        for r_z, r_w in list(reduced_blocks(p, z, ws))[1:]:
             assert r_z.shape[1] == min(rank, n - rank) >= 3
             step_err, length_err = interpolated_errors(r_z, r_w, samples)
             worst_step, worst_length = max(worst_step, step_err), max(worst_length, length_err)
@@ -158,13 +171,13 @@ def test_interpolated_routes(monkeypatch, n, rank, norm, samples, direct):
     rng = np.random.default_rng(n)
     p = pj.random_projection(n, rank, 5)
     z = gr.random_tangent(p, rng, norm)
-    [(r_z, r_w)] = list(gr._reduced_blocks(p, z, [gr.random_tangent(p, rng, norm / 2)]))[1:]
+    [(r_z, r_w)] = list(reduced_blocks(p, z, [gr.random_tangent(p, rng, norm / 2)]))[1:]
     step_err, length_err = interpolated_errors(r_z, r_w, samples)
     assert step_err <= 1e-13 and length_err <= 1e-12
     sizes = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
-    gr._interpolated_steps(r_z, r_w, np.linspace(0.0, 1.0, samples))
+    gr._interpolated_steps(r_z, r_w, np.linspace(0.0, 1.0, samples), *gr._GRASSMANN)
     assert sizes == [samples if direct else gr._interpolation_degree(r_z, r_w) + 1]
 
 
@@ -175,7 +188,7 @@ def test_interpolated_eigh_count(monkeypatch, n, rank):
     z = gr.random_tangent(p, rng, 1.5)
     ws = [gr.random_tangent(p, rng, norm) for norm in (0.0, 1e-3, 1.0, 8.0)]
     _ = p.range_basis, p.null_basis
-    degrees = [gr._interpolation_degree(r_z, r_w) for r_z, r_w in gr._reduced_blocks(p, z, ws)]
+    degrees = [gr._interpolation_degree(r_z, r_w) for r_z, r_w in reduced_blocks(p, z, ws)]
     assert min(degrees) + 1 < 2000
     sizes = []
     eigh = np.linalg.eigh

@@ -220,6 +220,18 @@ def sweep(gg, dims, rec: Digests):
                 x = gg.random_hp_vector(p, decision_rng, sigma)
                 rec.record("cone_to_disk", gg.cone_to_disk, gg.PositiveEpsUnitary.from_xparam(x))
 
+            # the cone steps that the package measures for itself, on the
+            # small side, for the geodesic, a perturbation with every block
+            # and its block-diagonal part; from a generator of their own
+            steps_rng = np.random.default_rng(seed + 12)
+            lam = gg.random_pos_eps_unitary(p, 1.5, seed + 13)
+            kappa = gg.random_pos_eps_unitary(p, 1.5, seed + 14)
+            h = steps_rng.standard_normal((n, n)) + 1j * steps_rng.standard_normal((n, n))
+            hs = [h, p.mat @ h @ p.mat + p.comp @ h @ p.comp]
+            for samples in (2, 50, 2000) if n <= 8 else (2, 50):
+                rec.record("cone_path_steps",
+                           lambda: list(gg.disk._cone_path_steps(lam, kappa, hs, samples)))
+
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
