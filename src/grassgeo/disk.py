@@ -41,7 +41,7 @@ from .errors import (
     NotInDisk,
     NotPositive,
 )
-from .linalg import DEFAULT_TOL, Tolerance, adj, as_matrix, herm, op_norm, spectral
+from .linalg import DEFAULT_TOL, Tolerance, _op_norm, adj, as_matrix, herm, spectral
 from .moebius import HpVector, chart_inv, random_hp_vector
 from .projective import Projection, ProjectivePoint, _trusted, classify
 from .grassmann import _check_context, _generator_blocks, _path_steps, _side_blocks, d_chordal
@@ -273,10 +273,18 @@ def base_disk_point(p: Projection, tol: Tolerance = DEFAULT_TOL) -> DiskPoint:
 
 def rho(m: DiskPoint, n: DiskPoint, tol: Tolerance = DEFAULT_TOL) -> float:
     """The corner pairing ``|| (1-p) u* eps v p ||`` of the square-root
-    representatives; the hyperbolic sine scale of the separation."""
+    representatives ``u = mu^{1/2}``, ``v = nu^{1/2}``; the hyperbolic sine
+    scale of the separation.
+
+    ``v`` is Hermitian and eps-unitary, so ``eps v = v^{-1} eps`` and
+    ``eps v p = nu^{-1/2} p``: the pairing is the norm of the
+    (n-k) x k block ``Bc* mu^{1/2} nu^{-1/2} Bp``, with ``Bp`` and ``Bc``
+    the range and null bases of ``p``, from the cached ``sqrt`` and
+    ``inv_sqrt``.
+    """
     _check_context(m.point, n.point, tol)
     p = m.context
-    return op_norm(p.comp @ m.lam.sqrt.conj().T @ p.eps @ n.lam.sqrt @ p.mat)
+    return _op_norm(adj(p.null_basis) @ (m.lam.sqrt @ (n.lam.inv_sqrt @ p.range_basis)))
 
 
 def d_pseudo_chordal(m: DiskPoint, n: DiskPoint, tol: Tolerance = DEFAULT_TOL) -> float:

@@ -49,7 +49,8 @@ from .errors import (
     OutOfRange,
     ResidualError,
 )
-from .linalg import DEFAULT_TOL, Tolerance, _is_singular, adj, as_matrix, herm, op_norm, spectral
+from .linalg import (DEFAULT_TOL, Tolerance, _is_singular, _op_norm, adj, as_matrix, herm, op_norm,
+                     spectral)
 from .projective import Projection, ProjectivePoint, _trusted, random_offdiag_antiherm
 
 __all__ = [
@@ -90,7 +91,7 @@ class TangentVector:
 
     @cached_property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.mat, 2))
+        return _op_norm(self.mat)
 
     def __repr__(self):
         return f"TangentVector(dim={self.mat.shape[0]}, norm={self.norm:.6g})"
@@ -127,7 +128,7 @@ def _check_resolution(resolution) -> None:
 def random_tangent(p: Projection, rng: np.random.Generator, norm: float = 1.0) -> TangentVector:
     """Random tangent at ``p`` scaled to the requested operator norm."""
     z = random_offdiag_antiherm(p, rng)
-    zn = np.linalg.norm(z, 2)
+    zn = _op_norm(z)
     return _trusted(TangentVector, mat=z * (norm / zn) if zn else np.zeros_like(z), context=p)
 
 
@@ -139,9 +140,18 @@ def _check_context(m: ProjectivePoint, n: ProjectivePoint, tol: Tolerance):
 
 
 def d_chordal(m: ProjectivePoint, n: ProjectivePoint, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Chordal distance: operator norm of the difference of range projections."""
+    """Chordal distance: operator norm of the difference ``P - Q`` of range
+    projections, the sine of the largest principal angle (Bjorck and Golub,
+    1973).
+
+    The points share their rank k, so ``||P - Q|| = ||(1 - P) Q||`` is
+    attained on ran(Q): the norm is taken of the n x k block ``(P - Q) Bq``,
+    with ``Bq`` the range basis of ``Q``.  The difference itself is formed
+    entrywise, so equal points are at distance exactly 0.
+    """
     _check_context(m, n, tol)
-    return op_norm(m.range.mat - n.range.mat)
+    q = n.range
+    return _op_norm((m.range.mat - q.mat) @ q.range_basis)
 
 
 def d_spherical(m: ProjectivePoint, n: ProjectivePoint, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -534,7 +544,7 @@ def _interpolation_degree(r_z: np.ndarray, r_w: np.ndarray) -> int:
     """
     rho = _ELLIPSES
     c = (rho + 1 / rho) / 2
-    log_m = (1 + c) / 2 * np.linalg.norm(r_z, 2) + c * c / 4 * np.linalg.norm(r_w, 2)
+    log_m = (1 + c) / 2 * _op_norm(r_z) + c * c / 4 * _op_norm(r_w)
     deg = (np.log(4 / (rho - 1)) + log_m + 53 * np.log(2)) / np.log(rho)
     return int(np.ceil(deg.min()))
 

@@ -117,10 +117,17 @@ def _is_singular(a: np.ndarray, tol: float) -> bool:
     return s.min() <= tol * s.max()
 
 
+def _op_norm(a: np.ndarray) -> float:
+    """Operator norm of a matrix, unchecked: its largest singular value, the
+    value ``np.linalg.norm(a, 2)`` takes from the same LAPACK call; 0 for an
+    empty block (a corner at rank 0 or n)."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return float(s[0]) if s.size else 0.0
+
+
 def op_norm(a) -> float:
     """Operator (spectral) norm: the largest singular value."""
-    a = as_matrix(a)
-    return float(np.linalg.norm(a, 2))
+    return _op_norm(as_matrix(a))
 
 
 def hermitian_eig(a, tol: Tolerance = DEFAULT_TOL) -> HermitianEig:

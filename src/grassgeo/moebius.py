@@ -8,7 +8,9 @@ coordinates as the Moebius map ``b -> (z + w b)(x + y b)^{-1}`` built from
 its blocks.  Since ``z + w b = (1-p) g (p + b) p`` and
 ``x + y b = p g (p + b) p``, the map is the chart coordinate of the point
 ``[g (p + b)]``, and ``chart_inv``, ``chart_transition`` and the Moebius
-maps share one kernel, ``_chart_coordinate``.
+maps share one kernel, ``_chart_coordinate``.  It returns the
+(n-k) x k block of the coordinate in the bases of ker(p) and ran(p), which
+the three embed as an n x n matrix and :func:`d_chart` compares as it is.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from .errors import (
     NotInvertible,
     OutsideDomain,
 )
-from .linalg import DEFAULT_TOL, Tolerance, _is_singular, as_matrix, op_norm
+from .grassmann import _check_context
+from .linalg import DEFAULT_TOL, Tolerance, _is_singular, _op_norm, adj, as_matrix
 from .projective import Projection, ProjectivePoint, _corner_inv, _trusted, classify
 
 __all__ = [
@@ -55,7 +58,7 @@ class HpVector:
 
     @cached_property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.mat, 2))
+        return _op_norm(self.mat)
 
     def __repr__(self):
         return f"HpVector(dim={self.mat.shape[0]}, norm={self.norm:.6g})"
@@ -66,19 +69,37 @@ def random_hp_vector(p: Projection, rng: np.random.Generator, norm: float = 1.0)
     n = p.dim
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     x = p.comp @ m @ p.mat
-    xn = np.linalg.norm(x, 2)
+    xn = _op_norm(x)
     return _trusted(HpVector, mat=x * (norm / xn) if xn else np.zeros_like(x), context=p)
 
 
 def _chart_coordinate(a: np.ndarray, q: Projection, tol: Tolerance) -> np.ndarray | None:
-    """``(1-q) a q (q a q)^{-1}``, the inverse taken in ``qAq``: the chart
-    coordinate at ``q`` of the point ``[a q]``, or None when the compression
-    of ``a`` to ran(q) is singular within eq_tol (the point is not finite)."""
+    """The (n-k) x k block ``Bc* a Bq (Bq* a Bq)^{-1}`` of the chart
+    coordinate ``(1-q) a q (q a q)^{-1}`` at ``q`` of the point ``[a q]``,
+    with ``Bq`` and ``Bc`` the range and null bases of ``q``; None when the
+    compression ``Bq* a Bq`` is singular within eq_tol (the point is not
+    finite).  The n x k columns ``a Bq (Bq* a Bq)^{-1}`` represent the point
+    with compression 1 to ran(q); the block is their ker(q) part."""
     c_inv = _corner_inv(a, q, tol)
     if c_inv is None:
         return None
-    b = q.range_basis
-    return q.comp @ a @ b @ c_inv @ b.conj().T
+    return adj(q.null_basis) @ ((a @ q.range_basis) @ c_inv)
+
+
+def _hp_vector(block: np.ndarray, q: Projection) -> HpVector:
+    """The chart coordinate ``Bc block Bq*`` at ``q`` of a block from
+    :func:`_chart_coordinate`."""
+    return _trusted(HpVector, mat=q.null_basis @ block @ adj(q.range_basis), context=q)
+
+
+def _chart_block(m: ProjectivePoint, p: Projection, tol: Tolerance) -> np.ndarray:
+    """The chart coordinate block at ``p`` of a finite point; NotFinitePoint
+    if the compression of its representative to ran(p) is singular within
+    eq_tol."""
+    x = _chart_coordinate(m.rep.mat, p, tol)
+    if x is None:
+        raise NotFinitePoint("point lies outside the affine chart at p")
+    return x
 
 
 def chart(x: HpVector, tol: Tolerance = DEFAULT_TOL) -> ProjectivePoint:
@@ -99,16 +120,29 @@ def chart_inv(m: ProjectivePoint, tol: Tolerance = DEFAULT_TOL) -> HpVector:
         If the compression of the representative to ran(p) is singular
         within eq_tol.
     """
-    p = m.context
-    x = _chart_coordinate(m.rep.mat, p, tol)
-    if x is None:
-        raise NotFinitePoint("point lies outside the affine chart at p")
-    return _trusted(HpVector, mat=x, context=p)
+    return _hp_vector(_chart_block(m, m.context, tol), m.context)
 
 
 def d_chart(m: ProjectivePoint, n: ProjectivePoint, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Chart metric: norm distance of the chart coordinates of two finite points."""
-    return op_norm(chart_inv(m, tol).mat - chart_inv(n, tol).mat)
+    """Chart metric: norm distance of the chart coordinates of two finite
+    points over the same context.
+
+    The coordinates are ``Bc x Bp*`` for (n-k) x k blocks ``x`` in the
+    bases of ker(p) and ran(p), so the norm is taken of the difference of
+    the blocks; equal points are at distance exactly 0.  Both blocks are
+    taken in the bases of ``m``'s context: contexts equal within eq_tol
+    may carry bases turned against each other within ran(p) and ker(p).
+
+    Raises
+    ------
+    InvalidInput
+        If the points have different context projections.
+    NotFinitePoint
+        If either point lies outside the chart.
+    """
+    _check_context(m, n, tol)
+    p = m.context
+    return _op_norm(_chart_block(m, p, tol) - _chart_block(n, p, tol))
 
 
 class MoebiusMap:
@@ -151,7 +185,7 @@ def moebius_apply(g: MoebiusMap, b: HpVector, tol: Tolerance = DEFAULT_TOL) -> H
     out = _chart_coordinate(g.g @ (p.mat + b.mat), p, tol)
     if out is None:
         raise OutsideDomain("coordinate lies outside the Moebius domain")
-    return _trusted(HpVector, mat=out, context=p)
+    return _hp_vector(out, p)
 
 
 def chart_transition(q: Projection, r: Projection, x: HpVector,
@@ -172,9 +206,9 @@ def chart_transition(q: Projection, r: Projection, x: HpVector,
         raise InvalidInput("coordinate does not live in the chart at r")
     if q.mat.shape != r.mat.shape:
         raise InvalidInput("projections live in different ambient dimensions")
-    if op_norm(q.mat - r.mat) >= 1.0 - tol.eq_tol:
+    if _op_norm(q.mat - r.mat) >= 1.0 - tol.eq_tol:
         raise OutsideDomain("chart bases are at chordal distance 1")
     out = _chart_coordinate(r.mat + x.mat, q, tol)
     if out is None:
         raise OutsideDomain("transported point lies outside the chart at q")
-    return _trusted(HpVector, mat=out, context=q)
+    return _hp_vector(out, q)

@@ -345,7 +345,7 @@ def random_point_near(
         raise InvalidInput("radius must lie strictly between 0 and 1")
     rng = np.random.default_rng(seed)
     z = random_offdiag_antiherm(p, rng)
-    zn = np.linalg.norm(z, 2)
+    zn = linalg._op_norm(z)
     if zn == 0.0:
         return classify(p.mat, p, tol)
     theta = np.arcsin(radius) * (1.0 - rng.uniform())

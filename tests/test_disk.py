@@ -247,8 +247,10 @@ class TestDiskMetrics:
             k = dk.cone_to_disk(dk.random_pos_eps_unitary(p, 1.0, int(rng.integers(2**32))))
             r1 = dk.rho(m, k)
             assert r1 == pytest.approx(dk.rho(k, m), abs=1e-10)
+            # rho reduces eps nu^{1/2} p to nu^{-1/2} p; the n x n product
+            # through eps is the independent route
             pc = np.eye(n) - p.mat
-            alt = la.op_norm(pc @ m.lam.sqrt @ k.lam.inv_sqrt @ p.mat)
+            alt = la.op_norm(pc @ m.lam.sqrt.conj().T @ p.eps @ k.lam.sqrt @ p.mat)
             assert r1 == pytest.approx(alt, abs=1e-10)
 
     @pytest.mark.parametrize("sigma", [1.0, 8.0, 15.0, 28.0])
