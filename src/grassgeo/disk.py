@@ -18,7 +18,9 @@ and their disk points one thin QR each.  ``E = exp(Y/2)`` moves the small
 side ``Bs`` of ``p`` by the Grassmann kernel with cosh/sinhc for cos/sinc,
 and perturbed paths are ``exp(Y) = 2 (E Bs)(E Bs)* - eps_s``.  The
 package measures its own cone paths on that small side too, through the
-Grassmann step kernel with the indefinite form (``_cone_path_steps``);
+Grassmann kernel with the indefinite form: as polylines of cone steps
+(``_cone_path_steps``, for ``cone-geodesic-length``) and as integrals of
+the cone speed (``_cone_path_integrals``, for ``cone-path-minimality``).
 :func:`cone_polyline_steps` measures stacks that callers supply, with one
 Cholesky factor per sample.
 
@@ -44,7 +46,8 @@ from .errors import (
 from .linalg import DEFAULT_TOL, Tolerance, _op_norm, adj, as_matrix, herm, spectral
 from .moebius import HpVector, chart_inv, random_hp_vector
 from .projective import Projection, ProjectivePoint, _trusted, classify
-from .grassmann import _check_context, _generator_blocks, _path_steps, _side_blocks, d_chordal
+from .grassmann import (_check_context, _generator_blocks, _path_integrals, _path_steps,
+                        _side_blocks, d_chordal)
 
 __all__ = [
     "EpsSymmetry",
@@ -476,6 +479,14 @@ def cone_perturbed_path(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
     return herm(2 * (moved @ adj(moved)) - eps_s)
 
 
+def _cone_generators(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary, hs):
+    """The context, ``L / 2`` and the halved perturbations ``herm(h) / 2``
+    of the paths ``cone_perturbed_path(mu, nu, h, .)``, for the kernels of
+    :mod:`grassgeo.grassmann` with the cone geometry."""
+    w, v = _relative_spectrum(mu, nu)
+    return mu.context, spectral(v, np.log(w) / 2), [herm(h) / 2 for h in hs]
+
+
 def _cone_path_steps(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary, hs, resolution: int):
     """Per path, geodesic first, the cone steps of
     ``cone_perturbed_path(mu, nu, h, ts)`` on the uniform grid ``ts`` of
@@ -488,10 +499,21 @@ def _cone_path_steps(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary, hs, resolut
     ``J = diag(1_k, -1)``, and the Grassmann step kernel with that form
     gives ``sinh`` of that distance, so each step is ``2 arsinh`` of it.
     """
-    w, v = _relative_spectrum(mu, nu)
-    half_hs = [herm(h) / 2 for h in hs]
-    steps = _path_steps(mu.context, spectral(v, np.log(w) / 2), half_hs, resolution, _CONE)
+    steps = _path_steps(*_cone_generators(mu, nu, hs), resolution, _CONE)
     return (2 * np.arcsinh(path) for path in steps)
+
+
+def _cone_path_integrals(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary, hs) -> list:
+    """Per path, geodesic first, the cone length ``int_0^1 speed dt`` of
+    ``cone_perturbed_path(mu, nu, h, .)``, measured on the small side,
+    unchecked.
+
+    As ``sinh`` and ``arsinh`` have slope 1 at 0, the cone speed is twice
+    the speed that the Grassmann speed kernel with the form
+    ``J = diag(1_k, -1)`` takes of the moved small sides, as for
+    :func:`_cone_path_steps`.
+    """
+    return [2 * length for length in _path_integrals(*_cone_generators(mu, nu, hs), _CONE)]
 
 
 def eps_action(u, m: DiskPoint, tol: Tolerance = DEFAULT_TOL) -> DiskPoint:

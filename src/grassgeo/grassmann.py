@@ -30,13 +30,21 @@ of t, is computed at a few dozen Chebyshev nodes per path and interpolated
 to the samples (Trefethen, Approximation Theory and Approximation Practice,
 2013, ch. 8), or at the samples themselves where a long path would need
 too high a degree.
+
+Those sums of steps are polylines, the lengths that
+:func:`tangent_path_lengths`, :func:`curve_length` and the tables report.
+The verify minimality properties compare lengths as integrals of the speed
+instead (``_path_integrals``): the same kernel takes the moved basis and
+its derivative from the Chebyshev interpolant at Gauss-Legendre nodes, and
+the speed is the step's residual norm with the derivative for the
+difference.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -452,23 +460,46 @@ def tangent_path_lengths(p: Projection, z: TangentVector, ws, resolution: int = 
     return float(lengths[0]), np.array(lengths[1:])
 
 
+def _reduced_blocks(p: Projection, z_mat: np.ndarray, w_mats):
+    """Per path, geodesic first, the blocks ``(r_z, r_w)`` of the generator
+    ``z(t) = t z + t (1-t) w``, for generators off-diagonal for ``p``.
+
+    Only the corners ``a = Bb* z Bs`` count.  One thin QR per path,
+    ``[a_z, a_w] = Q [r_z, r_w]``, moves the span of ``[a_z, a_w]`` into at
+    most 2k coordinates.  At k = 0 both blocks are empty.
+    """
+    small, big, _ = _side_blocks(p)
+    a_z, k = adj(big) @ z_mat @ small, small.shape[1]
+    for a_w in [np.zeros_like(a_z)] + [adj(big) @ w @ small for w in w_mats]:
+        r = np.linalg.qr(np.concatenate([a_z, a_w], axis=1), mode="r")
+        yield r[:, :k], r[:, k:]
+
+
 def _path_steps(p: Projection, z_mat: np.ndarray, w_mats, resolution: int, geometry: tuple):
     """Per path, geodesic first, the steps along the moved small side of
     ``exp(z(t))`` for ``z(t) = t z + t (1-t) w`` on the uniform grid of
     ``resolution`` points, for generators off-diagonal for ``p``.
 
-    Only the corners ``a = Bb* z Bs`` count.  One thin QR per path moves
-    the span of ``[a_z, a_w]`` into at most 2k coordinates, then the closed
-    forms (k <= 2) or the interpolated kernel (k >= 3) take
-    ``geometry = (f, g, sigma)``.  At k = 0 every step is 0.
+    The closed forms (k <= 2) or the interpolated kernel (k >= 3) take the
+    blocks of :func:`_reduced_blocks` and ``geometry = (f, g, sigma)``.  At
+    k = 0 every step is 0.
     """
-    small, big, _ = _side_blocks(p)
-    a_z, k = adj(big) @ z_mat @ small, small.shape[1]
     ts = np.linspace(0.0, 1.0, resolution)
-    path_steps = _closed_form_steps if k <= 2 else _interpolated_steps
-    for a_w in [np.zeros_like(a_z)] + [adj(big) @ w @ small for w in w_mats]:
-        r = np.linalg.qr(np.concatenate([a_z, a_w], axis=1), mode="r")
-        yield path_steps(r[:, :k], r[:, k:], ts, *geometry) if k else np.zeros(resolution - 1)
+    for r_z, r_w in _reduced_blocks(p, z_mat, w_mats):
+        k = r_z.shape[1]
+        path_steps = _closed_form_steps if k <= 2 else _interpolated_steps
+        yield path_steps(r_z, r_w, ts, *geometry) if k else np.zeros(resolution - 1)
+
+
+def _path_integrals(p: Projection, z_mat: np.ndarray, w_mats, geometry: tuple):
+    """Per path, geodesic first, the length ``int_0^1 speed dt`` of the moved
+    small side of ``exp(z(t))`` for ``z(t) = t z + t (1-t) w``, for
+    generators off-diagonal for ``p``: :func:`_speed_integral` of the blocks
+    of :func:`_reduced_blocks` with ``geometry = (f, g, sigma)``.  At k = 0
+    every length is 0.
+    """
+    for r_z, r_w in _reduced_blocks(p, z_mat, w_mats):
+        yield _speed_integral(r_z, r_w, *geometry) if r_z.shape[1] else 0.0
 
 
 def _gram(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -549,27 +580,78 @@ def _interpolation_degree(r_z: np.ndarray, r_w: np.ndarray) -> int:
     return int(np.ceil(deg.min()))
 
 
-def _chebyshev_rows(deg: int, ts: np.ndarray):
-    """The Chebyshev-Lobatto nodes ``t_j = cos^2(j pi / (2 deg))`` on
-    [0, 1], j = 0..deg, the matrix mapping values there to Chebyshev
-    coefficients, and the rows mapping coefficients to the interpolant at
-    ``ts[:-1]`` and to its differences between consecutive samples.
+def _angles(ts: np.ndarray) -> np.ndarray:
+    """The angles ``theta`` in [0, pi] with ``t = cos^2(theta / 2)``."""
+    return 2 * np.arctan2(np.sqrt(1.0 - ts), np.sqrt(ts))
 
-    With ``t = cos^2(theta / 2)`` the interpolant is
-    ``sum_l c_l cos(l theta)``, its coefficients the discrete cosine
-    transform of the node values.  The difference rows use
-    ``cos(l b) - cos(l a) = -2 sin(l (a+b)/2) sin(l (b-a)/2)``, so that short
-    steps do not cancel.
+
+def _moved_basis(ts: np.ndarray, r_z: np.ndarray, r_w: np.ndarray,
+                 f: Callable, g: Callable) -> np.ndarray:
+    """The moved basis ``[f(|r|); r g(|r|)]`` of ``r(t) = t r_z + t (1-t) r_w``
+    at the times ``ts``, from :func:`_generator_blocks` in canonical form
+    ``V f(s) V*``, an entire function of t."""
+    r = ts[:, None, None] * r_z + (ts * (1.0 - ts))[:, None, None] * r_w
+    top, mid = _generator_blocks(r, f, g)
+    return np.concatenate([top, r @ mid], axis=-2)
+
+
+def _chebyshev_coefficients(r_z: np.ndarray, r_w: np.ndarray, deg: int,
+                            f: Callable, g: Callable) -> np.ndarray:
+    """Chebyshev coefficients of degree ``deg`` of the moved basis of
+    ``r(t) = t r_z + t (1-t) r_w``, one row per degree over the real and
+    imaginary parts of its entries.
+
+    The basis is computed at the Chebyshev-Lobatto nodes
+    ``t_j = cos^2(j pi / (2 deg))`` on [0, 1], j = 0..deg.  With
+    ``t = cos^2(theta / 2)`` the interpolant is ``sum_l c_l cos(l theta)``,
+    its coefficients the discrete cosine transform of the node values.
     """
     order = np.arange(deg + 1)
     coef = np.cos(np.outer(order, order) * (np.pi / deg)) * (2.0 / deg)
     coef[:, [0, -1]] /= 2
     coef[[0, -1]] /= 2
-    theta = 2 * np.arctan2(np.sqrt(1.0 - ts), np.sqrt(ts))
+    basis = _moved_basis(np.cos(order * (np.pi / (2 * deg))) ** 2, r_z, r_w, f, g)
+    return coef @ basis.reshape(deg + 1, -1).view(float)
+
+
+def _interpolate(rows: np.ndarray, coef: np.ndarray, k: int) -> np.ndarray:
+    """The stacked (rows x k) moved bases that ``rows`` map the Chebyshev
+    coefficients ``coef`` of a basis with k columns to."""
+    return (rows @ coef).view(complex).reshape(len(rows), -1, k)
+
+
+def _chebyshev_rows(deg: int, ts: np.ndarray):
+    """The rows mapping Chebyshev coefficients of degree ``deg`` (see
+    :func:`_chebyshev_coefficients`) to the interpolant at ``ts[:-1]`` and
+    to its differences between consecutive samples.
+
+    The difference rows use
+    ``cos(l b) - cos(l a) = -2 sin(l (a+b)/2) sin(l (b-a)/2)``, so that short
+    steps do not cancel.
+    """
+    order = np.arange(deg + 1)
+    theta = _angles(ts)
     mid, half = (theta[1:] + theta[:-1]) / 2, (theta[1:] - theta[:-1]) / 2
     at = np.cos(np.outer(theta[:-1], order))
     diff = -2 * np.sin(np.outer(mid, order)) * np.sin(np.outer(half, order))
-    return np.cos(order * (np.pi / (2 * deg))) ** 2, coef, at, diff
+    return at, diff
+
+
+def _residual_norms(c: np.ndarray, d: np.ndarray, k: int, sigma: float) -> np.ndarray:
+    """Square roots of the largest eigenvalues of ``sigma res* J res`` for
+    ``res = d - c (c* J d)``, with ``J = diag(1_k, sigma)``, for stacked
+    moved bases ``c`` and their differences or derivatives ``d``.  For
+    Grassmann paths (``sigma = +1``) this is ``||(1 - c c*) d||``.  At
+    k <= 2 the eigenvalue is taken in closed form."""
+    form = np.where(np.arange(c.shape[-2]) < k, 1.0, sigma)
+    res = d - c @ (_adj_scaled(c, form) @ d)
+    gram = _adj_scaled(res, sigma * form) @ res
+    if k <= 2:
+        h = np.moveaxis(gram, 0, -1)
+        top = h[0, 0].real if k == 1 else _largest_eig_2x2(h)
+    else:
+        top = np.linalg.eigvalsh(gram)[:, -1]
+    return np.sqrt(np.clip(top, 0.0, None))
 
 
 def _interpolated_steps(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray,
@@ -589,28 +671,107 @@ def _interpolated_steps(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray,
     ``res = D - C (C* J D)``, with ``C`` the moved basis at a sample, ``D``
     the difference to the next one and ``J = diag(1_k, sigma)``.
 
-    The moved basis comes from :func:`_generator_blocks` in canonical form
-    ``V f(s) V*``, an entire function of t; the eigenvector form
-    ``[V f(s); r V g(s)]`` changes phase and column order from one t to the
-    next and cannot be interpolated.
+    The moved basis is interpolated in its canonical form ``V f(s) V*``;
+    the eigenvector form ``[V f(s); r V g(s)]`` changes phase and column
+    order from one t to the next and cannot be interpolated.
     """
+    k = r_z.shape[1]
     deg = _interpolation_degree(r_z, r_w)
-    direct = (deg + 1) * (2 / ts.size + 1 / (20 * r_z.shape[1])) >= 1
-    if not direct:
-        nodes, coef, *rows = _chebyshev_rows(deg, ts)
-    at = ts if direct else nodes
-    r = at[:, None, None] * r_z + (at * (1.0 - at))[:, None, None] * r_w
-    top, mid = _generator_blocks(r, f, g)
-    basis = np.concatenate([top, r @ mid], axis=-2)
-    if direct:
+    if (deg + 1) * (2 / ts.size + 1 / (20 * k)) >= 1:
+        basis = _moved_basis(ts, r_z, r_w, f, g)
         prev, delta = basis[:-1], np.diff(basis, axis=0)
     else:
-        c = coef @ basis.reshape(deg + 1, -1).view(float)
-        prev, delta = ((m @ c).view(complex).reshape(-1, *basis.shape[1:]) for m in rows)
-    form = np.where(np.arange(basis.shape[-2]) < r_z.shape[1], 1.0, sigma)
-    res = delta - prev @ (_adj_scaled(prev, form) @ delta)
-    gram = _adj_scaled(res, sigma * form) @ res
-    return np.sqrt(np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None))
+        coef = _chebyshev_coefficients(r_z, r_w, deg, f, g)
+        prev, delta = (_interpolate(rows, coef, k) for rows in _chebyshev_rows(deg, ts))
+    return _residual_norms(prev, delta, k, sigma)
+
+
+# Gauss-Legendre node counts of _speed_integral: an estimate and its check
+_NODE_COUNTS = (64, 128)
+# the shortest piece of [0, 1] that _speed_integral bisects down to
+_MIN_PIECE = 2.0 ** -16
+
+
+@cache
+def _gauss_legendre(count: int):
+    """Nodes and weights of the ``count``-point Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(count)
+    return (x + 1) / 2, w / 2
+
+
+def _speed_rows(ts: np.ndarray, size: int):
+    """The rows mapping Chebyshev coefficients of degree below ``size`` (see
+    :func:`_chebyshev_coefficients`) to the interpolant at ``ts`` and to its
+    derivative in t there: at ``t = cos^2(theta / 2)``, ``cos(l theta)`` has
+    the derivative ``l sin(l theta) 2 / sin(theta)``."""
+    theta, order = _angles(ts), np.arange(size)
+    at = np.cos(np.outer(theta, order))
+    rate = np.sin(np.outer(theta, order)) * (order * (2 / np.sin(theta))[:, None])
+    return at, rate
+
+
+@lru_cache(maxsize=8)
+def _unit_rows(count: int, size: int):
+    """:func:`_speed_rows` at the nodes of the ``count``-point rule on
+    [0, 1], read-only."""
+    rows = _speed_rows(_gauss_legendre(count)[0], size)
+    for m in rows:
+        m.flags.writeable = False
+    return rows
+
+
+def _speed_integral(r_z: np.ndarray, r_w: np.ndarray,
+                    f: Callable, g: Callable, sigma: float) -> float:
+    """The length ``int_0^1 speed dt`` along the moved basis
+    ``C(t) = [f(|r|); r g(|r|)]`` of ``r(t) = t r_z + t (1-t) r_w`` for
+    k >= 1; the form on the big side has sign ``sigma``.
+
+    ``C`` and its derivative ``C'`` are interpolated from the Chebyshev
+    coefficients that the step kernel uses (:func:`_speed_rows`).  The
+    speed is the step kernel's residual norm with the derivative for the
+    difference, the square root of the largest eigenvalue of
+    ``sigma res* J res`` for ``res = C' - C (C* J C')``; for a Grassmann
+    path, ``||(1 - C C*) C'||``, the norm of the derivative of ``C C*``.
+
+    Gauss-Legendre rules of 64 and 128 nodes integrate it over [0, 1].
+    Where they differ by more than ``1e-12 max(1, L)``, the interval is
+    bisected, and each piece is accepted once its two estimates agree
+    within its share of that bound.  Near-crossings of the top singular
+    value of ``res`` make the speed nearly kinked, and only the pieces
+    around them are refined.
+
+    Raises
+    ------
+    ResidualError
+        If a piece of length ``2^-16`` still fails the test: the speed has
+        a kink, as where the path turns back on itself.
+    """
+    k = r_z.shape[1]
+    deg = _interpolation_degree(r_z, r_w)
+    coef = _chebyshev_coefficients(r_z, r_w, deg, f, g)
+    size = 1 << max(6, deg.bit_length())
+
+    def estimates(a, b):
+        out = []
+        for count in _NODE_COUNTS:
+            nodes, weights = _gauss_legendre(count)
+            rows = (_unit_rows(count, size) if (a, b) == (0.0, 1.0)
+                    else _speed_rows(a + (b - a) * nodes, size))
+            basis, velocity = (_interpolate(m[:, :deg + 1], coef, k) for m in rows)
+            out.append((b - a) * float(weights @ _residual_norms(basis, velocity, k, sigma)))
+        return out
+
+    def integral(a, b, coarse, fine):
+        if abs(fine - coarse) <= tol * (b - a):
+            return fine
+        if b - a <= _MIN_PIECE:
+            raise ResidualError(f"path length did not converge on [{a}, {b}]")
+        mid = (a + b) / 2
+        return integral(a, mid, *estimates(a, mid)) + integral(mid, b, *estimates(mid, b))
+
+    coarse, fine = estimates(0.0, 1.0)
+    tol = 1e-12 * max(1.0, fine)
+    return integral(0.0, 1.0, coarse, fine)
 
 
 def _adj_scaled(x: np.ndarray, d: np.ndarray) -> np.ndarray:

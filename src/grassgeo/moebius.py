@@ -27,7 +27,8 @@ from .errors import (
 )
 from .grassmann import _check_context
 from .linalg import DEFAULT_TOL, Tolerance, _is_singular, _op_norm, adj, as_matrix
-from .projective import Projection, ProjectivePoint, _corner_inv, _trusted, classify
+from .projective import (Projection, ProjectivePoint, _corner_inv, _trusted, classify,
+                         corner_compress)
 
 __all__ = [
     "HpVector",
@@ -79,11 +80,13 @@ def _chart_coordinate(a: np.ndarray, q: Projection, tol: Tolerance) -> np.ndarra
     with ``Bq`` and ``Bc`` the range and null bases of ``q``; None when the
     compression ``Bq* a Bq`` is singular within eq_tol (the point is not
     finite).  The n x k columns ``a Bq (Bq* a Bq)^{-1}`` represent the point
-    with compression 1 to ran(q); the block is their ker(q) part."""
-    c_inv = _corner_inv(a, q, tol)
+    with compression 1 to ran(q); the block is their ker(q) part.  The
+    columns ``a Bq`` are formed once, and the compression is ``Bq* (a Bq)``."""
+    cols = a @ q.range_basis
+    c_inv = _corner_inv(adj(q.range_basis) @ cols, tol)
     if c_inv is None:
         return None
-    return adj(q.null_basis) @ ((a @ q.range_basis) @ c_inv)
+    return adj(q.null_basis) @ (cols @ c_inv)
 
 
 def _hp_vector(block: np.ndarray, q: Projection) -> HpVector:
@@ -169,7 +172,7 @@ class MoebiusMap:
 
 def moebius_domain(g: MoebiusMap, b: HpVector, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether ``b`` lies in the domain: x + y b invertible in the corner."""
-    return _corner_inv(g.g @ (g.context.mat + b.mat), g.context, tol) is not None
+    return _corner_inv(corner_compress(g.g @ (g.context.mat + b.mat), g.context), tol) is not None
 
 
 def moebius_apply(g: MoebiusMap, b: HpVector, tol: Tolerance = DEFAULT_TOL) -> HpVector:

@@ -164,11 +164,10 @@ def corner_min_sv(a: np.ndarray, p: Projection) -> float:
     return float(np.linalg.svd(c, compute_uv=False).min())
 
 
-def _corner_inv(a: np.ndarray, p: Projection, tol: Tolerance) -> np.ndarray | None:
-    """Inverse of the compression ``b* a b`` of ``a`` to ran(p), or None when
-    it is singular within eq_tol: the one invertibility test in ``pAp``.  At
-    rank zero the compression is 0 x 0 and never singular."""
-    c = corner_compress(a, p)
+def _corner_inv(c: np.ndarray, tol: Tolerance) -> np.ndarray | None:
+    """Inverse of a compression ``c = b* a b`` of some ``a`` to ran(p), or
+    None when it is singular within eq_tol: the one invertibility test in
+    ``pAp``.  At rank zero the compression is 0 x 0 and never singular."""
     if (np.linalg.svd(c, compute_uv=False) <= tol.eq_tol).any():
         return None
     return np.linalg.inv(c)
@@ -185,7 +184,7 @@ def corner_inverse(a: np.ndarray, p: Projection, tol: Tolerance = DEFAULT_TOL) -
     NotInvertible
         If the compression to ran(p) is singular within eq_tol.
     """
-    c_inv = _corner_inv(a, p, tol)
+    c_inv = _corner_inv(corner_compress(a, p), tol)
     if c_inv is None:
         raise NotInvertible("compression to ran(p) is singular within eq_tol")
     b = p.range_basis

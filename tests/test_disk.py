@@ -532,16 +532,23 @@ class TestRelativeSpectrum:
     lose positivity; the cone functions then raise instead of returning NaN."""
 
     def test_not_positive_near_rim(self):
+        # the preimage of a point at chart radius 1 - 2e-9, with its
+        # smallest eigenvalue (about 1e-9) replaced by -1: the spectrum is
+        # negative by construction, far beyond the eigensolvers' rounding
+        # noise of about ||mu|| eps = 2e-7
         p = pj.random_projection(6, 3, 7)
         m = mo.chart(mo.random_hp_vector(p, np.random.default_rng(0), 1 - 2e-9))
         assert dk.in_disk(m)
-        dm, base = dk.to_disk_point(m), dk.base_disk_point(p)
+        lam, base = dk.to_disk_point(m).lam, dk.base_disk_point(p).lam
+        w = lam._w.copy()
+        w[np.argmin(w)] = -1.0
+        mu = dk._cone_element(lam._v, w, lam.xparam)
         with pytest.raises(NotPositive):
-            dk.d_cone(dm, base)
+            dk.d_cone(mu, base)
         with pytest.raises(NotPositive):
-            dk._relative_spectrum(dm.lam, base.lam)
+            dk._relative_spectrum(mu, base)
         with pytest.raises(NotPositive):
-            dk.eps_geodesic_samples(dm.lam, base.lam, [0.0, 0.5, 1.0])
+            dk.eps_geodesic_samples(mu, base, [0.0, 0.5, 1.0])
 
 
 class TestConeCurveInputs:

@@ -180,7 +180,7 @@ def block_formula(g, p, b):
     ``(z + w b)(x + y b)^{-1}``, the inverse taken in pAp, or None when
     ``x + y b`` is singular there."""
     pm, pc = p.mat, p.comp
-    t_inv = pj._corner_inv(pm @ g @ pm + pm @ g @ pc @ b, p, la.DEFAULT_TOL)
+    t_inv = pj._corner_inv(pj.corner_compress(pm @ g @ pm + pm @ g @ pc @ b, p), la.DEFAULT_TOL)
     if t_inv is None:
         return None
     bb = p.range_basis

@@ -38,7 +38,7 @@ def ref_chordal(m, n):
 
 def ref_chart_coordinate(m):
     p, a = m.context, m.rep.mat
-    c_inv = pj._corner_inv(a, p, la.DEFAULT_TOL)
+    c_inv = pj._corner_inv(pj.corner_compress(a, p), la.DEFAULT_TOL)
     b = p.range_basis
     return p.comp @ a @ b @ c_inv @ b.conj().T
 

@@ -123,6 +123,27 @@ def test_sin_identity_detects_a_shifted_chordal_distance(monkeypatch):
     assert report.properties[0].max_residual > 9e-8
     assert not report.properties[0].passed
 
+
+@pytest.mark.parametrize("name, module, kernel", [
+    ("geodesic-minimality", vf.gr, "_path_integrals"),
+    ("cone-path-minimality", vf.dk, "_cone_path_integrals"),
+])
+def test_minimality_detects_a_path_shorter_than_the_geodesic(monkeypatch, name, module, kernel):
+    # the perturbed lengths are compared with the geodesic's length, not
+    # with a bound they obey by construction: one perturbed path measured
+    # 1e-5 shorter than the geodesic fails the property
+    measure = getattr(module, kernel)
+
+    def shortened(*args):
+        geo, *pert = measure(*args)
+        return [geo, *pert[:-1], geo - 1e-5]
+
+    assert vf.run_all(SMALL, names=(name,)).properties[0].passed
+    monkeypatch.setattr(module, kernel, shortened)
+    result = vf.run_all(SMALL, names=(name,)).properties[0]
+    assert result.max_residual == pytest.approx(1e-5, rel=1e-9)
+    assert not result.passed
+
 def _recorder(per_dim):
     """A property whose instances record (dimension, first draw) and pass."""
     seen = []
