@@ -141,6 +141,10 @@ def random_tangent(p: Projection, rng: np.random.Generator, norm: float = 1.0) -
 
 
 def _check_context(m: ProjectivePoint, n: ProjectivePoint, tol: Tolerance):
+    """Raise ``InvalidInput`` unless the points share their context: the
+    same object, or projections equal within eq_tol."""
+    if m.context is n.context:
+        return
     if m.range.mat.shape != n.range.mat.shape:
         raise InvalidInput("points live in different ambient dimensions")
     if np.abs(m.context.mat - n.context.mat).max() > tol.eq_tol:
@@ -178,7 +182,10 @@ def d_spherical(m: ProjectivePoint, n: ProjectivePoint, tol: Tolerance = DEFAULT
 
 
 def _check_tangent(p: Projection, z: TangentVector, tol: Tolerance = DEFAULT_TOL):
-    """Raise ``InvalidTangent`` unless ``z`` is a tangent at ``p``."""
+    """Raise ``InvalidTangent`` unless ``z`` is a tangent at ``p``: at the
+    same projection object, or one equal to it within eq_tol."""
+    if z.context is p:
+        return
     if z.context.mat.shape != p.mat.shape:
         raise InvalidTangent("tangent and base projection dimensions differ")
     if np.abs(z.context.mat - p.mat).max() > tol.eq_tol:
@@ -248,7 +255,7 @@ def _sample_matrices(curve: Curve, ts: np.ndarray) -> np.ndarray:
     try:
         out = np.asarray(curve.sample(ts))
         if out.ndim == 3 and out.shape[0] == ts.size:
-            return out.astype(complex)
+            return np.asarray(out, dtype=complex)
     except Exception:
         pass
     mats = []

@@ -20,6 +20,7 @@ principal angles.  So ``verify`` is the only CLI command that loads scipy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -118,11 +119,25 @@ def _is_singular(a: np.ndarray, tol: float) -> bool:
 
 
 def _op_norm(a: np.ndarray) -> float:
-    """Operator norm of a matrix, unchecked: its largest singular value, the
-    value ``np.linalg.norm(a, 2)`` takes from the same LAPACK call; 0 for an
-    empty block (a corner at rank 0 or n)."""
-    s = np.linalg.svd(a, compute_uv=False)
-    return float(s[0]) if s.size else 0.0
+    """Operator norm of a matrix, unchecked: its largest singular value,
+    ``sqrt`` of the largest eigenvalue of the Gram matrix ``a* a`` or
+    ``a a*``, whichever is the smaller; 0 for an empty block (a corner at
+    rank 0 or n) and for zero.
+
+    ``a`` is first scaled, exactly, by the power of two ``2^e`` just above
+    its largest entry (``e`` clipped to [-1020, 1023], so that ``2^e`` and
+    its inverse are floats), so that entries near the ends of the float
+    range neither overflow nor underflow in the Gram matrix.  The top
+    eigenvalue of the Gram matrix is well conditioned, so the norm keeps an
+    error of a few ``max(m, n) eps`` relative, as from an SVD, at a fraction
+    of its cost for tall blocks.  Every caller takes this one route."""
+    top = np.abs(a).max(initial=0.0)
+    if top == 0.0:
+        return 0.0
+    e = min(max(math.frexp(top)[1], -1020), 1023)
+    b = a * 2.0 ** -e
+    gram = adj(b) @ b if b.shape[0] >= b.shape[1] else b @ adj(b)
+    return math.sqrt(np.linalg.eigvalsh(gram)[-1]) * 2.0 ** e
 
 
 def op_norm(a) -> float:

@@ -11,6 +11,11 @@ its blocks.  Since ``z + w b = (1-p) g (p + b) p`` and
 maps share one kernel, ``_chart_coordinate``.  It returns the
 (n-k) x k block of the coordinate in the bases of ker(p) and ran(p), which
 the three embed as an n x n matrix and :func:`d_chart` compares as it is.
+
+A point keeps its own block, at its own context object, once per
+``eq_tol`` (``_chart_block``), so repeated ``chart_inv`` and ``d_chart``
+queries on a long-lived point, and the disk membership built on them,
+reuse it; the finiteness decision is still taken at each call's tolerance.
 """
 
 from __future__ import annotations
@@ -98,8 +103,22 @@ def _hp_vector(block: np.ndarray, q: Projection) -> HpVector:
 def _chart_block(m: ProjectivePoint, p: Projection, tol: Tolerance) -> np.ndarray:
     """The chart coordinate block at ``p`` of a finite point; NotFinitePoint
     if the compression of its representative to ran(p) is singular within
-    eq_tol."""
-    x = _chart_coordinate(m.rep.mat, p, tol)
+    eq_tol.
+
+    At the point's own context object the block, or None for a point that
+    is not finite, is computed once per ``eq_tol`` and kept read-only on the
+    point, so that repeated queries on a long-lived point reuse it; any
+    other context object, even an equal one, is computed afresh."""
+    if p is m.context:
+        blocks = m.__dict__.setdefault("_chart_blocks", {})
+        if tol.eq_tol not in blocks:
+            x = _chart_coordinate(m.rep.mat, p, tol)
+            if x is not None:
+                x.flags.writeable = False
+            blocks[tol.eq_tol] = x
+        x = blocks[tol.eq_tol]
+    else:
+        x = _chart_coordinate(m.rep.mat, p, tol)
     if x is None:
         raise NotFinitePoint("point lies outside the affine chart at p")
     return x

@@ -129,6 +129,9 @@ class ProjectivePoint:
     """A point of the projective space: canonical representative plus range.
 
     ``range`` equals ``rep @ rep*`` and determines the class completely.
+    The chart maps keep the point's chart block at its context, computed
+    once per ``eq_tol`` (``moebius._chart_block``); like ``Projection``'s
+    caches it is shared and read-only, so treat ``rep`` as read-only too.
     """
 
     def __init__(self, rep: PartialIsometry, range_: Projection, tol: Tolerance = DEFAULT_TOL):

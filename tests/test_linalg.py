@@ -59,6 +59,62 @@ class TestOpNorm:
             assert la.op_norm(u @ a @ v) == pytest.approx(la.op_norm(a), abs=1e-9)
 
 
+SHAPES = [(m, n) for m in (1, 2, 5, 16, 64) for n in (1, 3, 16, 64)] + [(7, 7), (48, 16)]
+
+
+def svd_norm(a: np.ndarray) -> float:
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def complex_block(rng, m, n, rank=None):
+    """A random m x n complex block, of the given rank when one is given."""
+    r = min(m, n) if rank is None else rank
+    left = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
+    right = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+    return left @ right
+
+
+class TestOpNormKernel:
+    """``_op_norm`` (the Gram route) and ``op_norm`` against the largest
+    singular value of an SVD, within 4 max(m, n) eps relative."""
+
+    @staticmethod
+    def assert_close(a):
+        ref = svd_norm(a)
+        tol = 4 * max(a.shape) * np.finfo(float).eps * ref
+        assert abs(la._op_norm(a) - ref) <= tol
+        assert abs(la.op_norm(a) - ref) <= tol
+
+    @pytest.mark.parametrize("m, n", SHAPES, ids=[f"{m}x{n}" for m, n in SHAPES])
+    def test_full_rank(self, m, n, rng):
+        self.assert_close(complex_block(rng, m, n))
+
+    @pytest.mark.parametrize("m, n, rank", [(16, 8, 3), (8, 16, 1), (12, 12, 5), (64, 16, 2),
+                                            (3, 64, 2)])
+    def test_rank_deficient(self, m, n, rank, rng):
+        self.assert_close(complex_block(rng, m, n, rank))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    @pytest.mark.parametrize("m, n", [(1, 1), (6, 3), (3, 6), (64, 16), (9, 9)])
+    def test_extreme_scales(self, m, n, scale, rng):
+        # the Gram matrix of the unscaled block would underflow to zero or
+        # overflow to inf
+        self.assert_close(complex_block(rng, m, n) * scale)
+        self.assert_close(complex_block(rng, m, n, 1) * scale)
+
+    def test_real_input(self, rng):
+        self.assert_close(rng.standard_normal((10, 4)))
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (5, 3), (64, 16)])
+    def test_zero_block_is_exactly_zero(self, m, n):
+        assert la._op_norm(np.zeros((m, n), dtype=complex)) == 0.0
+        assert la.op_norm(np.zeros((m, n))) == 0.0
+
+    @pytest.mark.parametrize("m, n", [(0, 0), (0, 4), (4, 0)])
+    def test_empty_block_is_zero(self, m, n):
+        assert la._op_norm(np.zeros((m, n), dtype=complex)) == 0.0
+
+
 class TestHermitianEig:
     def test_diagonal(self):
         w, v = la.hermitian_eig(np.diag([1.0, 2.0]))

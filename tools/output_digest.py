@@ -64,6 +64,8 @@ def raw(out):
         return (out.point.rep.mat, out.point.range.mat, out.lam.mat)
     if hasattr(out, "mat"):
         return out.mat
+    if hasattr(out, "g"):
+        return out.g
     return out
 
 
@@ -107,6 +109,17 @@ def sweep(gg, dims, rec: Digests):
                     if x is not None:
                         rec.record("chart", gg.chart, x)
                         rec.record("d_chart", gg.d_chart, point, gg.classify(p.mat, p))
+            # pair metrics in both orders; d_chart also on a pair whose
+            # points share one context object and on one whose second point
+            # carries an equal copy of it
+            base = gg.classify(p.mat, p)
+            twin = gg.classify(m.rep.mat, gg.Projection(p.mat.copy()))
+            for first, second in ((m, base), (base, m), (far, m), (m, far)):
+                if first is not None and second is not None:
+                    rec.record("d_chordal", gg.d_chordal, first, second)
+                    rec.record("d_spherical", gg.d_spherical, first, second)
+            rec.record("d_chart", gg.d_chart, m, base)
+            rec.record("d_chart", gg.d_chart, base, twin)
 
             b = gg.random_hp_vector(p, rng, 0.5)
             zero = gg.HpVector(np.zeros((n, n), dtype=complex), p)
@@ -211,6 +224,15 @@ def sweep(gg, dims, rec: Digests):
                 if dp is not None:
                     rec.record("d_cone", gg.d_cone, dp, center)
                     rec.record("d_cone", gg.d_cone, center, dp)
+            # the corner pairing and its two metrics, to the center and
+            # between consecutive disk points, in both orders
+            members = [dp for dp in disk_points if dp is not None]
+            pairs = [(dp, center) for dp in members] + list(zip(members, members[1:]))
+            for first, second in pairs:
+                for pair in ((first, second), (second, first)):
+                    rec.record("rho", gg.rho, *pair)
+                    rec.record("d_pseudo_chordal", gg.d_pseudo_chordal, *pair)
+                    rec.record("d_non_euclidean", gg.d_non_euclidean, *pair)
             # looked up inside the record, so that a tree without the
             # function hashes the AttributeError
             rec.record("eps_geodesic_points",
