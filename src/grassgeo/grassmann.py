@@ -23,13 +23,11 @@ block into the span of ``[a_z, a_w]`` (one thin QR, at most 2k
 coordinates).  Each step comes from the residual
 ``C_{j+1} - C_j (C_j* J C_{j+1})`` of consecutive moved bases, so that
 short steps keep their accuracy; for Grassmann paths it is the sine of
-their largest principal angle.  For k <= 2 closed forms run with the
-samples on the last axis: scalars at k = 1, one Jacobi rotation and a
-2 x 2 eigenvalue at k = 2.  For k >= 3 the moved basis, an entire function
-of t, is computed at a few dozen Chebyshev nodes per path and interpolated
-to the samples (Trefethen, Approximation Theory and Approximation Practice,
-2013, ch. 8), or at the samples themselves where a long path would need
-too high a degree.
+their largest principal angle.  The same kernel serves every k: the moved
+basis, an entire function of t, is computed at a few dozen Chebyshev nodes
+per path and interpolated to the samples (Trefethen, Approximation Theory
+and Approximation Practice, 2013, ch. 8), or at the samples themselves
+where a long path would need too high a degree.
 
 Those sums of steps are polylines, the lengths that
 :func:`tangent_path_lengths`, :func:`curve_length` and the tables report.
@@ -432,21 +430,15 @@ def tangent_path_lengths(p: Projection, z: TangentVector, ws, resolution: int = 
       ``sigma res* J res``: the sine of the largest principal angle between
       consecutive moved bases, computed from the residual itself so that
       short steps keep their relative accuracy.
-    - Closed forms for k <= 2.  Each basis is taken in the eigenbasis ``V``
-      of ``r* r``, as ``[V f(s); r V g(s)]``, which spans the same
-      subspace as ``[f(|r|); r g(|r|)]``.  The sample axis is last and all
-      per-sample algebra is elementwise: at k = 1 every quantity is a
-      scalar, at k = 2 ``V`` is one Jacobi rotation and the step is the
-      largest eigenvalue of a 2 x 2 Hermitian matrix.  No LAPACK call is
-      made per sample.
-    - Chebyshev interpolation for k >= 3.  ``[f(|r|); r g(|r|)]`` is an
-      entire function of t.  It is computed from one batched ``eigh`` at
-      the ``deg + 1`` Chebyshev nodes on [0, 1], where ``deg`` is the least
-      degree that a Bernstein-ellipse bound makes exact to 2^-53, and
-      interpolated to each sample and to each difference
-      ``C_{j+1} - C_j``.  Where the degree is high against the number of
-      samples it is computed at the samples instead.  One ``eigvalsh`` per
-      step gives the norm.
+    - Chebyshev interpolation, one kernel for every k.
+      ``[f(|r|); r g(|r|)]`` is an entire function of t.  It is computed
+      from one batched ``eigh`` at the ``deg + 1`` Chebyshev nodes on
+      [0, 1], where ``deg`` is the least degree that a Bernstein-ellipse
+      bound makes exact to 2^-53, and interpolated to each sample and to
+      each difference ``C_{j+1} - C_j``.  Where the degree is high against
+      the number of samples it is computed at the samples instead.  One
+      ``eigvalsh`` per step gives the norm, in closed form at k <= 2.  A
+      zero generator, and every path at k = 0, has steps of exactly 0.
     - One path at a time, so that temporaries stay the size of one path.
 
     Raises
@@ -487,15 +479,12 @@ def _path_steps(p: Projection, z_mat: np.ndarray, w_mats, resolution: int, geome
     ``exp(z(t))`` for ``z(t) = t z + t (1-t) w`` on the uniform grid of
     ``resolution`` points, for generators off-diagonal for ``p``.
 
-    The closed forms (k <= 2) or the interpolated kernel (k >= 3) take the
-    blocks of :func:`_reduced_blocks` and ``geometry = (f, g, sigma)``.  At
-    k = 0 every step is 0.
+    One kernel, :func:`_interpolated_steps`, serves every k: it takes the
+    blocks of :func:`_reduced_blocks` and ``geometry = (f, g, sigma)``.
     """
     ts = np.linspace(0.0, 1.0, resolution)
     for r_z, r_w in _reduced_blocks(p, z_mat, w_mats):
-        k = r_z.shape[1]
-        path_steps = _closed_form_steps if k <= 2 else _interpolated_steps
-        yield path_steps(r_z, r_w, ts, *geometry) if k else np.zeros(resolution - 1)
+        yield _interpolated_steps(r_z, r_w, ts, *geometry)
 
 
 def _path_integrals(p: Projection, z_mat: np.ndarray, w_mats, geometry: tuple):
@@ -507,58 +496,6 @@ def _path_integrals(p: Projection, z_mat: np.ndarray, w_mats, geometry: tuple):
     """
     for r_z, r_w in _reduced_blocks(p, z_mat, w_mats):
         yield _speed_integral(r_z, r_w, *geometry) if r_z.shape[1] else 0.0
-
-
-def _gram(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x* diag(w) y`` for stacks of matrices with the sample axis last and
-    real weights ``w`` over the rows, applied in place to the real and
-    imaginary parts of ``conj(x)``, so that no temporary is added to those
-    of ``x* y``."""
-    xc = x.conj()
-    parts = xc.view(float)
-    parts *= w[:, None, None]
-    return (xc[:, :, None] * y[:, None, :]).sum(axis=0)
-
-
-def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x y`` for stacks of matrices with the sample axis last."""
-    return (x[:, :, None] * y[None]).sum(axis=1)
-
-
-def _largest_eig_2x2(h: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of stacked 2 x 2 Hermitian matrices."""
-    mean, half_gap = (h[0, 0].real + h[1, 1].real) / 2, (h[0, 0].real - h[1, 1].real) / 2
-    return mean + np.hypot(half_gap, np.abs(h[0, 1]))
-
-
-def _closed_form_steps(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray,
-                       f: Callable, g: Callable, sigma: float) -> np.ndarray:
-    """Steps along the moved basis ``[f(|r|); r g(|r|)]`` of
-    ``r(t) = t r_z + t (1-t) r_w`` for k <= 2, in closed form with the
-    sample axis last; the form on the big side has sign ``sigma``.
-
-    At k = 2, with ``r* r = [[h00, h01], [conj(h01), h11]]``, the eigenbasis
-    is the rotation by ``atan2(|h01|, (h00 - h11) / 2) / 2`` after the phase
-    of ``h01`` is taken out (the symmetric Schur decomposition of Golub and
-    Van Loan, Matrix Computations, 8.5).
-    """
-    r = r_z[..., None] * ts + r_w[..., None] * (ts * (1.0 - ts))
-    h = _gram(r, r, np.ones(len(r)))
-    if r.shape[1] == 1:
-        s = np.sqrt(h[0, 0].real)
-        basis = np.concatenate([f(s)[None, None], r * g(s)])
-    else:
-        lam = _largest_eig_2x2(h)
-        angle = np.arctan2(np.abs(h[0, 1]), (h[0, 0].real - h[1, 1].real) / 2) / 2
-        cos, sin, phase = np.cos(angle), np.sin(angle), np.exp(-1j * np.angle(h[0, 1]))
-        v = np.array([[cos, -sin], [phase * sin, phase * cos]])
-        s = np.sqrt(np.clip([lam, h[0, 0].real + h[1, 1].real - lam], 0.0, None))
-        basis = np.concatenate([v * f(s), _times(r, v) * g(s)])
-    form = np.where(np.arange(len(basis)) < r.shape[1], 1.0, sigma)
-    prev, nxt = basis[..., :-1], basis[..., 1:]
-    res = nxt - _times(prev, _gram(prev, nxt, form))
-    gram = _gram(res, res, sigma * form)
-    return np.sqrt(np.maximum(gram[0, 0].real if r.shape[1] == 1 else _largest_eig_2x2(gram), 0))
 
 
 # Radii of the Bernstein ellipses over which _interpolation_degree minimises
@@ -644,6 +581,12 @@ def _chebyshev_rows(deg: int, ts: np.ndarray):
     return at, diff
 
 
+def _largest_eig_2x2(h: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of stacked 2 x 2 Hermitian matrices."""
+    mean, half_gap = (h[0, 0].real + h[1, 1].real) / 2, (h[0, 0].real - h[1, 1].real) / 2
+    return mean + np.hypot(half_gap, np.abs(h[0, 1]))
+
+
 def _residual_norms(c: np.ndarray, d: np.ndarray, k: int, sigma: float) -> np.ndarray:
     """Square roots of the largest eigenvalues of ``sigma res* J res`` for
     ``res = d - c (c* J d)``, with ``J = diag(1_k, sigma)``, for stacked
@@ -680,8 +623,12 @@ def _interpolated_steps(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray,
 
     The moved basis is interpolated in its canonical form ``V f(s) V*``;
     the eigenvector form ``[V f(s); r V g(s)]`` changes phase and column
-    order from one t to the next and cannot be interpolated.
+    order from one t to the next and cannot be interpolated.  A stationary
+    path, with ``r_z`` and ``r_w`` zero (or empty at k = 0), has steps of
+    exactly 0.
     """
+    if not (r_z.any() or r_w.any()):
+        return np.zeros(ts.size - 1)
     k = r_z.shape[1]
     deg = _interpolation_degree(r_z, r_w)
     if (deg + 1) * (2 / ts.size + 1 / (20 * k)) >= 1:

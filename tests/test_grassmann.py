@@ -303,7 +303,7 @@ class TestCurveLength:
         # spherical distance |z| / (N-1), so its polyline is exactly
         # (N-1) sin(|z| / (N-1)), for short geodesics too
         p = pj.random_projection(n, k, 7)
-        for norm in (1e-4, 1e-3, 0.7, np.pi / 2 - 1e-6, 2.5):
+        for norm in (1e-8, 1e-4, 1e-3, 0.7, np.pi / 2 - 1e-6, 2.5):
             z = gr.random_tangent(p, rng, norm)
             for samples in (50, 2000):
                 geo, pert = gr.tangent_path_lengths(p, z, [], samples)

@@ -1,9 +1,10 @@
-"""The step kernels of ``tangent_path_lengths`` against a reference kernel
-on the same reduced blocks: the closed forms (small side k <= 2) and the
-Chebyshev-interpolated kernel (k >= 3).
+"""The step kernel of ``tangent_path_lengths`` against a reference kernel
+on the same reduced blocks.  One Chebyshev-interpolated kernel serves every
+small side k; the sizes are split into k <= 2, where the largest eigenvalue is
+taken in closed form, and k >= 3.
 
 The reference takes one batched ``eigh`` per sample and one ``eigvalsh``
-per step.  Every kernel returns the chordal steps of one path.  Steps are
+per step.  Both kernels return the chordal steps of one path.  Steps are
 sines, so they are compared absolutely, and the path lengths relatively.
 """
 
@@ -43,14 +44,16 @@ def reduced_blocks(p, z, ws):
         yield r[:, :k], r[:, k:]
 
 
+def assert_steps_agree(r_z, r_w, samples, ref):
+    steps = gr._interpolated_steps(r_z, r_w, np.linspace(0.0, 1.0, samples), *gr._GRASSMANN)
+    assert steps.shape == ref.shape == (samples - 1,)
+    assert np.all(np.isfinite(steps))
+    assert np.abs(steps - ref).max() <= 1e-13
+    assert abs(steps.sum() - ref.sum()) <= 1e-13 * ref.sum()
+
+
 def assert_kernels_agree(r_z, r_w, samples):
-    ts = np.linspace(0.0, 1.0, samples)
-    closed = gr._closed_form_steps(r_z, r_w, ts, *gr._GRASSMANN)
-    ref = lapack_steps(r_z, r_w, ts)
-    assert closed.shape == ref.shape == (samples - 1,)
-    assert np.all(np.isfinite(closed))
-    assert np.abs(closed - ref).max() <= 1e-13
-    assert abs(closed.sum() - ref.sum()) <= 1e-13 * ref.sum()
+    assert_steps_agree(r_z, r_w, samples, lapack_steps(r_z, r_w, np.linspace(0.0, 1.0, samples)))
 
 
 def tangent_from_block(p, a):
@@ -80,18 +83,21 @@ def test_closed_form_matches_lapack(n, rank, samples):
 @pytest.mark.parametrize("samples", [2, 50, 2000])
 @pytest.mark.parametrize("rows", [2, 4])
 def test_isometric_block(samples, rows):
-    # a* a = theta^2 t^2 I: the Jacobi rotation sees h01 = 0 and h00 = h11
+    # a* a = theta^2 t^2 I: every principal angle of a step is the same
     for theta in (1e-4, 0.9, 2.5):
         r_z = theta * np.eye(rows, 2, dtype=complex)
         assert_kernels_agree(r_z, np.zeros_like(r_z), samples)
         assert_kernels_agree(r_z, 0.3j * r_z, samples)
-    # the same block reached from a tangent on the kernel side
+    # the same block reached from a tangent on the kernel side, against the
+    # exact polyline: along r(t) = s(t) r_z, with s = t for the geodesic and
+    # s = 2t - t^2 for w = z, every step is sin(0.9 |s_{j+1} - s_j|)
     p = pj.random_projection(6, 4, 3)
     z = tangent_from_block(p, 0.9 * np.eye(4, 2))
-    for r_z, r_w in reduced_blocks(p, z, [z]):
+    ts = np.linspace(0.0, 1.0, samples)
+    for (r_z, r_w), s in zip(reduced_blocks(p, z, [z]), (ts, 2 * ts - ts * ts)):
         h = r_z.conj().T @ r_z
         assert abs(h[0, 1]) < 1e-14 and abs(h[0, 0] - h[1, 1]) < 1e-14
-        assert_kernels_agree(r_z, r_w, samples)
+        assert_steps_agree(r_z, r_w, samples, np.sin(0.9 * np.diff(s)))
 
 
 @pytest.mark.parametrize("n, rank", [(3, 1), (4, 2), (6, 4), (8, 7)])
@@ -102,25 +108,15 @@ def test_empty_perturbations(n, rank):
     geo, pert = gr.tangent_path_lengths(p, z, [], 300)
     assert isinstance(geo, float) and pert.shape == (0,)
     [(r_z, r_w)] = reduced_blocks(p, z, [])
-    assert geo == gr._closed_form_steps(r_z, r_w, np.linspace(0.0, 1.0, 300), *gr._GRASSMANN).sum()
+    assert geo == gr._interpolated_steps(r_z, r_w, np.linspace(0.0, 1.0, 300), *gr._GRASSMANN).sum()
 
 
-@pytest.mark.parametrize("n, rank", [(5, 1), (6, 2), (7, 5), (64, 63)])
-def test_small_side_makes_no_eigensolver_call(monkeypatch, n, rank):
-    rng = np.random.default_rng(rank)
-    p = pj.random_projection(n, rank, 4)
-    z = gr.random_tangent(p, rng, 1.0)
-    ws = [gr.random_tangent(p, rng, 0.3) for _ in range(3)]
-    _ = p.range_basis, p.null_basis
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("LAPACK eigensolver called on a small side of at most 2")
-
-    for name in ("eigh", "eigvalsh", "svd"):
-        monkeypatch.setattr(np.linalg, name, forbidden)
-    geo, pert = gr.tangent_path_lengths(p, z, ws, 2000)
-    assert geo == pytest.approx(1.0 * 1999 * np.sin(1.0 / 1999), rel=1e-12)
-    assert pert.shape == (3,)
+@pytest.mark.parametrize("n, rank", [(4, 1), (6, 2), (8, 3), (64, 16)])
+def test_stationary_paths_are_zero(n, rank):
+    p = pj.random_projection(n, rank, 2)
+    zero = gr.TangentVector(np.zeros((n, n), dtype=complex), p)
+    geo, pert = gr.tangent_path_lengths(p, zero, [zero], 2000)
+    assert geo == 0.0 and pert.tolist() == [0.0]
 
 
 ENGINE_SIZES = [(6, 3), (7, 4), (8, 4), (16, 4), (16, 12), (32, 8), (64, 16), (64, 32)]
@@ -159,9 +155,13 @@ def test_interpolated_matches_lapack(n, rank, samples):
     assert worst_length <= 1e-12
 
 
-# (n, rank, norm of z, samples, whether eigh runs at the samples)
+# (n, rank, norm of z, samples, whether eigh runs at the samples); the
+# small sides k <= 2 are taken on both sides of the route rule
 ROUTES = [(8, 4, 30.0, 50, True), (16, 12, 12.0, 40, True), (6, 3, 30.0, 200, True),
-          (6, 3, 100.0, 2000, True), (16, 8, 30.0, 2000, False), (32, 16, 30.0, 500, False)]
+          (6, 3, 100.0, 2000, True), (16, 8, 30.0, 2000, False), (32, 16, 30.0, 500, False),
+          (5, 1, 1.0, 2000, False), (5, 1, 2.0, 2000, True), (6, 2, 1.0, 2000, False),
+          (6, 2, 8.0, 200, True), (7, 5, 4.0, 200, False), (7, 5, 30.0, 2000, True),
+          (64, 63, 1.0, 2000, False), (64, 63, 1.0, 500, True)]
 
 
 @pytest.mark.parametrize("n, rank, norm, samples, direct", ROUTES)
