@@ -267,7 +267,7 @@ def _geodesic_table(args, space: str) -> tuple:
     ts = np.linspace(0.0, 1.0, args.samples)
     if space == "grassmann":
         z = gr.geodesic_log(m.range, n.range, tol)
-        [steps] = gr._path_steps(m.range, z.mat, [], args.samples, gr._GRASSMANN)
+        [steps] = gr._path_steps(*gr._corners(m.range, z.mat, []), args.samples, gr._GRASSMANN)
         mats = gr.geodesic_curve(m.range, z, args.samples).sample(ts)
         closed = gr.d_spherical(m, n, tol)
     else:

@@ -14,13 +14,11 @@ is a cone isometry, so ``L = log(nu^{-1/2} mu nu^{-1/2})`` is off-diagonal
 and the geodesic from ``nu`` to ``mu`` is ``nu^{1/2} exp(tL) nu^{1/2}``
 (Bhatia, *Positive Definite Matrices*, 2007, ch. 6).  Geodesic samples
 take one product each from the eigenbasis of ``nu^{-1/2} mu nu^{-1/2}``,
-and their disk points one thin QR each.  ``E = exp(Y/2)`` moves the small
-side ``Bs`` of ``p`` by the Grassmann kernel with cosh/sinhc for cos/sinc,
-and perturbed paths are ``exp(Y) = 2 (E Bs)(E Bs)* - eps_s``.  The
-package measures its own cone paths on that small side too, through the
-Grassmann kernel with the indefinite form: as polylines of cone steps
-(``_cone_path_steps``, for ``cone-geodesic-length``) and as integrals of
-the cone speed (``_cone_path_integrals``, for ``cone-path-minimality``).
+and their disk points one thin QR each.  Perturbed paths, and the lengths
+that the package measures for itself (``_cone_path_steps`` and
+``_cone_path_integrals``), go through the Grassmann engine on the small
+side with cosh/sinhc and the indefinite form, from the corners of ``L/2``
+and of the perturbation (``_cone_corners``).
 :func:`cone_polyline_steps` measures stacks that callers supply, with one
 Cholesky factor per sample.
 
@@ -46,8 +44,8 @@ from .errors import (
 from .linalg import DEFAULT_TOL, Tolerance, _op_norm, adj, as_matrix, herm, spectral
 from .moebius import HpVector, chart_inv, random_hp_vector
 from .projective import Projection, ProjectivePoint, _trusted, classify
-from .grassmann import (_check_context, _generator_blocks, _path_integrals, _path_steps,
-                        _side_blocks, d_chordal)
+from .grassmann import (_check_context, _moved_basis, _path_integrals, _path_steps, _side_blocks,
+                        d_chordal)
 
 __all__ = [
     "EpsSymmetry",
@@ -304,19 +302,20 @@ def d_non_euclidean(m: DiskPoint, n: DiskPoint, tol: Tolerance = DEFAULT_TOL) ->
 def d_cone(m, n, tol: Tolerance = DEFAULT_TOL) -> float:
     """Geodesic distance of the positive cone: || log(nu^{-1/2} mu nu^{-1/2}) ||.
 
-    Accepts disk points (through their preimages) or cone elements.
+    Accepts disk points (through their preimages) or cone elements.  The
+    relative matrix is a positive eps-unitary, so its spectrum is closed
+    under ``w -> 1/w`` and the distance is ``|log|`` of its largest
+    eigenvalue (at least 1 but for rounding), which stays accurate where
+    the smallest one is lost to rounding near the rim.
 
     Raises
     ------
     InvalidInput
         If the two matrices have different dimensions.
-    NotPositive
-        If the computed spectrum of ``nu^{-1/2} mu nu^{-1/2}`` is not positive.
     """
     mu = m.lam if isinstance(m, DiskPoint) else m
     nu = n.lam if isinstance(n, DiskPoint) else n
-    w, _ = _relative_spectrum(mu, nu, vectors=False)
-    return float(np.abs(np.log(w)).max())
+    return float(abs(np.log(np.linalg.eigvalsh(_relative_matrix(mu, nu))[-1])))
 
 
 def eps_geodesic(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary, t: float,
@@ -329,14 +328,19 @@ def eps_geodesic(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary, t: float,
     return PositiveEpsUnitary(eps_geodesic_samples(mu, nu, [t])[0], mu.context, tol)
 
 
-def _relative_spectrum(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary, vectors: bool = True):
-    """Eigenvalues ``w`` and, if ``vectors``, eigenbasis ``V`` (else None) of
-    ``nu^{-1/2} mu nu^{-1/2}``; InvalidInput if the two matrices differ in
-    dimension, NotPositive if the computed ``w`` is not positive."""
+def _relative_matrix(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary) -> np.ndarray:
+    """``nu^{-1/2} mu nu^{-1/2}``; InvalidInput if the two matrices differ
+    in dimension."""
     if mu.mat.shape != nu.mat.shape:
         raise InvalidInput("cone elements have different dimensions")
-    a = herm(nu.inv_sqrt @ mu.mat @ nu.inv_sqrt)
-    w, v = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
+    return herm(nu.inv_sqrt @ mu.mat @ nu.inv_sqrt)
+
+
+def _relative_spectrum(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary):
+    """Eigenvalues ``w`` and eigenbasis ``V`` of ``nu^{-1/2} mu nu^{-1/2}``;
+    InvalidInput if the two matrices differ in dimension, NotPositive if
+    the computed ``w`` is not positive."""
+    w, v = np.linalg.eigh(_relative_matrix(mu, nu))
     if not w.min() > 0:
         raise NotPositive("relative spectrum of the cone elements is not positive")
     return w, v
@@ -443,14 +447,11 @@ def cone_perturbed_path(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
     construction, the ends are ``nu`` at t = 0 and ``mu`` at t = 1, and an
     ``h`` with no off-diagonal part gives the geodesic.
 
-    Only the corners count: with ``k = min(rank, n - rank)`` and bases
-    ``Bs`` of the small side and ``Bb`` of the big side, the generator's
-    corner at t is ``y(t) = t l + t(1-t) eta`` (``l = Bb* L Bs``,
-    ``eta = Bb* herm(h) Bs``).  With ``a = y/2``, ``E = exp(Y/2)`` moves
-    the small side onto ``Bs cosh|a| + Bb a sinhc|a|``, from one batched
-    ``eigh`` of the k×k matrices ``a* a``.  ``E`` and ``nu^{1/2}`` preserve
-    ``eps_s = 2 Bs Bs* - 1`` (``eps`` or ``-eps``), so with
-    ``P = nu^{1/2} E Bs`` the sample is ``2 P P* - eps_s``.
+    ``E = exp(Y/2)``, for the generator ``Y`` at t, moves the small side
+    ``Bs`` onto ``Bs M_s + Bb M_b``, with ``[M_s; M_b]`` the moved basis of
+    the corners of :func:`_cone_corners` (``grassmann._moved_basis``).
+    ``E`` and ``nu^{1/2}`` preserve ``eps_s = 2 Bs Bs* - 1`` (``eps`` or
+    ``-eps``), so with ``P = nu^{1/2} E Bs`` the sample is ``2 P P* - eps_s``.
 
     Raises
     ------
@@ -461,30 +462,33 @@ def cone_perturbed_path(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
     NotPositive
         If the computed spectrum of ``nu^{-1/2} mu nu^{-1/2}`` is not positive.
     """
-    w, v = _relative_spectrum(mu, nu)
     p = mu.context
-    if np.abs(p.mat - nu.context.mat).max() > DEFAULT_TOL.eq_tol:
-        raise InvalidInput("cone elements have different context projections")
     h = as_matrix(h, square=True)
     if h.shape != p.mat.shape:
         raise InvalidInput("perturbation and cone element dimensions differ")
+    ell, [eta] = _cone_corners(mu, nu, [h])
+    if np.abs(p.mat - nu.context.mat).max() > DEFAULT_TOL.eq_tol:
+        raise InvalidInput("cone elements have different context projections")
     small, big, flipped = _side_blocks(p)
-    ell = ((adj(big) @ v) * np.log(w)) @ (adj(v) @ small)
-    eta = adj(big) @ herm(h) @ small
-    ts = _sample_times(ts)
-    a = ts[:, None, None] * (ell / 2) + (ts * (1.0 - ts))[:, None, None] * (eta / 2)
-    cosh, sinhc = _generator_blocks(a, *_COSH_SINHC)
-    moved = (nu.sqrt @ small) @ cosh + (nu.sqrt @ big) @ (a @ sinhc)
+    moved = _moved_basis(_sample_times(ts), ell, eta, *_COSH_SINHC)
+    k = small.shape[1]
+    cols = (nu.sqrt @ small) @ moved[:, :k] + (nu.sqrt @ big) @ moved[:, k:]
     eps_s = -p.eps if flipped else p.eps
-    return herm(2 * (moved @ adj(moved)) - eps_s)
+    return herm(2 * (cols @ adj(cols)) - eps_s)
 
 
-def _cone_generators(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary, hs):
-    """The context, ``L / 2`` and the halved perturbations ``herm(h) / 2``
-    of the paths ``cone_perturbed_path(mu, nu, h, .)``, for the kernels of
-    :mod:`grassgeo.grassmann` with the cone geometry."""
+def _cone_corners(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary, hs):
+    """The corners (:func:`grassmann._corners`) of ``L / 2`` and of each
+    ``herm(h) / 2`` for the paths ``cone_perturbed_path(mu, nu, h, .)``.
+
+    ``L``'s is read straight from the relative eigenbasis,
+    ``((Bb* V) log w)(V* Bs) / 2``; no n x n generator is formed.
+    InvalidInput and NotPositive as from :func:`_relative_spectrum`.
+    """
     w, v = _relative_spectrum(mu, nu)
-    return mu.context, spectral(v, np.log(w) / 2), [herm(h) / 2 for h in hs]
+    small, big, _ = _side_blocks(mu.context)
+    ell = ((adj(big) @ v) * np.log(w)) @ (adj(v) @ small) / 2
+    return ell, [adj(big) @ herm(h) @ small / 2 for h in hs]
 
 
 def _cone_path_steps(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary, hs, resolution: int):
@@ -499,7 +503,7 @@ def _cone_path_steps(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary, hs, resolut
     ``J = diag(1_k, -1)``, and the Grassmann step kernel with that form
     gives ``sinh`` of that distance, so each step is ``2 arsinh`` of it.
     """
-    steps = _path_steps(*_cone_generators(mu, nu, hs), resolution, _CONE)
+    steps = _path_steps(*_cone_corners(mu, nu, hs), resolution, _CONE)
     return (2 * np.arcsinh(path) for path in steps)
 
 
@@ -513,7 +517,7 @@ def _cone_path_integrals(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary, hs) -> 
     ``J = diag(1_k, -1)`` takes of the moved small sides, as for
     :func:`_cone_path_steps`.
     """
-    return [2 * length for length in _path_integrals(*_cone_generators(mu, nu, hs), _CONE)]
+    return [2 * length for length in _path_integrals(*_cone_corners(mu, nu, hs), _CONE)]
 
 
 def eps_action(u, m: DiskPoint, tol: Tolerance = DEFAULT_TOL) -> DiskPoint:

@@ -9,33 +9,19 @@ off-diagonal with respect to ``p``.
 A tangent ``z`` exchanges ran(p) with its complement, so ``exp(z)`` has the
 classical cos/sinc block structure (Edelman, Arias and Smith, 1998): with
 ``a = (1-p) z Bp``, ``exp(z) Bp = Bp cos|a| + a sinc|a|``, where
-``|a| = (a* a)^(1/2)``.  Geodesic points and the curve samplers are all
-computed from these blocks, without an n x n exponential; the samplers use
-the smaller of the two subspaces, of dimension k, to sample long paths in
-closed form.
+``|a| = (a* a)^(1/2)``.  Geodesic points are computed from these blocks,
+without an n x n exponential.
 
-:func:`tangent_path_lengths` measures the geodesic and its perturbed
-companions on that small side alone.  One step kernel serves two
-geometries: Grassmann paths, with ``(cos, sinc)`` and the inner product,
-and the cone paths of :mod:`grassgeo.disk`, with ``(cosh, sinhc)`` and the
-indefinite form ``J = diag(1_k, -1)``.  Path by path it moves the generator
-block into the span of ``[a_z, a_w]`` (one thin QR, at most 2k
-coordinates).  Each step comes from the residual
-``C_{j+1} - C_j (C_j* J C_{j+1})`` of consecutive moved bases, so that
-short steps keep their accuracy; for Grassmann paths it is the sine of
-their largest principal angle.  The same kernel serves every k: the moved
-basis, an entire function of t, is computed at a few dozen Chebyshev nodes
-per path and interpolated to the samples (Trefethen, Approximation Theory
-and Approximation Practice, 2013, ch. 8), or at the samples themselves
-where a long path would need too high a degree.
-
-Those sums of steps are polylines, the lengths that
-:func:`tangent_path_lengths`, :func:`curve_length` and the tables report.
-The verify minimality properties compare lengths as integrals of the speed
-instead (``_path_integrals``): the same kernel takes the moved basis and
-its derivative from the Chebyshev interpolant at Gauss-Legendre nodes, and
-the speed is the step's residual norm with the derivative for the
-difference.
+Paths ``exp(z(t))`` with ``z(t) = t z + t (1-t) w`` are taken on the small
+side of ``p``, ran(p) or its complement, whichever has the smaller
+dimension k, from their two corners (:func:`_corners`).  One engine serves
+Grassmann paths, with ``(cos, sinc)``, and the cone paths of
+:mod:`grassgeo.disk`, with ``(cosh, sinhc)`` and the indefinite form
+``J = diag(1_k, -1)``: the samplers build the moved small side from
+:func:`_moved_basis`; the step kernel (:func:`_path_steps`) sums the
+polylines that :func:`tangent_path_lengths`, :func:`curve_length` and the
+tables report; the speed kernel (:func:`_path_integrals`) integrates the
+lengths that the verify minimality properties compare.
 """
 
 from __future__ import annotations
@@ -358,20 +344,27 @@ def _generator_blocks(a: np.ndarray, f: Callable, g: Callable):
     return spectral(v, f(s)), spectral(v, g(s))
 
 
-def _path_sampler(p: Projection, z_mat: np.ndarray, w_mat: np.ndarray | None) -> Callable:
-    """Sampler for t -> exp(z(t)) p exp(-z(t)), z(t) = t z + t (1-t) w."""
+def _corners(p: Projection, z_mat: np.ndarray, w_mats):
+    """The corners ``Bb* z Bs`` of ``z`` and of each ``w``, generators
+    off-diagonal for ``p``, with ``Bs`` and ``Bb`` the bases of the small and
+    the big side (:func:`_side_blocks`): the one input of the path kernels."""
+    small, big, _ = _side_blocks(p)
+    return adj(big) @ z_mat @ small, [adj(big) @ w @ small for w in w_mats]
+
+
+def _path_sampler(p: Projection, z_mat: np.ndarray, w_mat: np.ndarray) -> Callable:
+    """Sampler for t -> exp(z(t)) p exp(-z(t)), z(t) = t z + t (1-t) w.
+
+    The moved small side is ``Bs M_s + Bb M_b`` for the moved basis
+    ``[M_s; M_b]`` of :func:`_moved_basis` on the corners."""
     small, big, flipped = _side_blocks(p)
-    n = p.dim
-    a_z = adj(big) @ z_mat @ small
-    a_w = None if w_mat is None else adj(big) @ w_mat @ small
+    n, k = p.dim, small.shape[1]
+    a_z, [a_w] = _corners(p, z_mat, [w_mat])
 
     def sampler(t):
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        a = ts[:, None, None] * a_z
-        if a_w is not None:
-            a = a + (ts * (1.0 - ts))[:, None, None] * a_w
-        top, mid = _generator_blocks(a, *_COS_SINC)
-        cols = small @ top + big @ (a @ mid)
+        moved = _moved_basis(ts, a_z, a_w, *_COS_SINC)
+        cols = small @ moved[:, :k] + big @ moved[:, k:]
         qs = cols @ adj(cols)
         if flipped:
             qs = np.eye(n, dtype=complex) - qs
@@ -389,7 +382,7 @@ def geodesic_curve(p: Projection, z: TangentVector, resolution: int = 2000) -> C
     Raises ``InvalidTangent`` if ``z`` is not a tangent at ``p``.
     """
     _check_tangent(p, z)
-    return Curve(_path_sampler(p, z.mat, None), resolution)
+    return Curve(_path_sampler(p, z.mat, np.zeros_like(z.mat)), resolution)
 
 
 def perturbed_curve(p: Projection, z: TangentVector, w: TangentVector,
@@ -412,34 +405,8 @@ def tangent_path_lengths(p: Projection, z: TangentVector, ws, resolution: int = 
     ``z_i(t) = t z + t (1-t) w_i`` on the uniform grid of ``resolution``
     points; the geodesic is the path with ``w = 0``.  The lengths are sums
     of chordal steps, as :func:`curve_length` gives for the sampled curves,
-    computed without forming a projection, by the step kernel that also
-    measures cone paths (``disk._cone_path_steps``):
-
-    - Span reduction.  On the small side, of dimension k, the generator
-      block ``a(t) = t a_z + t (1-t) a_w`` lies in the column span of
-      ``[a_z, a_w]``.  The thin QR ``[a_z, a_w] = Q [r_z, r_w]`` of each
-      path moves that span into ``min(n-k, 2k)`` coordinates, where the
-      moved small side ``[f(|a|); a g(|a|)]`` becomes
-      ``[f(|r|); r g(|r|)]`` with ``r(t) = t r_z + t (1-t) r_w``; here
-      ``(f, g) = (cos, sinc)``.
-    - Steps from the residual.  With ``J = diag(1_k, sigma)`` the form on
-      the reduced coordinates (``sigma = +1`` here, ``-1`` for the cone),
-      ``C`` the moved basis at a sample and ``D`` the next basis or the
-      difference to it, the residual is ``res = D - C (C* J D)`` and the
-      step is the square root of the largest eigenvalue of
-      ``sigma res* J res``: the sine of the largest principal angle between
-      consecutive moved bases, computed from the residual itself so that
-      short steps keep their relative accuracy.
-    - Chebyshev interpolation, one kernel for every k.
-      ``[f(|r|); r g(|r|)]`` is an entire function of t.  It is computed
-      from one batched ``eigh`` at the ``deg + 1`` Chebyshev nodes on
-      [0, 1], where ``deg`` is the least degree that a Bernstein-ellipse
-      bound makes exact to 2^-53, and interpolated to each sample and to
-      each difference ``C_{j+1} - C_j``.  Where the degree is high against
-      the number of samples it is computed at the samples instead.  One
-      ``eigvalsh`` per step gives the norm, in closed form at k <= 2.  A
-      zero generator, and every path at k = 0, has steps of exactly 0.
-    - One path at a time, so that temporaries stay the size of one path.
+    taken without forming a projection by the small-side step kernel
+    (:func:`_path_steps`), one path at a time.
 
     Raises
     ------
@@ -454,47 +421,47 @@ def tangent_path_lengths(p: Projection, z: TangentVector, ws, resolution: int = 
     _check_resolution(resolution)
     for v in (z, *ws):
         _check_tangent(p, v)
-    steps = _path_steps(p, z.mat, [w.mat for w in ws], resolution, _GRASSMANN)
+    steps = _path_steps(*_corners(p, z.mat, [w.mat for w in ws]), resolution, _GRASSMANN)
     lengths = [path.sum() for path in steps]
     return float(lengths[0]), np.array(lengths[1:])
 
 
-def _reduced_blocks(p: Projection, z_mat: np.ndarray, w_mats):
+def _reduced_blocks(a_z: np.ndarray, a_ws):
     """Per path, geodesic first, the blocks ``(r_z, r_w)`` of the generator
-    ``z(t) = t z + t (1-t) w``, for generators off-diagonal for ``p``.
+    ``z(t) = t z + t (1-t) w`` from the corners ``a_z`` and ``a_ws`` of
+    :func:`_corners`.
 
-    Only the corners ``a = Bb* z Bs`` count.  One thin QR per path,
-    ``[a_z, a_w] = Q [r_z, r_w]``, moves the span of ``[a_z, a_w]`` into at
-    most 2k coordinates.  At k = 0 both blocks are empty.
+    One thin QR per path, ``[a_z, a_w] = Q [r_z, r_w]``, moves the span of
+    ``[a_z, a_w]`` into at most 2k coordinates.  At k = 0 both blocks are
+    empty.
     """
-    small, big, _ = _side_blocks(p)
-    a_z, k = adj(big) @ z_mat @ small, small.shape[1]
-    for a_w in [np.zeros_like(a_z)] + [adj(big) @ w @ small for w in w_mats]:
+    k = a_z.shape[1]
+    for a_w in [np.zeros_like(a_z), *a_ws]:
         r = np.linalg.qr(np.concatenate([a_z, a_w], axis=1), mode="r")
         yield r[:, :k], r[:, k:]
 
 
-def _path_steps(p: Projection, z_mat: np.ndarray, w_mats, resolution: int, geometry: tuple):
+def _path_steps(a_z: np.ndarray, a_ws, resolution: int, geometry: tuple):
     """Per path, geodesic first, the steps along the moved small side of
     ``exp(z(t))`` for ``z(t) = t z + t (1-t) w`` on the uniform grid of
-    ``resolution`` points, for generators off-diagonal for ``p``.
+    ``resolution`` points, from the corners of ``z`` and of each ``w``.
 
     One kernel, :func:`_interpolated_steps`, serves every k: it takes the
     blocks of :func:`_reduced_blocks` and ``geometry = (f, g, sigma)``.
     """
     ts = np.linspace(0.0, 1.0, resolution)
-    for r_z, r_w in _reduced_blocks(p, z_mat, w_mats):
+    for r_z, r_w in _reduced_blocks(a_z, a_ws):
         yield _interpolated_steps(r_z, r_w, ts, *geometry)
 
 
-def _path_integrals(p: Projection, z_mat: np.ndarray, w_mats, geometry: tuple):
+def _path_integrals(a_z: np.ndarray, a_ws, geometry: tuple):
     """Per path, geodesic first, the length ``int_0^1 speed dt`` of the moved
-    small side of ``exp(z(t))`` for ``z(t) = t z + t (1-t) w``, for
-    generators off-diagonal for ``p``: :func:`_speed_integral` of the blocks
-    of :func:`_reduced_blocks` with ``geometry = (f, g, sigma)``.  At k = 0
-    every length is 0.
+    small side of ``exp(z(t))`` for ``z(t) = t z + t (1-t) w``, from the
+    corners of ``z`` and of each ``w``: :func:`_speed_integral` of the
+    blocks of :func:`_reduced_blocks` with ``geometry = (f, g, sigma)``.  At
+    k = 0 every length is 0.
     """
-    for r_z, r_w in _reduced_blocks(p, z_mat, w_mats):
+    for r_z, r_w in _reduced_blocks(a_z, a_ws):
         yield _speed_integral(r_z, r_w, *geometry) if r_z.shape[1] else 0.0
 
 

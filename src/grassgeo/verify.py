@@ -251,7 +251,8 @@ def _geodesic_arc_length(n: int, rng: np.random.Generator, tol: Tolerance) -> fl
 
 def _geodesic_minimality(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
     p, z, ws = _minimality_instance(n, rng, tol, 20)
-    geo_len, *pert = gr._path_integrals(p, z.mat, [w.mat for w in ws], gr._GRASSMANN)
+    geo_len, *pert = gr._path_integrals(*gr._corners(p, z.mat, [w.mat for w in ws]),
+                                        gr._GRASSMANN)
     return _worst(geo_len - length for length in pert)
 
 

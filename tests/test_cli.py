@@ -15,6 +15,7 @@ from grassgeo import grassmann as gr
 from grassgeo import moebius as mo
 from grassgeo import projective as pj
 from grassgeo import serialize as se
+from grassgeo.errors import NotPositive
 
 from conftest import read_json, rotation_pair, write_matrix, write_point, write_projection
 
@@ -250,17 +251,35 @@ class TestDiskCommands:
     @pytest.mark.parametrize("argv", [["dist", "--metric", "dplus"], ["disk-dist"],
                                       ["geodesic", "--space", "cone", "--samples", "5"]],
                              ids=["dist", "disk-dist", "geodesic"])
-    def test_relative_spectrum_not_positive_exit(self, argv, tmp_path, capsys):
-        # near the rim the computed spectrum of nu^{-1/2} mu nu^{-1/2} has a
-        # negative eigenvalue; the commands fail instead of writing NaN
+    def test_relative_spectrum_not_positive_exit(self, argv, tmp_path, monkeypatch, capsys):
+        # near the rim the computed spectrum of nu^{-1/2} mu nu^{-1/2} may
+        # have a negative eigenvalue.  The cone distance reads only its top
+        # and stays twice the non-Euclidean distance.  The cone geodesic
+        # needs all of it and fails instead of writing NaN; rounding alone
+        # decides whether the spectrum is lost, so a stub raises instead.
         p = pj.random_projection(6, 3, 7)
         m = mo.chart(mo.random_hp_vector(p, np.random.default_rng(0), 1 - 2e-9))
         base = write_point(tmp_path / "base.json", pj.classify(p.mat, p))
         near = write_point(tmp_path / "near.json", m)
-        assert cli.main(argv + [base, near]) == 8
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("NotPositive")
+        if argv[0] == "geodesic":
+            def not_positive(mu, nu):
+                raise NotPositive("relative spectrum of the cone elements is not positive")
+
+            monkeypatch.setattr(dk, "_relative_spectrum", not_positive)
+            assert cli.main(argv + [base, near]) == 8
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("NotPositive")
+            return
+        assert cli.main(argv + [base, near]) == 0
+        out = capsys.readouterr().out
+        if argv[0] == "dist":
+            assert cli.main(["dist", "--metric", "en", base, near]) == 0
+            dplus, en = float(out), float(capsys.readouterr().out)
+        else:
+            payload = json.loads(out)
+            dplus, en = payload["dplus"], payload["en"]
+        assert abs(dplus - 2 * en) <= 1e-11
 
 
 def _old_matrix_obj(mat):

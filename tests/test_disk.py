@@ -529,7 +529,23 @@ class TestGeodesicDiskPoints:
 
 class TestRelativeSpectrum:
     """Near the rim the computed spectrum of ``nu^{-1/2} mu nu^{-1/2}`` can
-    lose positivity; the cone functions then raise instead of returning NaN."""
+    lose positivity; the cone functions that need its eigenbasis then raise
+    instead of returning NaN.  ``d_cone`` reads only the top of it."""
+
+    @pytest.mark.parametrize("proj_seed, seed, radius", [(2, 2, 1 - 1e-6), (2, 2, 1 - 1e-8),
+                                                         (7, 0, 1 - 2e-9)],
+                             ids=["1-1e-6", "1-1e-8", "1-2e-9"])
+    def test_cone_distance_near_rim(self, proj_seed, seed, radius):
+        # the spectrum is closed under w -> 1/w, so the distance is log of
+        # its largest eigenvalue; reading the smallest too, about e^-sigma
+        # and lost to rounding, was off by up to 4.9e-3 relative here, or
+        # raised NotPositive at 1 - 2e-9
+        p = pj.random_projection(6, 3, proj_seed)
+        m = dk.to_disk_point(mo.chart(mo.random_hp_vector(p, np.random.default_rng(seed), radius)))
+        center = dk.base_disk_point(p)
+        double = 2 * dk.d_non_euclidean(m, center)
+        for pair in ((m, center), (center, m)):
+            assert abs(dk.d_cone(*pair) - double) <= 1e-13 * double
 
     def test_not_positive_near_rim(self):
         # the preimage of a point at chart radius 1 - 2e-9, with its
@@ -543,8 +559,6 @@ class TestRelativeSpectrum:
         w = lam._w.copy()
         w[np.argmin(w)] = -1.0
         mu = dk._cone_element(lam._v, w, lam.xparam)
-        with pytest.raises(NotPositive):
-            dk.d_cone(mu, base)
         with pytest.raises(NotPositive):
             dk._relative_spectrum(mu, base)
         with pytest.raises(NotPositive):

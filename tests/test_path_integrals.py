@@ -36,7 +36,7 @@ def tangent_instance(n, rank, norm, paths=3):
 
 
 def integrals(p, z, ws):
-    return list(gr._path_integrals(p, z.mat, [w.mat for w in ws], gr._GRASSMANN))
+    return list(gr._path_integrals(*gr._corners(p, z.mat, [w.mat for w in ws]), gr._GRASSMANN))
 
 
 def cone_instance(n, rank, scale):
@@ -69,7 +69,8 @@ def test_geodesic_integral_is_the_distance(n, rank):
 def test_full_and_empty_ranks_give_zero_lengths(n, rank):
     p = pj.random_projection(n, rank, 1)
     zero = np.zeros((n, n), dtype=complex)
-    assert list(gr._path_integrals(p, zero, [zero, zero], gr._GRASSMANN)) == [0.0] * 3
+    corners = gr._corners(p, zero, [zero, zero])
+    assert list(gr._path_integrals(*corners, gr._GRASSMANN)) == [0.0] * 3
     mu, nu = dk.random_pos_eps_unitary(p, 1.0, 2), dk.random_pos_eps_unitary(p, 1.0, 3)
     h = herm(np.random.default_rng(n).standard_normal((n, n)))
     assert dk._cone_path_integrals(mu, nu, [h]) == [0.0, 0.0]
@@ -166,7 +167,7 @@ def near_crossing_blocks():
     rng = np.random.default_rng(29)
     z = gr.random_tangent(p, rng, rng.uniform(0.2, 1.5))
     ws = [gr.random_tangent(p, rng, rng.uniform(0.05, 0.5)) for _ in range(5)]
-    return list(gr._reduced_blocks(p, z.mat, [w.mat for w in ws]))[3]
+    return list(gr._reduced_blocks(*gr._corners(p, z.mat, [w.mat for w in ws])))[3]
 
 
 def composite_integral(r_z, r_w, pieces=32):

@@ -33,15 +33,8 @@ def lapack_steps(r_z, r_w, ts):
 
 def reduced_blocks(p, z, ws):
     """Per path, geodesic first, the blocks ``(r_z, r_w)`` that the step
-    kernels take: ``a_z`` and ``a_w`` in an orthonormal basis of the span
-    of ``[a_z, a_w]``, from one thin QR, as ``grassmann._path_steps`` forms
-    them."""
-    small, big, _ = gr._side_blocks(p)
-    k = small.shape[1]
-    a_z = adj(big) @ z.mat @ small
-    for a_w in [np.zeros_like(a_z)] + [adj(big) @ w.mat @ small for w in ws]:
-        r = np.linalg.qr(np.concatenate([a_z, a_w], axis=1), mode="r")
-        yield r[:, :k], r[:, k:]
+    kernels take, from the package's own corner cut."""
+    return gr._reduced_blocks(*gr._corners(p, z.mat, [w.mat for w in ws]))
 
 
 def assert_steps_agree(r_z, r_w, samples, ref):

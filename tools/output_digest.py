@@ -8,12 +8,28 @@ function.  Refactors that must keep outputs bit for bit compare two runs:
 
     diff <(python tools/output_digest.py --src ../parent/src) \
          <(python tools/output_digest.py)
+
+Where the digests differ, ``--values FILE`` stores every record's raw value
+or raised exception, and ``--compare OLD NEW`` compares two such files
+record by record: per function, the records, how many are bit-identical,
+the largest move relative to the record's largest entry, and the records
+that switch between a value and an exception:
+
+    python tools/output_digest.py --src ../parent/src --values old.pkl
+    python tools/output_digest.py --values new.pkl
+    python tools/output_digest.py --compare old.pkl new.pkl
+
+The sweep draws its tangents, chart coordinates and nearby points with
+norms of its own (``np.linalg.norm(., 2)``), so that a rounding change in
+the package's norm kernel moves only the records of the functions that
+call it.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import pickle
 import sys
 from pathlib import Path
 
@@ -36,10 +52,23 @@ def encode(value) -> bytes:
     return repr(value).encode()
 
 
+def entries(value) -> np.ndarray:
+    """The numbers of a raw value, flattened into one complex array."""
+    if isinstance(value, (tuple, list)):
+        parts = [entries(v) for v in value]
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
+    return np.ravel(np.asarray(value, dtype=complex))
+
+
 class Digests:
-    def __init__(self):
+    """Per-function digests of the records; with ``keep``, also the list
+    ``values`` of ``(name, bytes, entries)`` for a value and
+    ``(name, message, None)`` for a raised exception."""
+
+    def __init__(self, keep: bool = False):
         self.hashes = {}
         self.counts = {}
+        self.values = [] if keep else None
 
     def record(self, name, fn, *args):
         """Run ``fn(*args)``, hash its raw output under ``name`` and return
@@ -47,12 +76,17 @@ class Digests:
         try:
             out = fn(*args)
         except Exception as exc:
-            data, out = f"{type(exc).__name__}: {exc}".encode(), None
+            message, out = f"{type(exc).__name__}: {exc}", None
+            data, kept = message.encode(), (name, message, None)
         else:
-            data = encode(raw(out))
+            value = raw(out)
+            data = encode(value)
+            kept = (name, data, entries(value)) if self.values is not None else None
         h = self.hashes.setdefault(name, hashlib.sha256())
         h.update(len(data).to_bytes(8, "little") + data)
         self.counts[name] = self.counts.get(name, 0) + 1
+        if self.values is not None:
+            self.values.append(kept)
         return out
 
 
@@ -67,6 +101,52 @@ def raw(out):
     if hasattr(out, "g"):
         return out.g
     return out
+
+
+def norm2(a: np.ndarray) -> float:
+    """Operator norm from numpy's SVD, not from the package's norm kernel."""
+    return float(np.linalg.norm(a, 2))
+
+
+def corner(p, rng: np.random.Generator) -> np.ndarray:
+    """A random corner ``(1-p) M p``, drawn as the package's samplers draw it."""
+    n = p.dim
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return p.comp @ m @ p.mat
+
+
+def tangent(gg, p, rng: np.random.Generator, norm: float):
+    """A random tangent at ``p`` of operator norm ``norm``."""
+    x = corner(p, rng)
+    z = x - x.conj().T
+    zn = norm2(z)
+    return gg.TangentVector(z * (norm / zn) if zn else np.zeros_like(z), p)
+
+
+def hp_vector(gg, p, rng: np.random.Generator, norm: float):
+    """A random chart coordinate at ``p`` of operator norm ``norm``."""
+    x = corner(p, rng)
+    xn = norm2(x)
+    return gg.HpVector(x * (norm / xn) if xn else np.zeros_like(x), p)
+
+
+def point_near(gg, p, radius: float, seed: int):
+    """A random point within chordal distance ``radius`` of ``[p]``."""
+    rng = np.random.default_rng(seed)
+    x = corner(p, rng)
+    z = x - x.conj().T
+    zn = norm2(z)
+    if zn == 0.0:
+        return gg.classify(p.mat, p)
+    theta = np.arcsin(radius) * (1.0 - rng.uniform())
+    return gg.classify(gg.linalg.expm(z * (theta / zn)) @ p.mat, p)
+
+
+def pos_eps_unitary(gg, p, scale: float, seed: int):
+    """A random cone element ``exp(x + x*)`` with corner norm at most ``scale``."""
+    rng = np.random.default_rng(seed)
+    magnitude = scale * (1.0 - rng.uniform())
+    return gg.PositiveEpsUnitary.from_xparam(hp_vector(gg, p, rng, magnitude))
 
 
 def sweep(gg, dims, rec: Digests):
@@ -98,7 +178,7 @@ def sweep(gg, dims, rec: Digests):
                 rec.record("in_lp", gg.in_lp, elem, p)
                 rec.record("classify", gg.classify, elem, p)
 
-            m = gg.random_point_near(p, 0.9, seed + 1) if k not in (0, n) else gg.classify(p.mat, p)
+            m = point_near(gg, p, 0.9, seed + 1) if k not in (0, n) else gg.classify(p.mat, p)
             far = None
             if 0 < k <= n - k:
                 far = gg.point_from_projection(gg.Projection(
@@ -121,7 +201,7 @@ def sweep(gg, dims, rec: Digests):
             rec.record("d_chart", gg.d_chart, m, base)
             rec.record("d_chart", gg.d_chart, base, twin)
 
-            b = gg.random_hp_vector(p, rng, 0.5)
+            b = hp_vector(gg, p, rng, 0.5)
             zero = gg.HpVector(np.zeros((n, n), dtype=complex), p)
             maps = [rec.record("MoebiusMap", gg.MoebiusMap, g, p),
                     rec.record("MoebiusMap", gg.MoebiusMap, a if 0 < k < n else 0 * g, p)]
@@ -143,8 +223,8 @@ def sweep(gg, dims, rec: Digests):
             rec.record("projectivity", gg.projectivity, deficient, p)
             rec.record("unitary_extension", gg.unitary_extension, g, p)
 
-            mu = gg.random_pos_eps_unitary(p, 1.0, seed + 2)
-            nu = gg.random_pos_eps_unitary(p, 0.5, seed + 3)
+            mu = pos_eps_unitary(gg, p, 1.0, seed + 2)
+            nu = pos_eps_unitary(gg, p, 0.5, seed + 3)
             for t in T_GRID:
                 rec.record("eps_geodesic", gg.eps_geodesic, mu, nu, t)
             samples = rec.record("eps_geodesic_samples", gg.disk.eps_geodesic_samples,
@@ -166,29 +246,29 @@ def sweep(gg, dims, rec: Digests):
             # for 0 < k < n, so the pair is out of range
             tangent_rng = np.random.default_rng(seed + 4)
             for theta in (1e-6, 0.5, 1.5, np.pi / 2 - 1e-6):
-                q = gg.geodesic(p, gg.random_tangent(p, tangent_rng, theta), 1.0)
+                q = gg.geodesic(p, tangent(gg, p, tangent_rng, theta), 1.0)
                 rec.record("geodesic_log", gg.geodesic_log, p, q)
             # largest angle pi/2 - delta, chordal distance cos(delta); it
             # reaches 1 - eq_tol at delta ~ 4.47e-5
             for delta in (1e-3, 1e-4, 5e-5, 4e-5, 1e-5, 1e-7):
-                z = gg.random_tangent(p, tangent_rng, np.pi / 2 - delta)
+                z = tangent(gg, p, tangent_rng, np.pi / 2 - delta)
                 rec.record("geodesic_log", gg.geodesic_log, p, gg.geodesic(p, z, 1.0))
 
             curve_rng = np.random.default_rng(seed + 5)
-            z = gg.random_tangent(p, curve_rng, 1.2)
+            z = tangent(gg, p, curve_rng, 1.2)
             for t in T_GRID:
                 rec.record("geodesic", gg.geodesic, p, z, t)
             rec.record("geodesic_curve", gg.geodesic_curve(p, z).sample, np.array(T_GRID))
-            ws = [gg.random_tangent(p, curve_rng, 0.3) for _ in range(2)]
+            ws = [tangent(gg, p, curve_rng, 0.3) for _ in range(2)]
             rec.record("tangent_path_lengths", gg.tangent_path_lengths, p, z, ws, 50)
             # short geodesics at full resolution, and perturbations that
             # leave the span of [a_z, a_w] rank-deficient
             path_rng = np.random.default_rng(seed + 8)
             for norm in (1e-4, 1e-3):
-                z = gg.random_tangent(p, path_rng, norm)
-                ws = [gg.random_tangent(p, path_rng, norm / 2)]
+                z = tangent(gg, p, path_rng, norm)
+                ws = [tangent(gg, p, path_rng, norm / 2)]
                 rec.record("tangent_path_lengths", gg.tangent_path_lengths, p, z, ws, 2000)
-            z = gg.random_tangent(p, path_rng, 1.2)
+            z = tangent(gg, p, path_rng, 1.2)
             ws = [gg.TangentVector(0 * z.mat, p), gg.TangentVector(2 * z.mat, p)]
             rec.record("tangent_path_lengths", gg.tangent_path_lengths, p, z, ws, 50)
             # long paths on a small side of at least 3, with more
@@ -196,8 +276,8 @@ def sweep(gg, dims, rec: Digests):
             # computed at the samples themselves
             if min(k, n - k) >= 3:
                 long_rng = np.random.default_rng(seed + 10)
-                z = gg.random_tangent(p, long_rng, 30.0)
-                ws = [gg.TangentVector(0 * z.mat, p), gg.random_tangent(p, long_rng, 15.0)]
+                z = tangent(gg, p, long_rng, 30.0)
+                ws = [gg.TangentVector(0 * z.mat, p), tangent(gg, p, long_rng, 15.0)]
                 rec.record("tangent_path_lengths", gg.tangent_path_lengths, p, z, ws, 50)
 
             # chart radii from the center to past the rim; corner norms
@@ -206,7 +286,7 @@ def sweep(gg, dims, rec: Digests):
             # 1 - 7e-10 lies just outside it
             disk_rng = np.random.default_rng(seed + 6)
             points = [m, far, gg.cone_to_disk(mu).point]
-            points += [gg.chart(gg.random_hp_vector(p, disk_rng, r))
+            points += [gg.chart(hp_vector(gg, p, disk_rng, r))
                        for r in (1e-8, 0.5, 0.9, 0.999, 0.9995, 0.9999, 1 - 1e-6, 1.5,
                                  1 - 2e-9, 1 - 7e-10)]
             disk_points = []
@@ -239,20 +319,51 @@ def sweep(gg, dims, rec: Digests):
                        lambda: gg.disk._eps_geodesic_points(mu, nu, np.array(T_GRID)))
             decision_rng = np.random.default_rng(seed + 11)
             for sigma in (21.0, 22.0, 30.0):
-                x = gg.random_hp_vector(p, decision_rng, sigma)
+                x = hp_vector(gg, p, decision_rng, sigma)
                 rec.record("cone_to_disk", gg.cone_to_disk, gg.PositiveEpsUnitary.from_xparam(x))
 
             # the cone steps that the package measures for itself, on the
             # small side, for the geodesic, a perturbation with every block
             # and its block-diagonal part; from a generator of their own
             steps_rng = np.random.default_rng(seed + 12)
-            lam = gg.random_pos_eps_unitary(p, 1.5, seed + 13)
-            kappa = gg.random_pos_eps_unitary(p, 1.5, seed + 14)
+            lam = pos_eps_unitary(gg, p, 1.5, seed + 13)
+            kappa = pos_eps_unitary(gg, p, 1.5, seed + 14)
             h = steps_rng.standard_normal((n, n)) + 1j * steps_rng.standard_normal((n, n))
             hs = [h, p.mat @ h @ p.mat + p.comp @ h @ p.comp]
             for samples in (2, 50, 2000) if n <= 8 else (2, 50):
                 rec.record("cone_path_steps",
                            lambda: list(gg.disk._cone_path_steps(lam, kappa, hs, samples)))
+            # and the same paths' lengths as integrals of the cone speed
+            rec.record("cone_path_integrals",
+                       lambda: gg.disk._cone_path_integrals(lam, kappa, hs))
+
+
+def compare(old: list, new: list) -> list[str]:
+    """Per function: records, bit-identical records, the largest move of a
+    value relative to its largest entry in ``old``, and the records that
+    switch from a value to an exception and back."""
+    names = list(dict.fromkeys(name for name, _, _ in old + new))
+    lines = [f"{'function':22s} {'records':>7s} {'identical':>9s} {'max_move':>9s} "
+             f"{'to_raise':>8s} {'to_value':>8s}"]
+    for name in names:
+        olds = [(data, vals) for key, data, vals in old if key == name]
+        news = [(data, vals) for key, data, vals in new if key == name]
+        same = to_raise = to_value = 0
+        worst = 0.0
+        for (a, va), (b, vb) in zip(olds, news):
+            if a == b:
+                same += 1
+            elif va is not None and vb is None:
+                to_raise += 1
+            elif va is None and vb is not None:
+                to_value += 1
+            elif va is not None:
+                scale = np.abs(va).max(initial=0.0) or 1.0
+                move = np.abs(va - vb).max(initial=0.0) / scale if va.shape == vb.shape else np.inf
+                worst = max(worst, move if np.isfinite(move) else np.inf)
+        count = f"{len(olds)}" if len(olds) == len(news) else f"{len(olds)}/{len(news)}"
+        lines.append(f"{name:22s} {count:>7s} {same:9d} {worst:9.2e} {to_raise:8d} {to_value:8d}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -261,14 +372,24 @@ def main(argv=None) -> int:
                     help="directory holding the grassgeo package (default: this checkout's src)")
     ap.add_argument("--dims", default="2,3,4,5,6,7,8,16,32,64",
                     help="comma-separated dimensions (default 2..8,16,32,64)")
+    ap.add_argument("--values", metavar="FILE",
+                    help="also store every record's raw value or exception in FILE")
+    ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                    help="compare two files of --values record by record and exit")
     args = ap.parse_args(argv)
+    if args.compare:
+        old, new = (pickle.loads(Path(f).read_bytes()) for f in args.compare)
+        print("\n".join(compare(old, new)))
+        return 0
     sys.path.insert(0, args.src)
     import grassgeo as gg
 
-    rec = Digests()
+    rec = Digests(keep=args.values is not None)
     sweep(gg, [int(d) for d in args.dims.split(",")], rec)
     for name in sorted(rec.hashes):
         print(f"{name:22s} {rec.counts[name]:5d} {rec.hashes[name].hexdigest()}")
+    if args.values:
+        Path(args.values).write_bytes(pickle.dumps(rec.values))
     return 0
 
 
