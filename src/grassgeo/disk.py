@@ -20,7 +20,10 @@ that the package measures for itself (``_cone_path_steps`` and
 side with cosh/sinhc and the indefinite form, from the corners of ``L/2``
 and of the perturbation (``_cone_corners``).
 :func:`cone_polyline_steps` measures stacks that callers supply, with one
-Cholesky factor per sample.
+Cholesky factor per sample.  The samplers and :func:`cone_polyline_steps`
+run in the blocks of samples of the Grassmann engines
+(``grassmann._sample_blocks``), so their memory beyond the output does not
+grow with the number of samples.
 
 Cone elements built from a generator (``from_xparam``, ``power``) and the
 disk points built from them skip the constructors' checks; results read
@@ -44,8 +47,8 @@ from .errors import (
 from .linalg import DEFAULT_TOL, Tolerance, _op_norm, adj, as_matrix, herm, spectral
 from .moebius import HpVector, chart_inv, random_hp_vector
 from .projective import Projection, ProjectivePoint, _trusted, classify
-from .grassmann import (_check_context, _moved_basis, _path_integrals, _path_steps, _side_blocks,
-                        d_chordal)
+from .grassmann import (_check_context, _moved_basis, _path_integrals, _path_steps, _sample_blocks,
+                        _side_blocks, _step_spans, d_chordal)
 
 __all__ = [
     "EpsSymmetry",
@@ -364,7 +367,11 @@ def eps_geodesic_samples(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
     """Stack of cone geodesic samples for a whole parameter grid.
 
     With ``nu^{-1/2} mu nu^{-1/2} = V diag(w) V*`` and ``G = nu^{1/2} V``,
-    the sample at t is ``G diag(w^t) G*``: one product per sample.
+    the sample at t is ``G diag(w^t) G*``: one product per sample, filled
+    in one block of samples (``grassmann._sample_blocks``) at a time.  The
+    powers ``w^t`` are taken for the whole grid at once: numpy's ``**``
+    takes a one-sample block's exponent for a scalar and rounds ``w^2``,
+    ``w^0.5`` and ``w^-1`` another way.
 
     Raises
     ------
@@ -376,8 +383,11 @@ def eps_geodesic_samples(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
     """
     w, v = _relative_spectrum(mu, nu)
     ts = _sample_times(ts)
-    g = nu.sqrt @ v
-    return herm((g * (w ** ts[:, None])[:, None, :]) @ adj(g))
+    g, powers = nu.sqrt @ v, w ** ts[:, None]
+    out = np.empty((ts.size, *g.shape), dtype=complex)
+    for block in _sample_blocks(ts.size, g.size):
+        out[block] = herm((g * powers[block, None, :]) @ adj(g))
+    return out
 
 
 def _eps_geodesic_points(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
@@ -388,11 +398,17 @@ def _eps_geodesic_points(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
     ``X_t = nu^{1/2} exp(tL/2) = G diag(w^{t/2}) V*`` is eps-unitary with
     ``X_t X_t* = lam_t``; its unitary polar factor is eps-unitary too, so it
     commutes with ``p``, and ``X_t Bp`` spans the range of ``lam_t^{1/2} p``.
+    The points are filled in blocks, as the samples are.
     """
     w, v = _relative_spectrum(mu, nu)
-    x = (nu.sqrt @ v) * (w ** (_sample_times(ts)[:, None] / 2))[:, None, :]
-    q = np.linalg.qr(x @ (adj(v) @ mu.context.range_basis))[0]
-    return q @ adj(q)
+    ts = _sample_times(ts)
+    g, powers = nu.sqrt @ v, w ** (ts[:, None] / 2)
+    basis = adj(v) @ mu.context.range_basis
+    out = np.empty((ts.size, *g.shape), dtype=complex)
+    for block in _sample_blocks(ts.size, g.size):
+        q = np.linalg.qr((g * powers[block, None, :]) @ basis)[0]
+        out[block] = q @ adj(q)
+    return out
 
 
 def cone_polyline_steps(lams: np.ndarray) -> np.ndarray:
@@ -402,7 +418,11 @@ def cone_polyline_steps(lams: np.ndarray) -> np.ndarray:
     distance ``|| log(A_{j+1}^{-1/2} A_j A_{j+1}^{-1/2}) ||`` depends only
     on the eigenvalues of that matrix, which are those of ``Y Y*`` for
     ``Y = L_{j+1}^{-1} L_j``; so each step is twice the largest
-    ``|log sigma|`` over the singular values of ``Y``.
+    ``|log sigma|`` over the singular values of ``Y``.  The factors, solves
+    and singular values are taken one block of samples at a time
+    (``grassmann._step_spans``), the last sample of each block factored
+    again with the next, so memory beyond the steps does not grow with the
+    stack; the stack is checked for non-finite entries before any factor.
 
     Raises
     ------
@@ -414,14 +434,19 @@ def cone_polyline_steps(lams: np.ndarray) -> np.ndarray:
     lams = np.asarray(lams, dtype=complex)
     if lams.ndim != 3 or lams.shape[1] != lams.shape[2]:
         raise InvalidInput(f"expected a stack of square matrices, got shape {lams.shape}")
-    if not np.all(np.isfinite(lams.view(float))):
+    entries = lams.shape[1] ** 2
+    if not all(np.isfinite(lams[block].view(float)).all()
+               for block in _sample_blocks(len(lams), entries)):
         raise InvalidInput("polyline samples have non-finite entries")
-    try:
-        chol = np.linalg.cholesky(herm(lams))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositive("polyline samples must be positive definite") from exc
-    sv = np.linalg.svd(np.linalg.solve(chol[1:], chol[:-1]), compute_uv=False)
-    return 2 * np.abs(np.log(sv)).max(axis=-1)
+    steps = np.empty(max(len(lams) - 1, 0))
+    for span, block in _step_spans(len(lams), entries):
+        try:
+            chol = np.linalg.cholesky(herm(lams[span]))
+        except np.linalg.LinAlgError as exc:
+            raise NotPositive("polyline samples must be positive definite") from exc
+        sv = np.linalg.svd(np.linalg.solve(chol[1:], chol[:-1]), compute_uv=False)
+        steps[block] = 2 * np.abs(np.log(sv)).max(axis=-1)
+    return steps
 
 
 def cone_polyline_length(lams: np.ndarray) -> float:
@@ -452,6 +477,8 @@ def cone_perturbed_path(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
     the corners of :func:`_cone_corners` (``grassmann._moved_basis``).
     ``E`` and ``nu^{1/2}`` preserve ``eps_s = 2 Bs Bs* - 1`` (``eps`` or
     ``-eps``), so with ``P = nu^{1/2} E Bs`` the sample is ``2 P P* - eps_s``.
+    The samples are filled in one block (``grassmann._sample_blocks``) at a
+    time.
 
     Raises
     ------
@@ -470,11 +497,16 @@ def cone_perturbed_path(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
     if np.abs(p.mat - nu.context.mat).max() > DEFAULT_TOL.eq_tol:
         raise InvalidInput("cone elements have different context projections")
     small, big, flipped = _side_blocks(p)
-    moved = _moved_basis(_sample_times(ts), ell, eta, *_COSH_SINHC)
+    ts = _sample_times(ts)
     k = small.shape[1]
-    cols = (nu.sqrt @ small) @ moved[:, :k] + (nu.sqrt @ big) @ moved[:, k:]
+    left, right = nu.sqrt @ small, nu.sqrt @ big
     eps_s = -p.eps if flipped else p.eps
-    return herm(2 * (cols @ adj(cols)) - eps_s)
+    out = np.empty((ts.size, *h.shape), dtype=complex)
+    for block in _sample_blocks(ts.size, h.size):
+        moved = _moved_basis(ts[block], ell, eta, *_COSH_SINHC)
+        cols = left @ moved[:, :k] + right @ moved[:, k:]
+        out[block] = herm(2 * (cols @ adj(cols)) - eps_s)
+    return out
 
 
 def _cone_corners(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary, hs):

@@ -22,6 +22,12 @@ Grassmann paths, with ``(cos, sinc)``, and the cone paths of
 polylines that :func:`tangent_path_lengths`, :func:`curve_length` and the
 tables report; the speed kernel (:func:`_path_integrals`) integrates the
 lengths that the verify minimality properties compare.
+
+The curve engines (the samplers, the step kernel, :func:`curve_length` and
+:func:`chordal_steps`) evaluate their samples in blocks of about 2^14
+complex entries per stacked operand (:func:`_sample_blocks`), consecutive
+blocks sharing one sample, so their memory beyond the output does not grow
+with the resolution.
 """
 
 from __future__ import annotations
@@ -249,41 +255,89 @@ def _sample_matrices(curve: Curve, ts: np.ndarray) -> np.ndarray:
     return np.stack(mats)
 
 
+def _check_samples(qs: np.ndarray, start: int, tol: Tolerance) -> None:
+    """Raise ``InvalidCurve`` at the first sample of the stack ``qs``, sample
+    ``start + i`` of its curve, that has a non-finite entry or fails the
+    projection invariants within eq_tol."""
+    finite = np.isfinite(qs.view(float)).all(axis=(-2, -1))
+    stop = int(finite.argmin()) if not finite.all() else len(qs)
+    good = qs[:stop]
+    # Frobenius residuals bound the operator-norm residuals from above, so
+    # this check is conservative; samples near the tolerance are re-examined
+    # with the exact norm.
+    herm_res = np.linalg.norm(good - adj(good), axis=(-2, -1))
+    idem_res = np.linalg.norm(good @ good - good, axis=(-2, -1))
+    for i in np.nonzero((herm_res > tol.eq_tol) | (idem_res > tol.eq_tol))[0]:
+        q = good[i]
+        if max(op_norm(q - q.conj().T), op_norm(q @ q - q)) > tol.eq_tol:
+            raise InvalidCurve(f"sample {start + i} violates the projection invariants")
+    if stop < len(qs):
+        raise InvalidCurve(f"sample {start + stop} has non-finite entries")
+
+
 def curve_length(curve: Curve, tol: Tolerance = DEFAULT_TOL) -> float:
     """Chordal length of a curve on the uniform grid of ``curve.resolution``.
 
     Sums the chordal distances of consecutive samples, the partial sums that
     define curve length; the value is non-decreasing in the resolution and
-    converges to the integral of the speed for C^1 curves.
+    converges to the integral of the speed for C^1 curves.  The curve is
+    sampled one block of samples (:func:`_step_spans`) at a time, each block
+    with the last sample of the one before, so memory beyond the steps does
+    not grow with the resolution.
 
     Raises
     ------
     InvalidCurve
-        If a sample fails the projection invariants within eq_tol.
+        If a sample has a non-finite entry or fails the projection
+        invariants within eq_tol; the message names the first such sample.
     """
     _check_resolution(curve.resolution)
     ts = np.linspace(0.0, 1.0, curve.resolution)
-    qs = _sample_matrices(curve, ts)
-    if not np.all(np.isfinite(qs.view(float))):
-        raise InvalidCurve("curve sample has non-finite entries")
-    # Frobenius residuals bound the operator-norm residuals from above, so
-    # this check is conservative; samples near the tolerance are re-examined
-    # with the exact norm.
-    herm_res = np.linalg.norm(qs - adj(qs), axis=(-2, -1))
-    idem_res = np.linalg.norm(qs @ qs - qs, axis=(-2, -1))
-    for res in (herm_res, idem_res):
-        bad = np.nonzero(res > tol.eq_tol)[0]
-        for i in bad:
-            q = qs[i]
-            if max(op_norm(q - q.conj().T), op_norm(q @ q - q)) > tol.eq_tol:
-                raise InvalidCurve(f"sample {i} violates the projection invariants")
-    return float(chordal_steps(qs).sum())
+    entries = _sample_matrices(curve, ts[:1])[0].size
+    steps = np.empty(ts.size - 1)
+    for span, block in _step_spans(ts.size, entries):
+        qs = _sample_matrices(curve, ts[span])
+        _check_samples(qs, span.start, tol)
+        steps[block] = _chordal_distances(qs)
+    return float(steps.sum())
 
 
 def chordal_steps(qs: np.ndarray) -> np.ndarray:
-    """Chordal distances between consecutive projections of a stack."""
+    """Chordal distances between consecutive projections of a stack,
+    evaluated one block of samples at a time (:func:`_step_spans`)."""
+    steps = np.empty(max(len(qs) - 1, 0))
+    for span, block in _step_spans(len(qs), qs.shape[-1] ** 2):
+        steps[block] = _chordal_distances(qs[span])
+    return steps
+
+
+def _chordal_distances(qs: np.ndarray) -> np.ndarray:
     sym = herm(qs)
     return np.abs(np.linalg.eigvalsh(sym[1:] - sym[:-1])).max(axis=-1)
+
+
+# Complex entries per stacked operand in one block of samples; the sweep in
+# BENCH_25.json picked it.  The curve engines evaluate their samples one
+# block at a time, so their working memory beyond the output is bounded by
+# a few operands of this size, whatever the resolution.
+_BLOCK_ENTRIES = 1 << 14
+
+
+def _sample_blocks(count: int, entries: int) -> list:
+    """Slices of ``range(count)`` of as many samples as fit
+    ``_BLOCK_ENTRIES`` complex entries each, at least one, for stacked
+    operands of ``entries`` complex entries per sample."""
+    size = max(1, _BLOCK_ENTRIES // max(1, entries))
+    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
+
+
+def _step_spans(count: int, entries: int):
+    """Per block of :func:`_sample_blocks` over ``count`` samples, the span
+    of the block and the last sample before it, and the slice of the steps
+    within that span, which end in the block."""
+    for block in _sample_blocks(count, entries):
+        start = max(block.start - 1, 0)
+        yield slice(start, block.stop), slice(start, block.stop - 1)
 
 
 def projectivity(g, q: Projection, tol: Tolerance = DEFAULT_TOL) -> Projection:
@@ -356,18 +410,21 @@ def _path_sampler(p: Projection, z_mat: np.ndarray, w_mat: np.ndarray) -> Callab
     """Sampler for t -> exp(z(t)) p exp(-z(t)), z(t) = t z + t (1-t) w.
 
     The moved small side is ``Bs M_s + Bb M_b`` for the moved basis
-    ``[M_s; M_b]`` of :func:`_moved_basis` on the corners."""
+    ``[M_s; M_b]`` of :func:`_moved_basis` on the corners, computed one
+    block of samples (:func:`_sample_blocks`) at a time."""
     small, big, flipped = _side_blocks(p)
     n, k = p.dim, small.shape[1]
     a_z, [a_w] = _corners(p, z_mat, [w_mat])
 
     def sampler(t):
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        moved = _moved_basis(ts, a_z, a_w, *_COS_SINC)
-        cols = small @ moved[:, :k] + big @ moved[:, k:]
-        qs = cols @ adj(cols)
-        if flipped:
-            qs = np.eye(n, dtype=complex) - qs
+        qs = np.empty((ts.size, n, n), dtype=complex)
+        for block in _sample_blocks(ts.size, n * n):
+            moved = _moved_basis(ts[block], a_z, a_w, *_COS_SINC)
+            cols = small @ moved[:, :k] + big @ moved[:, k:]
+            qs[block] = cols @ adj(cols)
+            if flipped:
+                qs[block] = np.eye(n, dtype=complex) - qs[block]
         if np.ndim(t) == 0:
             basis = {} if flipped else {"range_basis": cols[0]}
             return _trusted(Projection, mat=qs[0], rank=p.rank, **basis)
@@ -527,8 +584,14 @@ def _chebyshev_coefficients(r_z: np.ndarray, r_w: np.ndarray, deg: int,
 
 def _interpolate(rows: np.ndarray, coef: np.ndarray, k: int) -> np.ndarray:
     """The stacked (rows x k) moved bases that ``rows`` map the Chebyshev
-    coefficients ``coef`` of a basis with k columns to."""
-    return (rows @ coef).view(complex).reshape(len(rows), -1, k)
+    coefficients ``coef`` of a basis with k columns to.
+
+    A single row is multiplied as a pair: numpy hands a one-row product to
+    gemv, whose rounding differs from the gemm that takes longer blocks.
+    """
+    count = len(rows)
+    out = (rows if count != 1 else np.repeat(rows, 2, axis=0)) @ coef
+    return out[:count].view(complex).reshape(count, coef.shape[1] // (2 * k), k)
 
 
 def _chebyshev_rows(deg: int, ts: np.ndarray):
@@ -586,7 +649,9 @@ def _interpolated_steps(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray,
     2000 samples, erring towards the direct route.  Each step is the
     square root of the largest eigenvalue of ``sigma res* J res`` for
     ``res = D - C (C* J D)``, with ``C`` the moved basis at a sample, ``D``
-    the difference to the next one and ``J = diag(1_k, sigma)``.
+    the difference to the next one and ``J = diag(1_k, sigma)``.  The route
+    is decided on all N samples; either route then runs one block of
+    samples (:func:`_step_spans`) at a time.
 
     The moved basis is interpolated in its canonical form ``V f(s) V*``;
     the eigenvector form ``[V f(s); r V g(s)]`` changes phase and column
@@ -598,13 +663,17 @@ def _interpolated_steps(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray,
         return np.zeros(ts.size - 1)
     k = r_z.shape[1]
     deg = _interpolation_degree(r_z, r_w)
-    if (deg + 1) * (2 / ts.size + 1 / (20 * k)) >= 1:
-        basis = _moved_basis(ts, r_z, r_w, f, g)
-        prev, delta = basis[:-1], np.diff(basis, axis=0)
-    else:
-        coef = _chebyshev_coefficients(r_z, r_w, deg, f, g)
-        prev, delta = (_interpolate(rows, coef, k) for rows in _chebyshev_rows(deg, ts))
-    return _residual_norms(prev, delta, k, sigma)
+    direct = (deg + 1) * (2 / ts.size + 1 / (20 * k)) >= 1
+    coef = None if direct else _chebyshev_coefficients(r_z, r_w, deg, f, g)
+    steps = np.empty(ts.size - 1)
+    for span, block in _step_spans(ts.size, r_z.size + k * k):
+        if direct:
+            basis = _moved_basis(ts[span], r_z, r_w, f, g)
+            prev, delta = basis[:-1], np.diff(basis, axis=0)
+        else:
+            prev, delta = (_interpolate(rows, coef, k) for rows in _chebyshev_rows(deg, ts[span]))
+        steps[block] = _residual_norms(prev, delta, k, sigma)
+    return steps
 
 
 # Gauss-Legendre node counts of _speed_integral: an estimate and its check

@@ -171,7 +171,14 @@ def test_interpolated_routes(monkeypatch, n, rank, norm, samples, direct):
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
     gr._interpolated_steps(r_z, r_w, np.linspace(0.0, 1.0, samples), *gr._GRASSMANN)
-    assert sizes == [samples if direct else gr._interpolation_degree(r_z, r_w) + 1]
+    if direct:
+        # one eigh per block of samples, each block after the first with the
+        # last sample of the one before: together they cover every sample
+        block = gr._sample_blocks(samples, r_z.size + r_z.shape[1] ** 2)[0].stop
+        assert sum(sizes) - (len(sizes) - 1) == samples
+        assert max(sizes) <= block + 1
+    else:
+        assert sizes == [gr._interpolation_degree(r_z, r_w) + 1]
 
 
 @pytest.mark.parametrize("n, rank", [(6, 3), (16, 4), (32, 24)])

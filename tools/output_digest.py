@@ -241,6 +241,15 @@ def sweep(gg, dims, rec: Digests):
                                          mu, nu, pert, np.array(T_GRID)))
             for stack in stacks:
                 rec.record("cone_polyline_steps", gg.disk.cone_polyline_steps, stack)
+            # the same on a grid that spans several blocks of samples above n = 8
+            grid = np.linspace(0.0, 1.0, 200)
+            stacks = [rec.record("eps_geodesic_samples", gg.disk.eps_geodesic_samples,
+                                 mu, nu, grid),
+                      rec.record("cone_perturbed_path", gg.disk.cone_perturbed_path,
+                                 mu, nu, h, grid)]
+            for stack in stacks:
+                if stack is not None:
+                    rec.record("cone_polyline_steps", gg.disk.cone_polyline_steps, stack)
 
             # the last angle puts the chordal distance within eq_tol of 1
             # for 0 < k < n, so the pair is out of range
@@ -261,6 +270,16 @@ def sweep(gg, dims, rec: Digests):
             rec.record("geodesic_curve", gg.geodesic_curve(p, z).sample, np.array(T_GRID))
             ws = [tangent(gg, p, curve_rng, 0.3) for _ in range(2)]
             rec.record("tangent_path_lengths", gg.tangent_path_lengths, p, z, ws, 50)
+            # the curve engines over several blocks of samples: the sampled
+            # stack, its chordal steps and the lengths of the sampled curves
+            resolution = 2000 if n <= 8 else 200
+            curves = (gg.geodesic_curve(p, z, resolution),
+                      gg.perturbed_curve(p, z, ws[0], resolution))
+            stack = rec.record("perturbed_curve", curves[1].sample,
+                               np.linspace(0.0, 1.0, resolution))
+            rec.record("chordal_steps", gg.grassmann.chordal_steps, stack)
+            for curve in curves:
+                rec.record("curve_length", gg.curve_length, curve)
             # short geodesics at full resolution, and perturbations that
             # leave the span of [a_z, a_w] rank-deficient
             path_rng = np.random.default_rng(seed + 8)
@@ -315,8 +334,9 @@ def sweep(gg, dims, rec: Digests):
                     rec.record("d_non_euclidean", gg.d_non_euclidean, *pair)
             # looked up inside the record, so that a tree without the
             # function hashes the AttributeError
-            rec.record("eps_geodesic_points",
-                       lambda: gg.disk._eps_geodesic_points(mu, nu, np.array(T_GRID)))
+            for times in (np.array(T_GRID), np.linspace(0.0, 1.0, 200)):
+                rec.record("eps_geodesic_points",
+                           lambda: gg.disk._eps_geodesic_points(mu, nu, times))
             decision_rng = np.random.default_rng(seed + 11)
             for sigma in (21.0, 22.0, 30.0):
                 x = hp_vector(gg, p, decision_rng, sigma)
