@@ -10,12 +10,10 @@ For one matrix or a stack, :func:`adj` is the adjoint and :func:`spectral`
 reassembles ``V diag(f(w)) V*`` from an eigenbasis and mapped eigenvalues;
 every Hermitian matrix function of the package goes through it.
 
-Only :func:`log_unitary` and the non-normal branch of :func:`expm` need
-scipy; they import ``scipy.linalg`` on first use, so that code which never
-reaches them starts without loading scipy.  Of the library only the
-``verify`` properties reach them (the unitary-log round trip, and general
-exponentials in the Moebius properties); the Grassmann log works from
-principal angles.  So ``verify`` is the only CLI command that loads scipy.
+Every kernel is numpy only: :func:`expm` of a matrix that is neither
+Hermitian nor anti-Hermitian uses scaling and squaring with a [13/13] Pade
+approximant, and :func:`log_unitary` a Cayley transform turned away from
+the branch cut.
 """
 
 from __future__ import annotations
@@ -210,11 +208,44 @@ def polar(a) -> tuple[np.ndarray, np.ndarray]:
     return u, pos
 
 
+# Higham, SIAM J. Matrix Anal. Appl. 26 (2005): the [13/13] Pade
+# coefficients, and the 1-norm up to which the approximant alone has a
+# backward error below the unit roundoff
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _pade_expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring: ``a / 2^s`` with 1-norm at most
+    theta_13, its [13/13] Pade approximant ``(V - U)^{-1} (V + U)``, then
+    ``s`` squarings."""
+    norm = np.abs(a).sum(axis=0).max()
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a * 2.0 ** -s
+    b = _PADE13
+    ident = np.eye(a.shape[0], dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 def expm(a) -> np.ndarray:
     """Matrix exponential.
 
     Hermitian and anti-Hermitian arguments go through the spectral
-    decomposition; anything else falls back to the general Pade routine.
+    decomposition; anything else through scaling and squaring with the
+    [13/13] Pade approximant (Higham 2005).
     """
     a = as_matrix(a, square=True)
     scale = max(1.0, np.abs(a).max())
@@ -226,9 +257,7 @@ def expm(a) -> np.ndarray:
         # a = i h with h Hermitian; exp(a) is unitary
         w, v = np.linalg.eigh(herm(-1j * a))
         return spectral(v, np.exp(1j * w))
-    import scipy.linalg
-
-    return scipy.linalg.expm(a)
+    return _pade_expm(a)
 
 
 def log_unitary(u, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -238,6 +267,11 @@ def log_unitary(u, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     (-i pi, i pi).  Inputs with an eigenvalue within ``eq_tol`` of -1 are
     rejected rather than nudged off the branch cut.
 
+    The middle of the widest angular gap between the eigenvalues is turned
+    onto -1, ``c = e^{-i phi} u``, so that the Hermitian Cayley transform
+    ``h = i (1 + c)^{-1} (1 - c)`` has norm at most ``cot(gap / 4)``; its
+    eigenvalues ``w`` give the angles ``2 arctan(w) + phi``.
+
     Raises
     ------
     InvalidInput
@@ -246,20 +280,20 @@ def log_unitary(u, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         If some eigenvalue lies within ``eq_tol`` of -1.
     """
     u = as_matrix(u, square=True)
-    n = u.shape[0]
-    if np.abs(adj(u) @ u - np.eye(n)).max() > tol.eq_tol:
+    ident = np.eye(u.shape[0])
+    if np.abs(adj(u) @ u - ident).max() > tol.eq_tol:
         raise InvalidInput("matrix is not unitary within eq_tol")
-    import scipy.linalg
-
-    t, q = scipy.linalg.schur(u, output="complex")
-    lam = np.diag(t).copy()
-    # a unitary matrix is normal, so the Schur form is diagonal up to rounding
-    if np.abs(t - np.diag(lam)).max() > 1e3 * tol.eq_tol:
-        raise InvalidInput("Schur form is not diagonal; input is far from normal")
+    lam = np.linalg.eigvals(u)
     if np.abs(lam + 1.0).min() <= tol.eq_tol:
         raise BranchCut("eigenvalue within eq_tol of -1; principal log undefined")
-    lam /= np.abs(lam)
-    out = spectral(q, np.log(lam))
+    angles = np.sort(np.angle(lam))
+    gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
+    top = np.argmax(gaps)
+    phi = angles[top] + gaps[top] / 2 - np.pi
+    c = np.exp(-1j * phi) * u
+    w, v = np.linalg.eigh(herm(1j * np.linalg.solve(ident + c, ident - c)))
+    theta = np.pi - np.mod(np.pi - (2 * np.arctan(w) + phi), 2 * np.pi)
+    out = spectral(v, 1j * theta)
     return (out - adj(out)) / 2
 
 

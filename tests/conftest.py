@@ -39,6 +39,13 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     return la.herm(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
+def mp_expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) in 40-digit arithmetic from the exact float64 entries."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=complex)
+
+
 def write_point(path, point):
     se.save_obj(se.point_to_obj(point), str(path))
     return str(path)

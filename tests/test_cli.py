@@ -504,8 +504,9 @@ class TestRandomCommand:
 
 
 # Runs in a fresh interpreter: the short commands, the Grassmann table
-# commands and an in-process geodesic_log must not load scipy, and the kernel
-# named by the second argument must load it on first use.
+# commands, an in-process geodesic_log, the linalg kernel named by the second
+# argument (once loaded from scipy on first use) and a small verify run must
+# never load scipy.
 _SCIPY_FREE_RUN = """
 import contextlib, io, json, sys
 import numpy as np
@@ -515,28 +516,32 @@ from grassgeo import grassmann, linalg, projective
 def scipy_loaded():
     return any(m.split(".")[0] == "scipy" for m in sys.modules)
 
-for argv in json.loads(sys.argv[1]):
+def run(argv):
     with contextlib.redirect_stdout(io.StringIO()):
         code = grassgeo.cli.main(argv)
     assert code == 0, (argv, code)
     assert not scipy_loaded(), argv
 
+for argv in json.loads(sys.argv[1]):
+    run(argv)
+
 p = projective.random_projection(4, 2, 1)
 q = projective.random_projection(4, 2, 2)
 z = grassmann.geodesic_log(p, q)
 assert np.abs(grassmann.geodesic(p, z, 1.0).mat - q.mat).max() < 1e-9
-assert not scipy_loaded()
-
 if sys.argv[2] == "log_unitary":
     assert np.abs(linalg.log_unitary(q.eps @ p.eps) - 2 * z.mat).max() < 1e-12
 else:
     a = np.array([[1.0, 2.0], [0.0, 1.0]])  # 1 + nilpotent, so exp(a) = e a
     assert np.abs(linalg.expm(a) - np.e * a).max() < 1e-12
-assert "scipy.linalg" in sys.modules
+assert not scipy_loaded()
+run(["verify", "--dims", "2,3", "--trials", "2"])
 """
 
 
 class TestScipyOnDemand:
+    # scipy is never demanded: neither kernel that once loaded it on first use
+    # does so any more
     @pytest.mark.parametrize("kernel", ["log_unitary", "expm"])
     def test_short_commands_start_without_scipy(self, hyperbolic_files, tmp_path, kernel):
         base, hyp = hyperbolic_files
@@ -561,9 +566,12 @@ class TestScipyOnDemand:
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
-    def test_no_module_imports_scipy_at_top_level(self):
+
+class TestScipyFree:
+    def test_no_module_imports_scipy(self):
+        # every import statement of the package, in function bodies too
         for path in Path(grassgeo.__file__).parent.glob("*.py"):
-            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Import):
                     names = [alias.name for alias in node.names]
                 elif isinstance(node, ast.ImportFrom):

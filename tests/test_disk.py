@@ -11,7 +11,7 @@ from grassgeo import projective as pj
 from grassgeo import verify
 from grassgeo.errors import InvalidInput, NotEpsUnitary, NotInDisk, NotInLp, NotPositive
 
-from conftest import random_hermitian
+from conftest import mp_expm, random_hermitian
 
 
 def plane_projection():
@@ -765,13 +765,6 @@ class TestDiskMembership:
         for seed in range(10):
             m = dk.cone_to_disk(dk.random_pos_eps_unitary(p, 2.0, seed))
             assert dk.in_disk(m.point)
-
-
-def mp_expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) in 40-digit arithmetic from the exact float64 entries."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        return np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=complex)
 
 
 # every rank at n <= 6, and one case at n = 8

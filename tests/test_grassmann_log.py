@@ -3,10 +3,11 @@
 The paper writes the tangent joining ``p`` to ``q`` as half the principal
 logarithm of the product of symmetries ``(2q - 1)(2p - 1)``.
 ``geodesic_log`` computes it from the principal angles of the range bases
-instead; ``log_unitary`` (a Schur decomposition) serves here only as the
-independent oracle.  Pairs are built by moving a random projection along a
-random tangent whose largest principal angle is log-uniform in
-[1e-8, pi/2 - 1e-4], in dimensions 2-8, 16, 32 and 64 and at every rank.
+instead; ``log_unitary`` (the eigendecomposition of a Cayley transform of
+the product) serves here only as the independent oracle.  Pairs are built
+by moving a random projection along a random tangent whose largest
+principal angle is log-uniform in [1e-8, pi/2 - 1e-4], in dimensions 2-8,
+16, 32 and 64 and at every rank.
 """
 
 import numpy as np

@@ -12,7 +12,7 @@ from grassgeo.errors import (
     NotPositive,
 )
 
-from conftest import random_hermitian
+from conftest import mp_expm, random_hermitian
 
 
 def power_iteration_norm(a: np.ndarray, steps: int = 5000) -> float:
@@ -258,6 +258,100 @@ class TestExpLog:
             series += term
             term = term @ a / k
         assert np.abs(la.expm(a) - series).max() < 1e-13
+
+
+def mp_spectral(v: np.ndarray, fw) -> np.ndarray:
+    """``v diag(fw) v*`` in 40-digit arithmetic from the exact float64
+    entries of ``v``; ``fw`` holds mpmath numbers."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        vm = mpmath.matrix(v.tolist())
+        scaled = vm.copy()
+        for j, f in enumerate(fw):
+            for i in range(vm.rows):
+                scaled[i, j] *= f
+        return np.array((scaled * vm.H).tolist(), dtype=complex)
+
+
+def plain_cayley_log(u: np.ndarray) -> np.ndarray:
+    """The Cayley route of ``log_unitary`` without its turn away from -1."""
+    ident = np.eye(u.shape[0])
+    w, v = np.linalg.eigh(la.herm(1j * np.linalg.solve(ident + u, ident - u)))
+    return la.spectral(v, 2j * np.arctan(w))
+
+
+class TestPadeExpm:
+    """The non-normal branch of ``expm`` against the exponential in 40-digit
+    arithmetic, relative to its largest entry.  Draws are scaled to a given
+    1-norm, so that norm 30 takes three squarings."""
+
+    @pytest.mark.parametrize("norm", [1e-8, 1e-3, 0.5, 5.0, 30.0])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_mpmath(self, n, norm):
+        rng = np.random.default_rng(100 * n + int(math.log10(norm) + 10))
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a *= norm / np.abs(a).sum(axis=0).max()
+        ref = mp_expm(a)
+        assert np.abs(la.expm(a) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("shift, step", [(0.7, 1.0), (-2.0 + 0.5j, 10.0)])
+    def test_jordan_block(self, shift, step):
+        a = shift * np.eye(6) + step * np.eye(6, k=1)
+        ref = mp_expm(a)
+        assert np.abs(la.expm(a) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def unitary_with_angles(n: int, kind: str, seed: int):
+    """``u = V diag(e^{i theta}) V*`` rounded from 40-digit arithmetic, with
+    its exact logarithm ``V diag(i theta) V*``, for a Haar ``V``: angles
+    spread over (-3, 3), half of them clustered within 1e-9 of 0.3 and one
+    at -0.3, or the top angle at pi - 1e-8."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(seed)
+    v = la.random_unitary(n, rng)
+    theta = rng.uniform(-3.0, 3.0, size=n)
+    if kind == "cluster":
+        theta[: n // 2 + 1] = 0.3 + 1e-9 * rng.standard_normal(n // 2 + 1)
+        theta[-1] = -0.3
+    with mpmath.workdps(40):
+        angles = [mpmath.mpf(t) for t in theta]
+        if kind == "top":
+            angles[0] = mpmath.pi - mpmath.mpf("1e-8")
+        u = mp_spectral(v, [mpmath.expj(t) for t in angles])
+        z = mp_spectral(v, [mpmath.mpc(0, t) for t in angles])
+    return u, z
+
+
+LOG_CASES = [(n, kind) for n in (2, 3, 5, 8, 16) for kind in ("spread", "cluster", "top")]
+LOG_CASES += [(64, "cluster"), (64, "top")]
+
+
+class TestLogUnitaryOracle:
+    """``log_unitary`` against the exact logarithm of ``V diag(e^{i theta})
+    V*``, absolute; near the cut the plain Cayley transform loses
+    ``eps / |1 + lambda|`` and fails the same gate."""
+
+    @pytest.mark.parametrize("n, kind", LOG_CASES)
+    def test_matches_mpmath(self, n, kind):
+        u, z = unitary_with_angles(n, kind, 7 * n)
+        assert np.abs(la.log_unitary(u) - z).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [5, 16])
+    def test_plain_cayley_fails_near_the_cut(self, n):
+        u, z = unitary_with_angles(n, "top", 7 * n)
+        assert np.abs(plain_cayley_log(u) - z).max() > 1e-12
+
+    @pytest.mark.parametrize("dist, raises", [(1e-10, True), (1e-8, False)])
+    def test_branch_cut_threshold(self, rng, dist, raises):
+        # |1 + e^{i(pi - d)}| = 2 sin(d/2), within rounding of d
+        v = la.random_unitary(4, rng)
+        theta = np.array([np.pi - dist, 0.5, -1.0, 2.0])
+        u = la.spectral(v, np.exp(1j * theta))
+        if raises:
+            with pytest.raises(BranchCut):
+                la.log_unitary(u)
+        else:
+            assert np.abs(la.log_unitary(u) - la.spectral(v, 1j * theta)).max() <= 1e-12
 
 
 class TestStackHelpers:

@@ -151,6 +151,21 @@ def pos_eps_unitary(gg, p, scale: float, seed: int):
 
 def sweep(gg, dims, rec: Digests):
     for n in dims:
+        # the two general kernels, from a generator of their own: exp of
+        # non-normal matrices of 1-norm 1e-3 to 30, and the log of unitaries
+        # with spread and clustered angles and a top angle up to pi - 1e-8
+        kernel_rng = np.random.default_rng(1000 * n + 999)
+        for norm in (1e-3, 0.1, 1.0, 5.0, 30.0):
+            a = kernel_rng.standard_normal((n, n)) + 1j * kernel_rng.standard_normal((n, n))
+            rec.record("expm", gg.linalg.expm, a * (norm / np.abs(a).sum(axis=0).max()))
+        for top in (None, "cluster", np.pi - 1e-3, np.pi - 1e-6, np.pi - 1e-8, np.pi - 1e-10):
+            v = gg.linalg.random_unitary(n, kernel_rng)
+            theta = kernel_rng.uniform(-3.0, 3.0, size=n)
+            if top == "cluster":
+                theta[: n // 2 + 1] = 0.3 + 1e-9 * kernel_rng.standard_normal(n // 2 + 1)
+            elif top is not None:
+                theta[0] = top
+            rec.record("log_unitary", gg.linalg.log_unitary, (v * np.exp(1j * theta)) @ v.conj().T)
         for k in ranks(n):
             seed = 1000 * n + k
             rng = np.random.default_rng(seed)
