@@ -5,7 +5,14 @@ The package realizes the projective space attached to a fixed projection
 chordal/spherical metrics with their geodesics, the affine chart with its
 Moebius maps and transitions, and the hyperbolic disk of positive
 eps-unitaries with the pseudo-chordal, non-Euclidean and cone metrics.
+
+The property registry, :mod:`grassgeo.verify` with ``Report``,
+``RunConfig`` and ``run_all``, loads on first use of any of these names;
+importing the package, or running any ``grassgeo`` command but
+``verify``, never imports it.
 """
+
+from importlib import import_module as _import_module
 
 from .errors import (
     BranchCut,
@@ -95,6 +102,19 @@ from .disk import (
     rho,
     to_disk_point,
 )
-from .verify import Report, RunConfig, run_all
 
 __version__ = "0.1.0"
+
+_LAZY = ("verify", "Report", "RunConfig", "run_all")
+
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_LAZY)
+
+
+def __getattr__(name):
+    # resolved on every access, never bound here: the benchmark's tracer
+    # wraps and restores names in the package namespace, and a binding
+    # made here would keep a stale wrapper
+    if name in _LAZY:
+        verify = _import_module(".verify", __name__)
+        return verify if name == "verify" else getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

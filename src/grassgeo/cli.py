@@ -25,10 +25,10 @@ import numpy as np
 
 from . import disk as dk
 from . import grassmann as gr
+from . import linalg as la
 from . import moebius as mo
 from . import projective as pj
 from . import serialize as se
-from . import verify as vf
 from .errors import (
     GrassgeoError,
     InvalidInput,
@@ -219,6 +219,8 @@ def _table_text(args, rows, mats, header_extra: dict) -> str:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify as vf  # here, so that no other command imports the registry
+
     try:
         dims = tuple(int(d) for d in args.dims.split(","))
     except ValueError as exc:
@@ -353,7 +355,6 @@ def _cmd_random(args) -> int:
         raise InvalidInput(f"dimension must be at least 1, got {n}")
     rank = args.rank if args.rank is not None else max(1, n // 2)
     rng = np.random.default_rng(seed)
-    from . import linalg as la
 
     def context_projection():
         if args.context:

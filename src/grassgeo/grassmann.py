@@ -573,25 +573,32 @@ def _chebyshev_coefficients(r_z: np.ndarray, r_w: np.ndarray, deg: int,
     ``t_j = cos^2(j pi / (2 deg))`` on [0, 1], j = 0..deg.  With
     ``t = cos^2(theta / 2)`` the interpolant is ``sum_l c_l cos(l theta)``,
     its coefficients the discrete cosine transform of the node values.
+
+    The rows are padded with zero columns to a multiple of 8, which
+    :func:`_interpolate` drops: OpenBLAS's dgemm rounds the last
+    ``width mod 8`` columns of a product differently for different numbers
+    of rows, which would make the interpolated steps depend on the block
+    of samples.
     """
     order = np.arange(deg + 1)
     coef = np.cos(np.outer(order, order) * (np.pi / deg)) * (2.0 / deg)
     coef[:, [0, -1]] /= 2
     coef[[0, -1]] /= 2
     basis = _moved_basis(np.cos(order * (np.pi / (2 * deg))) ** 2, r_z, r_w, f, g)
-    return coef @ basis.reshape(deg + 1, -1).view(float)
+    values = coef @ basis.reshape(deg + 1, -1).view(float)
+    return np.pad(values, ((0, 0), (0, -values.shape[1] % 8)))
 
 
-def _interpolate(rows: np.ndarray, coef: np.ndarray, k: int) -> np.ndarray:
-    """The stacked (rows x k) moved bases that ``rows`` map the Chebyshev
-    coefficients ``coef`` of a basis with k columns to.
+def _interpolate(rows: np.ndarray, coef: np.ndarray, shape: tuple) -> np.ndarray:
+    """The stacked moved bases of ``shape`` that ``rows`` map the padded
+    Chebyshev coefficients ``coef`` to.
 
     A single row is multiplied as a pair: numpy hands a one-row product to
     gemv, whose rounding differs from the gemm that takes longer blocks.
     """
     count = len(rows)
     out = (rows if count != 1 else np.repeat(rows, 2, axis=0)) @ coef
-    return out[:count].view(complex).reshape(count, coef.shape[1] // (2 * k), k)
+    return out[:count, :2 * shape[0] * shape[1]].view(complex).reshape(count, *shape)
 
 
 def _chebyshev_rows(deg: int, ts: np.ndarray):
@@ -665,13 +672,15 @@ def _interpolated_steps(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray,
     deg = _interpolation_degree(r_z, r_w)
     direct = (deg + 1) * (2 / ts.size + 1 / (20 * k)) >= 1
     coef = None if direct else _chebyshev_coefficients(r_z, r_w, deg, f, g)
+    shape = (len(r_z) + k, k)
     steps = np.empty(ts.size - 1)
     for span, block in _step_spans(ts.size, r_z.size + k * k):
         if direct:
             basis = _moved_basis(ts[span], r_z, r_w, f, g)
             prev, delta = basis[:-1], np.diff(basis, axis=0)
         else:
-            prev, delta = (_interpolate(rows, coef, k) for rows in _chebyshev_rows(deg, ts[span]))
+            prev, delta = (_interpolate(rows, coef, shape)
+                           for rows in _chebyshev_rows(deg, ts[span]))
         steps[block] = _residual_norms(prev, delta, k, sigma)
     return steps
 
@@ -739,6 +748,7 @@ def _speed_integral(r_z: np.ndarray, r_w: np.ndarray,
     k = r_z.shape[1]
     deg = _interpolation_degree(r_z, r_w)
     coef = _chebyshev_coefficients(r_z, r_w, deg, f, g)
+    shape = (len(r_z) + k, k)
     size = 1 << max(6, deg.bit_length())
 
     def estimates(a, b):
@@ -747,7 +757,7 @@ def _speed_integral(r_z: np.ndarray, r_w: np.ndarray,
             nodes, weights = _gauss_legendre(count)
             rows = (_unit_rows(count, size) if (a, b) == (0.0, 1.0)
                     else _speed_rows(a + (b - a) * nodes, size))
-            basis, velocity = (_interpolate(m[:, :deg + 1], coef, k) for m in rows)
+            basis, velocity = (_interpolate(m[:, :deg + 1], coef, shape) for m in rows)
             out.append((b - a) * float(weights @ _residual_norms(basis, velocity, k, sigma)))
         return out
 

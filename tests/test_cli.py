@@ -506,7 +506,8 @@ class TestRandomCommand:
 # Runs in a fresh interpreter: the short commands, the Grassmann table
 # commands, an in-process geodesic_log, the linalg kernel named by the second
 # argument (once loaded from scipy on first use) and a small verify run must
-# never load scipy.
+# never load scipy.  The property registry, grassgeo.verify, is loaded by the
+# final verify run alone.
 _SCIPY_FREE_RUN = """
 import contextlib, io, json, sys
 import numpy as np
@@ -521,6 +522,7 @@ def run(argv):
         code = grassgeo.cli.main(argv)
     assert code == 0, (argv, code)
     assert not scipy_loaded(), argv
+    assert ("grassgeo.verify" in sys.modules) == (argv[0] == "verify"), argv
 
 for argv in json.loads(sys.argv[1]):
     run(argv)
@@ -579,3 +581,23 @@ class TestScipyFree:
                 else:
                     continue
                 assert not any(n.split(".")[0] == "scipy" for n in names), path.name
+
+    @pytest.mark.parametrize("name", ["__init__.py", "cli.py"])
+    def test_verify_not_imported_at_module_level(self, name):
+        # the registry loads on first use, from the package's __getattr__ or
+        # the verify command, so that no other command compiles it
+        def module_level(nodes):
+            for node in nodes:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    yield node
+                    yield from module_level(ast.iter_child_nodes(node))
+
+        path = Path(grassgeo.__file__).parent / name
+        for node in module_level(ast.parse(path.read_text(encoding="utf-8")).body):
+            if isinstance(node, ast.Import):
+                parts = [part for alias in node.names for part in alias.name.split(".")]
+            elif isinstance(node, ast.ImportFrom):
+                parts = (node.module or "").split(".") + [alias.name for alias in node.names]
+            else:
+                continue
+            assert "verify" not in parts, (name, node.lineno)

@@ -184,7 +184,7 @@ def composite_integral(r_z, r_w, pieces=32):
     theta, order = gr._angles(ts), np.arange(deg + 1)
     at = np.cos(np.outer(theta, order))
     rate = np.sin(np.outer(theta, order)) * (order * (2 / np.sin(theta))[:, None])
-    basis, velocity = (gr._interpolate(rows, coef, k) for rows in (at, rate))
+    basis, velocity = (gr._interpolate(rows, coef, (len(r_z) + k, k)) for rows in (at, rate))
     return weights @ gr._residual_norms(basis, velocity, k, sigma)
 
 
