@@ -11,9 +11,9 @@ reassembles ``V diag(f(w)) V*`` from an eigenbasis and mapped eigenvalues;
 every Hermitian matrix function of the package goes through it.
 
 Every kernel is numpy only: :func:`expm` of a matrix that is neither
-Hermitian nor anti-Hermitian uses scaling and squaring with a [13/13] Pade
-approximant, and :func:`log_unitary` a Cayley transform turned away from
-the branch cut.
+Hermitian nor anti-Hermitian uses a Pade approximant of degree 3 to 13,
+chosen from its 1-norm, with scaling and squaring above theta_13, and
+:func:`log_unitary` a Cayley transform turned away from the branch cut.
 """
 
 from __future__ import annotations
@@ -208,32 +208,50 @@ def polar(a) -> tuple[np.ndarray, np.ndarray]:
     return u, pos
 
 
-# Higham, SIAM J. Matrix Anal. Appl. 26 (2005): the [13/13] Pade
-# coefficients, and the 1-norm up to which the approximant alone has a
-# backward error below the unit roundoff
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0,
-           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-           960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
+# Higham, SIAM J. Matrix Anal. Appl. 26 (2005): the [m/m] Pade degrees,
+# each with the 1-norm up to which its approximant alone has a backward
+# error below the unit roundoff, and their coefficients
+# b_j = (2m - j)! / (j! (m - j)!), so that b_m = 1
+_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+          (7, 9.504178996162932e-1), (9, 2.097847961257068), (13, 5.371920351148152))
+_PADE = {m: tuple(float(math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j)))
+                  for j in range(m + 1))
+         for m, _ in _THETA}
+# below degree 13, the odd and the even coefficients as the rows of one
+# matrix, applied to the stacked even powers of ``a`` at once
+_PADE_ODD_EVEN = {m: np.array([b[1::2], b[0::2]]) for m, b in _PADE.items() if m < 13}
 
 
 def _pade_expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scaling and squaring: ``a / 2^s`` with 1-norm at most
-    theta_13, its [13/13] Pade approximant ``(V - U)^{-1} (V + U)``, then
-    ``s`` squarings."""
+    """exp(a) for complex ``a`` by the [m/m] Pade approximant
+    ``(V - U)^{-1} (V + U)`` of the lowest degree whose theta_m bounds the
+    1-norm; above theta_13, of ``a / 2^s`` with 1-norm at most theta_13,
+    then ``s`` squarings."""
     norm = np.abs(a).sum(axis=0).max()
-    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    m = next((m for m, theta in _THETA if norm <= theta), 13)
+    theta13 = _THETA[-1][1]
+    s = math.ceil(math.log2(norm / theta13)) if norm > theta13 else 0
     a = a * 2.0 ** -s
-    b = _PADE13
     ident = np.eye(a.shape[0], dtype=a.dtype)
     a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    if m < 13:
+        k = m // 2 + 1
+        powers = np.empty((k, *a.shape), dtype=complex)
+        powers[0] = ident
+        powers[1] = a2
+        for j in range(2, k):
+            np.matmul(powers[j - 1], a2, out=powers[j])
+        rows = _PADE_ODD_EVEN[m] @ powers.view(float).reshape(k, -1)
+        odd, v = rows.view(complex).reshape(2, *a.shape)
+        u = a @ odd
+    else:
+        b = _PADE[13]
+        a4 = a2 @ a2
+        a6 = a2 @ a4
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
     r = np.linalg.solve(v - u, v + u)
     for _ in range(s):
         r = r @ r
@@ -244,8 +262,9 @@ def expm(a) -> np.ndarray:
     """Matrix exponential.
 
     Hermitian and anti-Hermitian arguments go through the spectral
-    decomposition; anything else through scaling and squaring with the
-    [13/13] Pade approximant (Higham 2005).
+    decomposition; anything else through the Pade approximant of degree
+    3, 5, 7, 9 or 13 chosen from the 1-norm, with scaling and squaring
+    above theta_13 (Higham 2005).
     """
     a = as_matrix(a, square=True)
     scale = max(1.0, np.abs(a).max())

@@ -12,6 +12,13 @@ One driver runs the trials of every property.  Adding a property takes one
 instance function, which draws one instance from the generator it is given
 and returns that instance's residual, and one row in ``REGISTRY``.
 
+The instances of a property are independent, so the driver splits them by
+``os.fork`` across the CPUs of the process's affinity mask.  Reports match a
+one-CPU run byte for byte.  With one CPU, or without ``os.fork``, the run is
+serial.  Callers should be single-threaded, since a fork copies only the
+calling thread.  The children's memory is not counted in the caller's
+``ru_maxrss``.
+
 Path lengths enter in two forms.  ``geodesic-minimality`` and
 ``cone-path-minimality`` compare each perturbed path with its geodesic as
 integrals of the speed, free of discretization.  ``geodesic-arc-length``
@@ -22,6 +29,9 @@ samples, since that polyline is what they test.
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import signal
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable
@@ -635,16 +645,101 @@ REGISTRY = (
 )
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask, else ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+class _ChildError(Exception):
+    """The ``Type: message`` text of an instance's error in a forked child."""
+
+
+def _slice_worst(prop: Property, cfg: RunConfig, keys: list, start: int, step: int) -> tuple:
+    """Worst residual over the instances ``keys[start::step]``, and the
+    index and exception of the first of them that raises, or None when
+    none does."""
+    tol = cfg.tol
+    residuals = []
+    for k in range(start, len(keys), step):
+        n, i = keys[k]
+        try:
+            residuals.append(prop.instance(n, _rng(cfg, prop.stream, n, i), tol))
+        except Exception as exc:  # noqa: BLE001 - the earliest one is raised for the property
+            return float(_worst(residuals)), (k, exc)
+    return float(_worst(residuals)), None
+
+
+def _fork_slice(prop: Property, cfg: RunConfig, keys: list, start: int, step: int):
+    """Fork a child that writes the pickled ``_slice_worst`` of its slice,
+    its error as a ``_ChildError``, to a pipe and exits; returns its pid
+    and the read end of the pipe."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            worst, failure = _slice_worst(prop, cfg, keys, start, step)
+            if failure is not None:
+                k, exc = failure
+                failure = k, _ChildError(f"{type(exc).__name__}: {exc}")
+            with os.fdopen(write, "wb") as pipe:
+                pipe.write(pickle.dumps((worst, failure)))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+
+
 def _worst_residual(prop: Property, cfg: RunConfig, trials: int) -> float:
     """Worst residual of ``prop`` over its instances, each drawn from its own
     (stream, dimension, trial) generator; ``trials`` counts per dimension
-    when ``prop.per_dim`` is set and in all otherwise."""
+    when ``prop.per_dim`` is set and in all otherwise.
+
+    The instances are split into ``W`` interleaved slices, ``W`` the CPUs
+    of the affinity mask (at most one per instance).  This process
+    evaluates slice 0 while ``W - 1`` forked children evaluate the others.
+    A NaN in any slice wins, and the error of the first failing instance
+    is raised (from a child as a ``_ChildError`` with its text), so reports
+    match a one-CPU run byte for byte.  With one CPU, or without
+    ``os.fork``, the slice is every instance and nothing is forked.  A fork
+    copies only the calling thread, so callers should be single-threaded.
+    The children's memory is not counted in this process's ``ru_maxrss``.
+    Every child is reaped before this returns or raises; on an exception
+    here, such as an interrupt, the children are killed first.
+    """
     if prop.per_dim:
         keys = [(n, i) for n in cfg.dims for i in range(trials)]
     else:
         keys = [(cfg.dims[i % len(cfg.dims)], i) for i in range(trials)]
-    tol = cfg.tol
-    return _worst(prop.instance(n, _rng(cfg, prop.stream, n, i), tol) for n, i in keys)
+    step = min(_cpu_count(), len(keys)) if hasattr(os, "fork") else 1
+    children = {}
+    try:
+        for start in range(1, step):
+            pid, pipe = _fork_slice(prop, cfg, keys, start, step)
+            children[pid] = pipe
+        results = [_slice_worst(prop, cfg, keys, 0, step)]
+        for start, (pid, pipe) in enumerate(list(children.items()), 1):
+            data = pipe.read()
+            pipe.close()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            results.append(pickle.loads(data) if data else (0.0, (start, ChildProcessError(
+                f"the worker of trials {start}::{step} exited with status {status} "
+                "before reporting"))))
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failures = [failure for _, failure in results if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return _worst(worst for worst, _ in results)
 
 
 def run_property(prop: Property, cfg: RunConfig) -> PropertyResult:
@@ -655,7 +750,7 @@ def run_property(prop: Property, cfg: RunConfig) -> PropertyResult:
         error = ""
     except Exception as exc:  # noqa: BLE001 - a failing suite must not stop the report
         residual = float("inf")
-        error = f"{type(exc).__name__}: {exc}"
+        error = str(exc) if isinstance(exc, _ChildError) else f"{type(exc).__name__}: {exc}"
     passed = bool(np.isfinite(residual) and residual <= tolerance)
     return PropertyResult(
         name=prop.name,

@@ -294,6 +294,20 @@ class TestPadeExpm:
         ref = mp_expm(a)
         assert np.abs(la.expm(a) - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("side", [1 - 1e-6, 1 + 1e-6])
+    @pytest.mark.parametrize("degree, theta", [
+        (3, 1.495585217958292e-2), (5, 2.539398330063230e-1), (7, 9.504178996162932e-1),
+        (9, 2.097847961257068), (13, 5.371920351148152)])  # Higham (2005), Table 2.3
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_either_side_of_each_degree_switch(self, n, degree, theta, side):
+        # just below theta_m the degree-m approximant is used, just above
+        # the next degree (or, above theta_13, one squaring)
+        rng = np.random.default_rng(1000 * n + 10 * degree + (side > 1))
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a *= theta * side / np.abs(a).sum(axis=0).max()
+        ref = mp_expm(a)
+        assert np.abs(la.expm(a) - ref).max() <= 1e-13 * np.abs(ref).max()
+
     @pytest.mark.parametrize("shift, step", [(0.7, 1.0), (-2.0 + 0.5j, 10.0)])
     def test_jordan_block(self, shift, step):
         a = shift * np.eye(6) + step * np.eye(6, k=1)

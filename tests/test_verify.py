@@ -1,4 +1,7 @@
 import math
+import os
+import signal
+import time
 
 import pytest
 
@@ -144,17 +147,22 @@ def test_minimality_detects_a_path_shorter_than_the_geodesic(monkeypatch, name, 
     assert result.max_residual == pytest.approx(1e-5, rel=1e-9)
     assert not result.passed
 
-def _recorder(per_dim):
-    """A property whose instances record (dimension, first draw) and pass."""
-    seen = []
+def _recorder(per_dim, path):
+    """A property whose instances append (dimension, first draw) to the file
+    ``path`` and pass; the appends of forked workers land in the same file."""
 
     def instance(n, rng, tol):
-        seen.append((n, rng.random()))
+        with open(path, "a") as fh:
+            fh.write(f"{n} {rng.random()!r}\n")
         return 0.0
 
-    prop = vf.Property("recorder", "records its instances", "recorder-stream", 1, per_dim,
+    return vf.Property("recorder", "records its instances", "recorder-stream", 1, per_dim,
                        lambda c: 0.0, instance)
-    return prop, seen
+
+
+def _recorded(path):
+    with open(path) as fh:
+        return sorted((int(n), float(x)) for n, x in (line.split() for line in fh))
 
 
 class TestTrialDriver:
@@ -163,18 +171,26 @@ class TestTrialDriver:
     def first_draw(self, n, i):
         return vf._rng(self.CFG, "recorder-stream", n, i).random()
 
-    def test_per_dim_runs_trials_in_every_dimension(self):
-        prop, seen = _recorder(per_dim=True)
-        result = vf.run_property(prop, self.CFG)
-        assert result.passed and result.trials == 5
-        assert seen == [(n, self.first_draw(n, i)) for n in (4, 2, 3) for i in range(5)]
+    def recorded_runs(self, monkeypatch, tmp_path, per_dim):
+        """The draws recorded by a one-worker and by a two-worker run."""
+        runs = []
+        for count in (1, 2):
+            monkeypatch.setattr(vf, "_cpu_count", lambda: count)
+            path = tmp_path / f"draws-{count}"
+            result = vf.run_property(_recorder(per_dim, path), self.CFG)
+            assert result.passed and result.trials == 5
+            runs.append(_recorded(path))
+        return runs
 
-    def test_trials_cycle_through_dimensions(self):
-        prop, seen = _recorder(per_dim=False)
-        result = vf.run_property(prop, self.CFG)
-        assert result.passed and result.trials == 5
+    def test_per_dim_runs_trials_in_every_dimension(self, monkeypatch, tmp_path):
+        # each (dimension, trial) key drawn exactly once, from its own generator
+        expected = sorted((n, self.first_draw(n, i)) for n in (4, 2, 3) for i in range(5))
+        assert self.recorded_runs(monkeypatch, tmp_path, True) == [expected, expected]
+
+    def test_trials_cycle_through_dimensions(self, monkeypatch, tmp_path):
         dims = [4, 2, 3, 4, 2]
-        assert seen == [(n, self.first_draw(n, i)) for i, n in enumerate(dims)]
+        expected = sorted((n, self.first_draw(n, i)) for i, n in enumerate(dims))
+        assert self.recorded_runs(monkeypatch, tmp_path, False) == [expected, expected]
 
     def test_nan_residual_fails_the_property(self):
         residuals = iter([1e-12, float("nan"), 1e-13])
@@ -191,3 +207,127 @@ def test_draw_contract():
     rows = [(p.name, p.stream, p.per_dim, p.default_trials, p.tolerance(cfg))
             for p in vf.REGISTRY]
     assert rows == DRAW_CONTRACT
+
+
+def _probe(name, instance, trials=4):
+    """A property of ``trials`` instances, trial ``i`` at dimension ``2 + i``,
+    and the configuration that runs it."""
+    dims = tuple(range(2, 2 + trials))
+    prop = vf.Property(name, "a probe of the trial driver", name, trials, False,
+                       lambda c: 1.0, instance)
+    return prop, vf.RunConfig(dims=dims)
+
+
+class TestForkedWorkers:
+    """The trials split across forked workers give the one-worker report."""
+
+    @pytest.fixture
+    def forked(self, monkeypatch):
+        """Two workers, and the pids of the children forked from this process;
+        a test that waits for more than 60 s raises instead of hanging."""
+        monkeypatch.setattr(vf, "_cpu_count", lambda: 2)
+        pids, fork, parent = [], os.fork, os.getpid()
+
+        def recording():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        def timeout(signum, frame):
+            raise TimeoutError("the trial driver waited for more than 60 s")
+
+        monkeypatch.setattr(os, "fork", recording)
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(60)
+        try:
+            yield pids, parent
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @staticmethod
+    def assert_reaped(pids):
+        assert pids
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_reports_are_byte_identical(self, monkeypatch):
+        cfg = vf.RunConfig(seed=5, dims=(2, 3, 4), trials=3)
+        texts = []
+        for count in (1, 2):
+            monkeypatch.setattr(vf, "_cpu_count", lambda: count)
+            report = vf.run_all(cfg)
+            texts.append((vf.report_to_json(report), vf.report_to_csv(report)))
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_earliest_error_is_reported(self, monkeypatch, count):
+        # with three workers, key 3 fails in this process and key 1 in a child
+        def instance(n, rng, tol):
+            if n == 3:
+                raise ValueError("trial 1")
+            if n == 5:
+                raise InvalidInput("trial 3")
+            return 0.0
+
+        monkeypatch.setattr(vf, "_cpu_count", lambda: count)
+        result = vf.run_property(*_probe("two-errors", instance))
+        assert result.error == "ValueError: trial 1"
+        assert result.max_residual == math.inf and not result.passed
+
+    def test_nan_in_a_child_wins(self, forked):
+        pids, parent = forked
+        result = vf.run_property(*_probe(
+            "child-nan", lambda n, rng, tol: 1e-12 if os.getpid() == parent else math.nan))
+        assert math.isnan(result.max_residual) and not result.passed
+        self.assert_reaped(pids)
+
+    def test_a_child_that_exits_gives_an_error(self, forked):
+        pids, parent = forked
+
+        def instance(n, rng, tol):
+            if os.getpid() != parent:
+                os._exit(3)
+            return 0.0
+
+        result = vf.run_property(*_probe("child-exit", instance))
+        assert result.error.startswith("ChildProcessError: ")
+        assert "status 3" in result.error
+        assert not result.passed
+        self.assert_reaped(pids)
+
+    def test_no_child_outlives_run_all(self, forked, monkeypatch):
+        pids, parent = forked
+
+        def exits(n, rng, tol):
+            if os.getpid() != parent:
+                os._exit(1)
+            return 0.0
+
+        def raises(n, rng, tol):
+            raise ValueError("no")
+
+        probes = [_probe("exits", exits)[0], _probe("raises", raises)[0],
+                  _probe("passes", lambda n, rng, tol: 0.0)[0]]
+        monkeypatch.setattr(vf, "REGISTRY", tuple(probes))
+        report = vf.run_all(vf.RunConfig(dims=(2, 3, 4, 5)))
+        assert [r.passed for r in report.properties] == [False, True, False]
+        self.assert_reaped(pids)
+
+    def test_an_interrupt_kills_the_children(self, forked, monkeypatch):
+        pids, parent = forked
+
+        def instance(n, rng, tol):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60.0)
+            return 0.0
+
+        monkeypatch.setattr(vf, "REGISTRY", (_probe("interrupted", instance)[0],))
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            vf.run_all(vf.RunConfig(dims=(2, 3, 4, 5)))
+        assert time.monotonic() - start < 30.0
+        self.assert_reaped(pids)

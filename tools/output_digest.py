@@ -372,6 +372,19 @@ def sweep(gg, dims, rec: Digests):
             rec.record("cone_path_integrals",
                        lambda: gg.disk._cone_path_integrals(lam, kappa, hs))
 
+    # exp of non-normal matrices at 1-norms just below and just above each
+    # theta_m of Higham (2005), where the Pade degree (or, above theta_13,
+    # the number of squarings) switches; last, so that the records above
+    # keep their places for --compare
+    for n in dims:
+        switch_rng = np.random.default_rng(1000 * n + 998)
+        for theta in (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+                      2.097847961257068, 5.371920351148152):
+            for side in (1 - 1e-6, 1 + 1e-6):
+                a = switch_rng.standard_normal((n, n)) + 1j * switch_rng.standard_normal((n, n))
+                a *= theta * side / np.abs(a).sum(axis=0).max()
+                rec.record("expm", gg.linalg.expm, a)
+
 
 def compare(old: list, new: list) -> list[str]:
     """Per function: records, bit-identical records, the largest move of a
