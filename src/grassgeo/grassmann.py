@@ -285,6 +285,9 @@ def curve_length(curve: Curve, tol: Tolerance = DEFAULT_TOL) -> float:
     with the last sample of the one before, so memory beyond the steps does
     not grow with the resolution.
 
+    The samplers of :func:`geodesic_curve` and :func:`perturbed_curve`
+    build projections by construction, so their samples are not checked.
+
     Raises
     ------
     InvalidCurve
@@ -294,10 +297,12 @@ def curve_length(curve: Curve, tol: Tolerance = DEFAULT_TOL) -> float:
     _check_resolution(curve.resolution)
     ts = np.linspace(0.0, 1.0, curve.resolution)
     entries = _sample_matrices(curve, ts[:1])[0].size
+    checked = not getattr(curve.sample, "_projections", False)
     steps = np.empty(ts.size - 1)
     for span, block in _step_spans(ts.size, entries):
         qs = _sample_matrices(curve, ts[span])
-        _check_samples(qs, span.start, tol)
+        if checked:
+            _check_samples(qs, span.start, tol)
         steps[block] = _chordal_distances(qs)
     return float(steps.sum())
 
@@ -430,6 +435,7 @@ def _path_sampler(p: Projection, z_mat: np.ndarray, w_mat: np.ndarray) -> Callab
             return _trusted(Projection, mat=qs[0], rank=p.rank, **basis)
         return qs
 
+    sampler._projections = True
     return sampler
 
 

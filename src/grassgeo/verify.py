@@ -12,12 +12,13 @@ One driver runs the trials of every property.  Adding a property takes one
 instance function, which draws one instance from the generator it is given
 and returns that instance's residual, and one row in ``REGISTRY``.
 
-The instances of a property are independent, so the driver splits them by
-``os.fork`` across the CPUs of the process's affinity mask.  Reports match a
-one-CPU run byte for byte.  With one CPU, or without ``os.fork``, the run is
-serial.  Callers should be single-threaded, since a fork copies only the
-calling thread.  The children's memory is not counted in the caller's
-``ru_maxrss``.
+The instances of a property are independent, so the driver shares them
+out, in contiguous chunks taken from one queue, among workers forked by
+``os.fork`` across the CPUs of the process's affinity mask; a worker on a
+faster CPU takes more chunks.  Reports match a one-CPU run byte for byte.
+With one CPU, or without ``os.fork``, the run is serial.  Callers should be
+single-threaded, since a fork copies only the calling thread.  The
+children's memory is not counted in the caller's ``ru_maxrss``.
 
 Path lengths enter in two forms.  ``geodesic-minimality`` and
 ``cone-path-minimality`` compare each perturbed path with its geodesic as
@@ -34,6 +35,7 @@ import pickle
 import signal
 import zlib
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -657,32 +659,49 @@ class _ChildError(Exception):
     """The ``Type: message`` text of an instance's error in a forked child."""
 
 
-def _slice_worst(prop: Property, cfg: RunConfig, keys: list, start: int, step: int) -> tuple:
-    """Worst residual over the instances ``keys[start::step]``, and the
-    index and exception of the first of them that raises, or None when
-    none does."""
+# A property's keys are cut into at most this many contiguous chunks, so the
+# queue of chunk indices, 4 bytes each, fits in one page of its pipe: writing
+# it never blocks, and then closing it ends the queue in EOF.
+_MAX_CHUNKS = 1024
+
+
+def _queued(queue: int):
+    """The chunk indices read from the pipe ``queue``, 4 bytes each, until EOF."""
+    while token := os.read(queue, 4):
+        yield int.from_bytes(token, "little")
+
+
+def _chunks_worst(prop: Property, cfg: RunConfig, keys: list, size: int, first: int,
+                  queue: int) -> tuple:
+    """Worst residual over the instances of chunk ``first`` and of the
+    chunks taken from ``queue`` after it, chunk ``c`` being
+    ``keys[c * size:(c + 1) * size]``, and the index and exception of the
+    first of them that raises, or None when none does.  No chunk is taken
+    after an instance raises."""
     tol = cfg.tol
     residuals = []
-    for k in range(start, len(keys), step):
-        n, i = keys[k]
-        try:
-            residuals.append(prop.instance(n, _rng(cfg, prop.stream, n, i), tol))
-        except Exception as exc:  # noqa: BLE001 - the earliest one is raised for the property
-            return float(_worst(residuals)), (k, exc)
+    for c in chain((first,), _queued(queue)):
+        for k in range(c * size, min((c + 1) * size, len(keys))):
+            n, i = keys[k]
+            try:
+                residuals.append(prop.instance(n, _rng(cfg, prop.stream, n, i), tol))
+            except Exception as exc:  # noqa: BLE001 - the earliest one is raised for the property
+                return float(_worst(residuals)), (k, exc)
     return float(_worst(residuals)), None
 
 
-def _fork_slice(prop: Property, cfg: RunConfig, keys: list, start: int, step: int):
-    """Fork a child that writes the pickled ``_slice_worst`` of its slice,
-    its error as a ``_ChildError``, to a pipe and exits; returns its pid
-    and the read end of the pipe."""
+def _fork_worker(prop: Property, cfg: RunConfig, keys: list, size: int, first: int, queue: int):
+    """Fork a child that evaluates chunk ``first`` and then the chunks it
+    takes from ``queue``, writes their pickled ``_chunks_worst``, its error
+    as a ``_ChildError``, to a pipe and exits; returns its pid and the read
+    end of the pipe."""
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
             os.close(read)
-            worst, failure = _slice_worst(prop, cfg, keys, start, step)
+            worst, failure = _chunks_worst(prop, cfg, keys, size, first, queue)
             if failure is not None:
                 k, exc = failure
                 failure = k, _ChildError(f"{type(exc).__name__}: {exc}")
@@ -700,39 +719,49 @@ def _worst_residual(prop: Property, cfg: RunConfig, trials: int) -> float:
     (stream, dimension, trial) generator; ``trials`` counts per dimension
     when ``prop.per_dim`` is set and in all otherwise.
 
-    The instances are split into ``W`` interleaved slices, ``W`` the CPUs
-    of the affinity mask (at most one per instance).  This process
-    evaluates slice 0 while ``W - 1`` forked children evaluate the others.
-    A NaN in any slice wins, and the error of the first failing instance
-    is raised (from a child as a ``_ChildError`` with its text), so reports
-    match a one-CPU run byte for byte.  With one CPU, or without
-    ``os.fork``, the slice is every instance and nothing is forked.  A fork
-    copies only the calling thread, so callers should be single-threaded.
-    The children's memory is not counted in this process's ``ru_maxrss``.
-    Every child is reaped before this returns or raises; on an exception
-    here, such as an interrupt, the children are killed first.
+    The ordered instances are cut into at most 1024 contiguous chunks,
+    evaluated by ``W`` workers, ``W`` the CPUs of the affinity mask (at most
+    one per chunk): this process and ``W - 1`` forked children.  Worker
+    ``w`` evaluates chunk ``w`` and then takes chunks from a queue, one
+    pipe that holds the indices of the others in increasing order, until
+    it is empty, so a worker on a faster CPU takes more of them.  A worker
+    stops at its first failing instance.  Every instance below the first
+    failing one is evaluated; a NaN in any worker wins, and the error of
+    the first failing instance is raised (from a child as a ``_ChildError``
+    with its text), so reports match a one-CPU run byte for byte.  With one
+    CPU, or without ``os.fork``, this process takes every chunk and
+    nothing is forked.  A fork copies only the calling thread, so callers
+    should be single-threaded.  The children's memory is not counted in
+    this process's ``ru_maxrss``.  Every child is reaped before this
+    returns or raises; on an exception here, such as an interrupt, the
+    children are killed first.
     """
     if prop.per_dim:
         keys = [(n, i) for n in cfg.dims for i in range(trials)]
     else:
         keys = [(cfg.dims[i % len(cfg.dims)], i) for i in range(trials)]
-    step = min(_cpu_count(), len(keys)) if hasattr(os, "fork") else 1
+    size = -(-len(keys) // _MAX_CHUNKS)
+    count = -(-len(keys) // size)
+    workers = min(_cpu_count(), count) if hasattr(os, "fork") else 1
+    queue, feed = os.pipe()
+    os.write(feed, b"".join(c.to_bytes(4, "little") for c in range(workers, count)))
+    os.close(feed)
     children = {}
     try:
-        for start in range(1, step):
-            pid, pipe = _fork_slice(prop, cfg, keys, start, step)
-            children[pid] = pipe
-        results = [_slice_worst(prop, cfg, keys, 0, step)]
-        for start, (pid, pipe) in enumerate(list(children.items()), 1):
+        for w in range(1, workers):
+            pid, pipe = _fork_worker(prop, cfg, keys, size, w, queue)
+            children[pid] = w, pipe
+        results = [_chunks_worst(prop, cfg, keys, size, 0, queue)]
+        for pid, (w, pipe) in list(children.items()):
             data = pipe.read()
             pipe.close()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
-            results.append(pickle.loads(data) if data else (0.0, (start, ChildProcessError(
-                f"the worker of trials {start}::{step} exited with status {status} "
-                "before reporting"))))
+            results.append(pickle.loads(data) if data else (0.0, (w * size, ChildProcessError(
+                f"trial worker {w} of {workers} exited with status {status} before reporting"))))
     finally:
-        for pid, pipe in children.items():
+        os.close(queue)
+        for pid, (_, pipe) in children.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

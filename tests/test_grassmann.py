@@ -249,6 +249,26 @@ class TestCurveLength:
                    for res in (10, 50, 200, 1000)]
         assert all(b >= a - 1e-12 for a, b in zip(lengths, lengths[1:]))
 
+    def test_package_curves_skip_the_sample_check(self, rng, monkeypatch):
+        # the package's samplers build projections; a caller's curve over the
+        # same samples is still checked, with the check's own message
+        p = pj.random_projection(5, 2, 2)
+        z, w = gr.random_tangent(p, rng, 0.7), gr.random_tangent(p, rng, 0.3)
+        curves = [gr.geodesic_curve(p, z, 200), gr.perturbed_curve(p, z, w, 200)]
+        lengths = [gr.curve_length(curve) for curve in curves]
+        own = gr.Curve(lambda t: curves[0].sample(t), 200)
+        assert gr.curve_length(own) == lengths[0]
+        check = gr._check_samples
+
+        def refuse(qs, start, tol):
+            check(qs, start, tol)
+            raise InvalidCurve(f"sample {start} was checked")
+
+        monkeypatch.setattr(gr, "_check_samples", refuse)
+        assert [gr.curve_length(curve) for curve in curves] == lengths
+        with pytest.raises(InvalidCurve, match="sample 0 was checked"):
+            gr.curve_length(own)
+
     def test_invalid_samples_rejected(self):
         p = pj.random_projection(4, 2, 1)
         curve = gr.Curve(lambda t: np.full((4, 4), 0.5 + 0j), resolution=10)

@@ -192,13 +192,15 @@ class TestTrialDriver:
         expected = sorted((n, self.first_draw(n, i)) for i, n in enumerate(dims))
         assert self.recorded_runs(monkeypatch, tmp_path, False) == [expected, expected]
 
-    def test_nan_residual_fails_the_property(self):
-        residuals = iter([1e-12, float("nan"), 1e-13])
+    def test_nan_residual_fails_the_property(self, monkeypatch):
+        # the NaN belongs to the key (3, 1), whichever worker evaluates it
         prop = vf.Property("nan-probe", "one instance residual is NaN", "nan-probe", 3, False,
-                           lambda c: 1.0, lambda n, rng, tol: next(residuals))
-        result = vf.run_property(prop, vf.RunConfig(dims=(2,)))
-        assert math.isnan(result.max_residual)
-        assert not result.passed
+                           lambda c: 1.0, lambda n, rng, tol: math.nan if n == 3 else 1e-12)
+        for count in (1, 2, 3):
+            monkeypatch.setattr(vf, "_cpu_count", lambda: count)
+            result = vf.run_property(prop, vf.RunConfig(dims=(2, 3, 4)))
+            assert math.isnan(result.max_residual)
+            assert not result.passed
         assert math.isnan(vf._worst([0.5, float("nan"), 2.0]))
 
 
@@ -219,13 +221,16 @@ def _probe(name, instance, trials=4):
 
 
 class TestForkedWorkers:
-    """The trials split across forked workers give the one-worker report."""
+    """The trials shared out among forked workers give the one-worker report."""
+
+    # every case runs at each of these worker counts in turn
+    WORKERS = (2, 3)
 
     @pytest.fixture
     def forked(self, monkeypatch):
-        """Two workers, and the pids of the children forked from this process;
-        a test that waits for more than 60 s raises instead of hanging."""
-        monkeypatch.setattr(vf, "_cpu_count", lambda: 2)
+        """The pids of the children forked from this process, this process's
+        pid, and a function that sets the number of workers; a test that
+        waits for more than 60 s raises instead of hanging."""
         pids, fork, parent = [], os.fork, os.getpid()
 
         def recording():
@@ -237,11 +242,14 @@ class TestForkedWorkers:
         def timeout(signum, frame):
             raise TimeoutError("the trial driver waited for more than 60 s")
 
+        def workers(count):
+            monkeypatch.setattr(vf, "_cpu_count", lambda: count)
+
         monkeypatch.setattr(os, "fork", recording)
         previous = signal.signal(signal.SIGALRM, timeout)
         signal.alarm(60)
         try:
-            yield pids, parent
+            yield pids, parent, workers
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -256,15 +264,16 @@ class TestForkedWorkers:
     def test_reports_are_byte_identical(self, monkeypatch):
         cfg = vf.RunConfig(seed=5, dims=(2, 3, 4), trials=3)
         texts = []
-        for count in (1, 2):
+        for count in (1, *self.WORKERS):
             monkeypatch.setattr(vf, "_cpu_count", lambda: count)
             report = vf.run_all(cfg)
             texts.append((vf.report_to_json(report), vf.report_to_csv(report)))
-        assert texts[0] == texts[1]
+        assert texts[1:] == texts[:1] * len(self.WORKERS)
 
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_earliest_error_is_reported(self, monkeypatch, count):
-        # with three workers, key 3 fails in this process and key 1 in a child
+        # key 3 fails in whichever worker takes it, which may be before key 1
+        # fails in another one
         def instance(n, rng, tol):
             if n == 3:
                 raise ValueError("trial 1")
@@ -278,28 +287,32 @@ class TestForkedWorkers:
         assert result.max_residual == math.inf and not result.passed
 
     def test_nan_in_a_child_wins(self, forked):
-        pids, parent = forked
-        result = vf.run_property(*_probe(
-            "child-nan", lambda n, rng, tol: 1e-12 if os.getpid() == parent else math.nan))
-        assert math.isnan(result.max_residual) and not result.passed
-        self.assert_reaped(pids)
+        pids, parent, workers = forked
+        for count in self.WORKERS:
+            workers(count)
+            result = vf.run_property(*_probe(
+                "child-nan", lambda n, rng, tol: 1e-12 if os.getpid() == parent else math.nan))
+            assert math.isnan(result.max_residual) and not result.passed
+            self.assert_reaped(pids)
 
     def test_a_child_that_exits_gives_an_error(self, forked):
-        pids, parent = forked
+        pids, parent, workers = forked
 
         def instance(n, rng, tol):
             if os.getpid() != parent:
                 os._exit(3)
             return 0.0
 
-        result = vf.run_property(*_probe("child-exit", instance))
-        assert result.error.startswith("ChildProcessError: ")
-        assert "status 3" in result.error
-        assert not result.passed
-        self.assert_reaped(pids)
+        for count in self.WORKERS:
+            workers(count)
+            result = vf.run_property(*_probe("child-exit", instance))
+            assert result.error.startswith("ChildProcessError: trial worker ")
+            assert f"of {count} exited with status 3" in result.error
+            assert not result.passed
+            self.assert_reaped(pids)
 
     def test_no_child_outlives_run_all(self, forked, monkeypatch):
-        pids, parent = forked
+        pids, parent, workers = forked
 
         def exits(n, rng, tol):
             if os.getpid() != parent:
@@ -312,12 +325,14 @@ class TestForkedWorkers:
         probes = [_probe("exits", exits)[0], _probe("raises", raises)[0],
                   _probe("passes", lambda n, rng, tol: 0.0)[0]]
         monkeypatch.setattr(vf, "REGISTRY", tuple(probes))
-        report = vf.run_all(vf.RunConfig(dims=(2, 3, 4, 5)))
-        assert [r.passed for r in report.properties] == [False, True, False]
-        self.assert_reaped(pids)
+        for count in self.WORKERS:
+            workers(count)
+            report = vf.run_all(vf.RunConfig(dims=(2, 3, 4, 5)))
+            assert [r.passed for r in report.properties] == [False, True, False]
+            self.assert_reaped(pids)
 
     def test_an_interrupt_kills_the_children(self, forked, monkeypatch):
-        pids, parent = forked
+        pids, parent, workers = forked
 
         def instance(n, rng, tol):
             if os.getpid() == parent:
@@ -326,8 +341,87 @@ class TestForkedWorkers:
             return 0.0
 
         monkeypatch.setattr(vf, "REGISTRY", (_probe("interrupted", instance)[0],))
-        start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            vf.run_all(vf.RunConfig(dims=(2, 3, 4, 5)))
-        assert time.monotonic() - start < 30.0
+        for count in self.WORKERS:
+            workers(count)
+            start = time.monotonic()
+            with pytest.raises(KeyboardInterrupt):
+                vf.run_all(vf.RunConfig(dims=(2, 3, 4, 5)))
+            assert time.monotonic() - start < 30.0
+            self.assert_reaped(pids)
+
+    def test_a_slow_worker_takes_fewer_chunks(self, forked, tmp_path):
+        # with 40 keys a chunk is one key; this process sleeps 20 ms on each
+        # of its keys, so the child, which does not, takes most of the queue
+        pids, parent, workers = forked
+        path = tmp_path / "keys"
+
+        def instance(n, rng, tol):
+            draw = rng.random()
+            with open(path, "a") as fh:
+                fh.write(f"{os.getpid()} {n} {draw!r}\n")
+            if os.getpid() == parent:
+                time.sleep(0.02)
+            return draw
+
+        prop = vf.Property("balance", "a probe of the work queue", "balance", 40, False,
+                           lambda c: 1.0, instance)
+        results = []
+        for count in (1, 2):
+            workers(count)
+            path.write_text("")
+            results.append(vf.run_property(prop, vf.RunConfig(dims=(2, 3))))
+        lines = path.read_text().split()[::3]
+        assert len(lines) == 40
+        assert sum(pid != str(parent) for pid in lines) > 20
+        assert results[1] == results[0]
         self.assert_reaped(pids)
+
+    def test_the_queue_hands_out_one_chunk_per_read(self):
+        # readers of one queue share it chunk by chunk; none reads ahead
+        queue, feed = os.pipe()
+        os.write(feed, b"".join(c.to_bytes(4, "little") for c in (5, 6, 7)))
+        os.close(feed)
+        try:
+            first, second = vf._queued(queue), vf._queued(queue)
+            assert [next(first), next(second), next(first)] == [5, 6, 7]
+            assert list(second) == [] and list(first) == []
+        finally:
+            os.close(queue)
+
+    def test_keys_in_chunks_of_three(self, monkeypatch, tmp_path):
+        # 3000 keys make 1000 chunks of 3; key 1501 is the middle of chunk 500
+        cfg = vf.RunConfig(seed=3, dims=(2, 3, 4))
+        planted = {vf._rng(cfg, "chunked-errors", 3, 1501).random(): ValueError("key 1501"),
+                   vf._rng(cfg, "chunked-errors", 4, 2000).random(): InvalidInput("key 2000")}
+
+        def fails(n, rng, tol):
+            draw = rng.random()
+            if draw in planted:
+                raise planted[draw]
+            return draw
+
+        path = tmp_path / "draws"
+
+        def records(n, rng, tol):
+            draw = rng.random()
+            with open(path, "a") as fh:
+                fh.write(f"{n} {draw!r}\n")
+            return draw
+
+        probes = (vf.Property("chunked", "a probe of the chunks", "chunked", 3000, False,
+                              lambda c: 1.0, records),
+                  vf.Property("chunked-errors", "a probe of the chunks", "chunked-errors", 3000,
+                              False, lambda c: 1.0, fails))
+        expected = sorted(((2, 3, 4)[i % 3], vf._rng(cfg, "chunked", (2, 3, 4)[i % 3], i).random())
+                          for i in range(3000))
+        monkeypatch.setattr(vf, "REGISTRY", probes)
+        texts = []
+        for count in (1, 2, 3):
+            monkeypatch.setattr(vf, "_cpu_count", lambda: count)
+            path.write_text("")
+            report = vf.run_all(cfg)
+            # every key evaluated exactly once, from its own generator
+            assert _recorded(path) == expected
+            assert report.properties[1].error == "ValueError: key 1501"
+            texts.append((vf.report_to_json(report), vf.report_to_csv(report)))
+        assert texts[1:] == texts[:1] * 2
