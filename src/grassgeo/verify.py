@@ -12,10 +12,11 @@ One driver runs the trials of every property.  Adding a property takes one
 instance function, which draws one instance from the generator it is given
 and returns that instance's residual, and one row in ``REGISTRY``.
 
-The instances of a property are independent, so the driver shares them
-out, in contiguous chunks taken from one queue, among workers forked by
-``os.fork`` across the CPUs of the process's affinity mask; a worker on a
-faster CPU takes more chunks.  Reports match a one-CPU run byte for byte.
+The instances of a property are independent, so the driver evaluates the
+first of their contiguous chunks itself and shares the others out, through
+one queue, among children forked by ``os.fork`` across the CPUs of the
+process's affinity mask; a child on a faster CPU takes more chunks.
+Reports match a one-CPU run byte for byte.
 With one CPU, or without ``os.fork``, the run is serial.  Callers should be
 single-threaded, since a fork copies only the calling thread.  The
 children's memory is not counted in the caller's ``ru_maxrss``.
@@ -35,7 +36,6 @@ import pickle
 import signal
 import zlib
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -671,37 +671,39 @@ def _queued(queue: int):
         yield int.from_bytes(token, "little")
 
 
-def _chunks_worst(prop: Property, cfg: RunConfig, keys: list, size: int, first: int,
-                  queue: int) -> tuple:
-    """Worst residual over the instances of chunk ``first`` and of the
-    chunks taken from ``queue`` after it, chunk ``c`` being
+def _chunks_worst(prop: Property, cfg: RunConfig, keys: list, size: int, chunks,
+                  queue: int | None) -> tuple:
+    """Worst residual over the instances of ``chunks``, chunk ``c`` being
     ``keys[c * size:(c + 1) * size]``, and the index and exception of the
-    first of them that raises, or None when none does.  No chunk is taken
-    after an instance raises."""
+    first of them that raises, or None when none does.  At that first
+    failure the pipe ``queue``, if given, is emptied: the queue hands out
+    chunks in increasing order, so none left in it can change the report."""
     tol = cfg.tol
     residuals = []
-    for c in chain((first,), _queued(queue)):
+    for c in chunks:
         for k in range(c * size, min((c + 1) * size, len(keys))):
             n, i = keys[k]
             try:
                 residuals.append(prop.instance(n, _rng(cfg, prop.stream, n, i), tol))
             except Exception as exc:  # noqa: BLE001 - the earliest one is raised for the property
+                if queue is not None:
+                    while os.read(queue, 4 * _MAX_CHUNKS):
+                        pass
                 return float(_worst(residuals)), (k, exc)
     return float(_worst(residuals)), None
 
 
-def _fork_worker(prop: Property, cfg: RunConfig, keys: list, size: int, first: int, queue: int):
-    """Fork a child that evaluates chunk ``first`` and then the chunks it
-    takes from ``queue``, writes their pickled ``_chunks_worst``, its error
-    as a ``_ChildError``, to a pipe and exits; returns its pid and the read
-    end of the pipe."""
+def _fork_worker(prop: Property, cfg: RunConfig, keys: list, size: int, queue: int):
+    """Fork a child that takes chunks from ``queue`` until it is empty,
+    writes their pickled ``_chunks_worst``, its error as a ``_ChildError``,
+    to a pipe and exits; returns its pid and the read end of the pipe."""
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
             os.close(read)
-            worst, failure = _chunks_worst(prop, cfg, keys, size, first, queue)
+            worst, failure = _chunks_worst(prop, cfg, keys, size, _queued(queue), queue)
             if failure is not None:
                 k, exc = failure
                 failure = k, _ChildError(f"{type(exc).__name__}: {exc}")
@@ -719,22 +721,25 @@ def _worst_residual(prop: Property, cfg: RunConfig, trials: int) -> float:
     (stream, dimension, trial) generator; ``trials`` counts per dimension
     when ``prop.per_dim`` is set and in all otherwise.
 
-    The ordered instances are cut into at most 1024 contiguous chunks,
-    evaluated by ``W`` workers, ``W`` the CPUs of the affinity mask (at most
-    one per chunk): this process and ``W - 1`` forked children.  Worker
-    ``w`` evaluates chunk ``w`` and then takes chunks from a queue, one
-    pipe that holds the indices of the others in increasing order, until
-    it is empty, so a worker on a faster CPU takes more of them.  A worker
-    stops at its first failing instance.  Every instance below the first
-    failing one is evaluated; a NaN in any worker wins, and the error of
-    the first failing instance is raised (from a child as a ``_ChildError``
-    with its text), so reports match a one-CPU run byte for byte.  With one
-    CPU, or without ``os.fork``, this process takes every chunk and
-    nothing is forked.  A fork copies only the calling thread, so callers
-    should be single-threaded.  The children's memory is not counted in
-    this process's ``ru_maxrss``.  Every child is reaped before this
-    returns or raises; on an exception here, such as an interrupt, the
-    children are killed first.
+    The ordered instances are cut into at most 1024 contiguous chunks.
+    This process evaluates the first chunk, while ``W`` forked children,
+    ``W`` the CPUs of the affinity mask (at most one per other chunk), take
+    the others from a queue, one pipe that holds their indices in
+    increasing order, until it is empty, so a child on a faster CPU takes
+    more of them.  This process's share is the same in every run, so a
+    tracer or profiler attached to it sees the same calls each time.  A
+    worker stops at its first failing instance and empties the queue.
+    Every instance below the first failing one is evaluated; a NaN in any
+    worker wins, and the error of the first failing instance is raised
+    (from a child as a ``_ChildError`` with its text), so reports match a
+    one-CPU run byte for byte.  A child that exits without reporting
+    raises ``ChildProcessError`` ahead of every instance's error.  With
+    one CPU, one chunk, or without ``os.fork``, this process evaluates
+    every chunk and nothing is forked.  A fork copies only the calling
+    thread, so callers should be single-threaded.  The children's memory
+    is not counted in this process's ``ru_maxrss``.  Every child is reaped
+    before this returns or raises; on an exception here, such as an
+    interrupt, the children are killed first.
     """
     if prop.per_dim:
         keys = [(n, i) for n in cfg.dims for i in range(trials)]
@@ -742,25 +747,28 @@ def _worst_residual(prop: Property, cfg: RunConfig, trials: int) -> float:
         keys = [(cfg.dims[i % len(cfg.dims)], i) for i in range(trials)]
     size = -(-len(keys) // _MAX_CHUNKS)
     count = -(-len(keys) // size)
-    workers = min(_cpu_count(), count) if hasattr(os, "fork") else 1
-    queue, feed = os.pipe()
-    os.write(feed, b"".join(c.to_bytes(4, "little") for c in range(workers, count)))
-    os.close(feed)
-    children = {}
+    cpus = _cpu_count() if hasattr(os, "fork") else 1
+    forks = min(cpus, count - 1) if cpus > 1 else 0
+    children, queue = {}, None
     try:
-        for w in range(1, workers):
-            pid, pipe = _fork_worker(prop, cfg, keys, size, w, queue)
-            children[pid] = w, pipe
-        results = [_chunks_worst(prop, cfg, keys, size, 0, queue)]
+        if forks:
+            queue, feed = os.pipe()
+            os.write(feed, b"".join(c.to_bytes(4, "little") for c in range(1, count)))
+            os.close(feed)
+            for w in range(1, forks + 1):
+                pid, pipe = _fork_worker(prop, cfg, keys, size, queue)
+                children[pid] = w, pipe
+        results = [_chunks_worst(prop, cfg, keys, size, (0,) if forks else range(count), queue)]
         for pid, (w, pipe) in list(children.items()):
             data = pipe.read()
             pipe.close()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
-            results.append(pickle.loads(data) if data else (0.0, (w * size, ChildProcessError(
-                f"trial worker {w} of {workers} exited with status {status} before reporting"))))
+            results.append(pickle.loads(data) if data else (0.0, (-1, ChildProcessError(
+                f"trial worker {w} of {forks} exited with status {status} before reporting"))))
     finally:
-        os.close(queue)
+        if queue is not None:
+            os.close(queue)
         for pid, (_, pipe) in children.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)

@@ -349,31 +349,107 @@ class TestForkedWorkers:
             assert time.monotonic() - start < 30.0
             self.assert_reaped(pids)
 
+    @staticmethod
+    def pid_log(path, slow=None):
+        """An instance of a property of 40 keys, trial ``i`` at dimension
+        ``2 + i``, that appends (pid, dimension) to the file ``path`` and,
+        when ``slow`` names a file, makes the worker that evaluates key 1
+        sleep 20 ms on each of its keys."""
+
+        def instance(n, rng, tol):
+            with open(path, "a") as fh:
+                fh.write(f"{os.getpid()} {n}\n")
+            if slow is not None:
+                if n == 3:
+                    slow.write_text(str(os.getpid()))
+                if slow.exists() and slow.read_text() == str(os.getpid()):
+                    time.sleep(0.02)
+            return rng.random()
+
+        return vf.Property("pid-log", "a probe of the work queue", "pid-log", 40, False,
+                           lambda c: 1.0, instance), vf.RunConfig(dims=tuple(range(2, 42)))
+
+    @staticmethod
+    def logged(path):
+        with open(path) as fh:
+            return [tuple(map(int, line.split())) for line in fh]
+
+    def test_this_process_evaluates_the_first_chunk_only(self, forked, tmp_path):
+        # its share is fixed, so a tracer in this process sees the same calls in every run
+        pids, parent, workers = forked
+        path = tmp_path / "keys"
+        prop, cfg = self.pid_log(path)
+        for count in (1, *self.WORKERS):
+            workers(count)
+            path.write_text("")
+            vf.run_property(prop, cfg)
+            log = self.logged(path)
+            assert sorted(n for _, n in log) == list(range(2, 42))
+            mine = [n for pid, n in log if pid == parent]
+            assert mine == (list(range(2, 42)) if count == 1 else [2])
+        self.assert_reaped(pids)
+
     def test_a_slow_worker_takes_fewer_chunks(self, forked, tmp_path):
-        # with 40 keys a chunk is one key; this process sleeps 20 ms on each
-        # of its keys, so the child, which does not, takes most of the queue
+        # with 40 keys a chunk is one key; the child that takes key 1 sleeps
+        # 20 ms on each of its keys, so the other children take most of the queue
+        pids, parent, workers = forked
+        path, slow = tmp_path / "keys", tmp_path / "slow"
+        prop, cfg = self.pid_log(path, slow)
+        results = []
+        for count in (1, *self.WORKERS):
+            workers(count)
+            path.write_text("")
+            slow.unlink(missing_ok=True)
+            results.append(vf.run_property(prop, cfg))
+            log = self.logged(path)
+            assert sorted(n for _, n in log) == list(range(2, 42))
+            if count > 1:
+                assert sum(pid != int(slow.read_text()) for pid, _ in log) > 20
+        assert results[1:] == results[:1] * len(self.WORKERS)
+        self.assert_reaped(pids)
+
+    def test_a_failure_empties_the_queue(self, forked, tmp_path):
+        # key 1 fails in the child that takes it; every chunk still queued is
+        # above it, so the children stop instead of evaluating the other 198
         pids, parent, workers = forked
         path = tmp_path / "keys"
 
         def instance(n, rng, tol):
-            draw = rng.random()
+            if n == 3:
+                raise ValueError("key 1")
             with open(path, "a") as fh:
-                fh.write(f"{os.getpid()} {n} {draw!r}\n")
-            if os.getpid() == parent:
-                time.sleep(0.02)
-            return draw
+                fh.write(f"{os.getpid()} {n}\n")
+            time.sleep(0.002)
+            return 0.0
 
-        prop = vf.Property("balance", "a probe of the work queue", "balance", 40, False,
-                           lambda c: 1.0, instance)
-        results = []
-        for count in (1, 2):
+        prop = vf.Property("early-failure", "a probe of the work queue", "early-failure", 200,
+                           False, lambda c: 1.0, instance)
+        for count in self.WORKERS:
             workers(count)
             path.write_text("")
-            results.append(vf.run_property(prop, vf.RunConfig(dims=(2, 3))))
-        lines = path.read_text().split()[::3]
-        assert len(lines) == 40
-        assert sum(pid != str(parent) for pid in lines) > 20
-        assert results[1] == results[0]
+            result = vf.run_property(prop, vf.RunConfig(dims=tuple(range(2, 202))))
+            assert result.error == "ValueError: key 1"
+            assert len(self.logged(path)) < 100
+        self.assert_reaped(pids)
+
+    def test_a_child_that_exits_is_reported_before_any_error(self, forked, tmp_path):
+        pids, parent, workers = forked
+        died = tmp_path / "died"
+
+        def instance(n, rng, tol):
+            if os.getpid() != parent:
+                died.touch()
+                os._exit(3)
+            deadline = time.monotonic() + 30.0
+            while not died.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            raise ValueError("key 0")
+
+        for count in self.WORKERS:
+            workers(count)
+            died.unlink(missing_ok=True)
+            result = vf.run_property(*_probe("child-exit-first", instance))
+            assert "exited with status 3 before reporting" in result.error
         self.assert_reaped(pids)
 
     def test_the_queue_hands_out_one_chunk_per_read(self):
