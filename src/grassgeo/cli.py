@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -169,13 +170,16 @@ def _seed(args) -> int:
     return args.seed if args.seed is not None else _env_seed()
 
 
-def _write(args, text: str):
+def _write(args, text):
+    """Write ``text``, a string or an iterable of strings, to ``--output``
+    or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if args.output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise InvalidInput(f"cannot write {args.output}: {exc}") from exc
 
@@ -198,24 +202,26 @@ def _fmt(value: float) -> str:
     return f"{value:.12f}"
 
 
-def _table_text(args, rows, mats, header_extra: dict) -> str:
+def _table_text(args, rows, mats, header_extra: dict):
+    """The table as text, one row at a time: the bytes of the CSV lines, or
+    of ``se.dumps`` of ``header_extra`` with the rows under ``"rows"``."""
     n = mats.shape[-1]
     if args.format == "csv":
         cols = ["t", "cumulative_length"]
         for i in range(n):
             for j in range(n):
                 cols += [f"re_{i}_{j}", f"im_{i}_{j}"]
-        row = ",".join(["%.12g", "%.12g"] + ["%.17g"] * (2 * n * n))
+        row = ",".join(["%.12g", "%.12g"] + ["%.17g"] * (2 * n * n)) + "\n"
         flat = np.ascontiguousarray(mats, dtype=complex).reshape(len(mats), -1).view(float)
-        lines = [",".join(cols)]
-        lines += [row % (t, cum, *vals) for (t, cum), vals in zip(rows, flat.tolist())]
-        return "\n".join(lines) + "\n"
-    payload = dict(header_extra)
-    payload["rows"] = [
-        {"t": t, "cumulative_length": cum, "matrix": se.matrix_to_obj(mat)}
-        for (t, cum), mat in zip(rows, mats)
-    ]
-    return se.dumps(payload)
+        yield ",".join(cols) + "\n"
+        yield from (row % (t, cum, *vals.tolist()) for (t, cum), vals in zip(rows, flat))
+        return
+    # a row at level 2 of the document is its own document indented by two
+    head, tail = se.dumps({**header_extra, "rows": [None]}).split("null")
+    for sep, (t, cum), mat in zip(chain([head], repeat(",\n  ")), rows, mats):
+        row = {"t": t, "cumulative_length": cum, "matrix": se.matrix_to_obj(mat)}
+        yield sep + se.dumps(row)[:-1].replace("\n", "\n  ")
+    yield tail
 
 
 def _cmd_verify(args) -> int:

@@ -12,13 +12,16 @@ the geodesic metric of the cone.
 Cone curves are built from their generator.  Congruence by ``nu^{-1/2}``
 is a cone isometry, so ``L = log(nu^{-1/2} mu nu^{-1/2})`` is off-diagonal
 and the geodesic from ``nu`` to ``mu`` is ``nu^{1/2} exp(tL) nu^{1/2}``
-(Bhatia, *Positive Definite Matrices*, 2007, ch. 6).  Geodesic samples
-take one product each from the eigenbasis of ``nu^{-1/2} mu nu^{-1/2}``,
-and their disk points one thin QR each.  Perturbed paths, and the lengths
-that the package measures for itself (``_cone_path_steps`` and
-``_cone_path_integrals``), go through the Grassmann engine on the small
-side with cosh/sinhc and the indefinite form, from the corners of ``L/2``
-and of the perturbation (``_cone_corners``).
+(Bhatia, *Positive Definite Matrices*, 2007, ch. 6).  The spectrum of
+``nu^{-1/2} mu nu^{-1/2}`` pairs every eigenvalue ``w`` with ``1/w`` and is
+1 elsewhere, so every cone route reads only its top k eigenpairs, k the
+dimension of the small side (``_top_spectrum``).  Geodesic samples are a
+rank-2k update of ``nu`` each, and their disk points one thin QR each.
+Perturbed paths, and the lengths that the package measures for itself
+(``_cone_path_steps`` and ``_cone_path_integrals``), go through the
+Grassmann engine on the small side with cosh/sinhc and the indefinite
+form, from the corners of ``L/2`` and of the perturbation
+(``_cone_corners``).
 :func:`cone_polyline_steps` measures stacks that callers supply, with one
 Cholesky factor per sample.  The samplers and :func:`cone_polyline_steps`
 run in the blocks of samples of the Grassmann engines
@@ -339,14 +342,15 @@ def _relative_matrix(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary) -> np.ndarr
     return herm(nu.inv_sqrt @ mu.mat @ nu.inv_sqrt)
 
 
-def _relative_spectrum(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary):
-    """Eigenvalues ``w`` and eigenbasis ``V`` of ``nu^{-1/2} mu nu^{-1/2}``;
-    InvalidInput if the two matrices differ in dimension, NotPositive if
-    the computed ``w`` is not positive."""
+def _top_spectrum(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary):
+    """``log w`` and ``V+`` of the top k eigenpairs of the positive
+    eps-unitary ``nu^{-1/2} mu nu^{-1/2}``, k the dimension of the small
+    side; InvalidInput if the two matrices differ in dimension.  The other
+    eigenpairs are ``(1/w, eps V+)`` and eigenvalues 1, so its bottom, lost
+    to rounding near the rim, is never read."""
+    k = _side_blocks(mu.context)[0].shape[1]
     w, v = np.linalg.eigh(_relative_matrix(mu, nu))
-    if not w.min() > 0:
-        raise NotPositive("relative spectrum of the cone elements is not positive")
-    return w, v
+    return np.log(w[w.size - k:]), v[:, w.size - k:]
 
 
 def _sample_times(ts) -> np.ndarray:
@@ -362,31 +366,37 @@ def _sample_times(ts) -> np.ndarray:
     return ts
 
 
+def _geodesic_update(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary, ts, scale: float):
+    """``[G, H] = nu^{1/2} [V+, eps V+]``, ``V+`` and the factors
+    ``[w^{st} - 1, w^{-st} - 1]`` of each t in ``ts``, for
+    :func:`_top_spectrum`; the factors are taken for the whole grid at
+    once, so the samples keep their bits whatever the blocks."""
+    log_w, v = _top_spectrum(mu, nu)
+    rates = scale * np.outer(_sample_times(ts), log_w)
+    return nu.sqrt @ np.hstack([v, mu.context.eps @ v]), v, np.expm1(np.hstack([rates, -rates]))
+
+
 def eps_geodesic_samples(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
                          ts: np.ndarray) -> np.ndarray:
     """Stack of cone geodesic samples for a whole parameter grid.
 
-    With ``nu^{-1/2} mu nu^{-1/2} = V diag(w) V*`` and ``G = nu^{1/2} V``,
-    the sample at t is ``G diag(w^t) G*``: one product per sample, filled
-    in one block of samples (``grassmann._sample_blocks``) at a time.  The
-    powers ``w^t`` are taken for the whole grid at once: numpy's ``**``
-    takes a one-sample block's exponent for a scalar and rounds ``w^2``,
-    ``w^0.5`` and ``w^-1`` another way.
+    ``a = nu^{-1/2} mu nu^{-1/2}`` is ``1`` plus a rank-2k update from its
+    top k eigenpairs ``(w, V+)`` and their partners ``(1/w, eps V+)``
+    (:func:`_top_spectrum`), so with ``G = nu^{1/2} V+`` and
+    ``H = nu^{1/2} eps V+`` the sample at t is
+    ``nu + G diag(w^t - 1) G* + H diag(w^{-t} - 1) H*``, filled in one block
+    of samples (``grassmann._sample_blocks``) at a time.
 
     Raises
     ------
     InvalidInput
         If the two matrices have different dimensions, or ``ts`` is not a
         finite 1-d array.
-    NotPositive
-        If the computed spectrum of ``nu^{-1/2} mu nu^{-1/2}`` is not positive.
     """
-    w, v = _relative_spectrum(mu, nu)
-    ts = _sample_times(ts)
-    g, powers = nu.sqrt @ v, w ** ts[:, None]
-    out = np.empty((ts.size, *g.shape), dtype=complex)
-    for block in _sample_blocks(ts.size, g.size):
-        out[block] = herm((g * powers[block, None, :]) @ adj(g))
+    gh, _, factors = _geodesic_update(mu, nu, ts, 1.0)
+    out = np.empty((len(factors), *nu.mat.shape), dtype=complex)
+    for block in _sample_blocks(len(factors), nu.mat.size):
+        out[block] = herm(nu.mat + (gh * factors[block, None, :]) @ adj(gh))
     return out
 
 
@@ -395,18 +405,18 @@ def _eps_geodesic_points(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
     """Range projections of the disk points ``[lam_t^{1/2} p]`` of the
     samples ``lam_t`` of :func:`eps_geodesic_samples`.
 
-    ``X_t = nu^{1/2} exp(tL/2) = G diag(w^{t/2}) V*`` is eps-unitary with
-    ``X_t X_t* = lam_t``; its unitary polar factor is eps-unitary too, so it
-    commutes with ``p``, and ``X_t Bp`` spans the range of ``lam_t^{1/2} p``.
-    The points are filled in blocks, as the samples are.
+    ``X_t = nu^{1/2} a^{t/2}`` is eps-unitary with ``X_t X_t* = lam_t``; its
+    unitary polar factor is eps-unitary too, so it commutes with ``p``, and
+    ``X_t Bp`` spans the range of ``lam_t^{1/2} p``.  As ``eps Bp = Bp``,
+    ``X_t Bp = nu^{1/2} Bp + (G (w^{t/2} - 1) + H (w^{-t/2} - 1)) V+* Bp``:
+    one thin QR per sample, filled in blocks as the samples are.
     """
-    w, v = _relative_spectrum(mu, nu)
-    ts = _sample_times(ts)
-    g, powers = nu.sqrt @ v, w ** (ts[:, None] / 2)
-    basis = adj(v) @ mu.context.range_basis
-    out = np.empty((ts.size, *g.shape), dtype=complex)
-    for block in _sample_blocks(ts.size, g.size):
-        q = np.linalg.qr((g * powers[block, None, :]) @ basis)[0]
+    gh, v, factors = _geodesic_update(mu, nu, ts, 0.5)
+    range_basis = mu.context.range_basis
+    start, corner = nu.sqrt @ range_basis, np.vstack([adj(v) @ range_basis] * 2)
+    out = np.empty((len(factors), *nu.mat.shape), dtype=complex)
+    for block in _sample_blocks(len(factors), nu.mat.size):
+        q = np.linalg.qr(start + (gh * factors[block, None, :]) @ corner)[0]
         out[block] = q @ adj(q)
     return out
 
@@ -486,8 +496,6 @@ def cone_perturbed_path(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
         If ``mu``, ``nu`` and ``h`` differ in dimension, the contexts of
         ``mu`` and ``nu`` differ by more than eq_tol, or ``ts`` is not a
         finite 1-d array.
-    NotPositive
-        If the computed spectrum of ``nu^{-1/2} mu nu^{-1/2}`` is not positive.
     """
     p = mu.context
     h = as_matrix(h, square=True)
@@ -513,13 +521,14 @@ def _cone_corners(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary, hs):
     """The corners (:func:`grassmann._corners`) of ``L / 2`` and of each
     ``herm(h) / 2`` for the paths ``cone_perturbed_path(mu, nu, h, .)``.
 
-    ``L``'s is read straight from the relative eigenbasis,
-    ``((Bb* V) log w)(V* Bs) / 2``; no n x n generator is formed.
-    InvalidInput and NotPositive as from :func:`_relative_spectrum`.
+    ``L = 2 offdiag(V+ diag(log w) V+*)`` for the top spectrum of
+    :func:`_top_spectrum`, so ``L / 2``'s corner is
+    ``((Bb* V+) log w)(V+* Bs)``; no n x n generator is formed.
+    InvalidInput as from :func:`_top_spectrum`.
     """
-    w, v = _relative_spectrum(mu, nu)
+    log_w, v = _top_spectrum(mu, nu)
     small, big, _ = _side_blocks(mu.context)
-    ell = ((adj(big) @ v) * np.log(w)) @ (adj(v) @ small) / 2
+    ell = ((adj(big) @ v) * log_w) @ (adj(v) @ small)
     return ell, [adj(big) @ herm(h) @ small / 2 for h in hs]
 
 

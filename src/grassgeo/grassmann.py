@@ -624,27 +624,16 @@ def _chebyshev_rows(deg: int, ts: np.ndarray):
     return at, diff
 
 
-def _largest_eig_2x2(h: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of stacked 2 x 2 Hermitian matrices."""
-    mean, half_gap = (h[0, 0].real + h[1, 1].real) / 2, (h[0, 0].real - h[1, 1].real) / 2
-    return mean + np.hypot(half_gap, np.abs(h[0, 1]))
-
-
 def _residual_norms(c: np.ndarray, d: np.ndarray, k: int, sigma: float) -> np.ndarray:
     """Square roots of the largest eigenvalues of ``sigma res* J res`` for
     ``res = d - c (c* J d)``, with ``J = diag(1_k, sigma)``, for stacked
-    moved bases ``c`` and their differences or derivatives ``d``.  For
-    Grassmann paths (``sigma = +1``) this is ``||(1 - c c*) d||``.  At
-    k <= 2 the eigenvalue is taken in closed form."""
+    moved bases ``c`` and their differences or derivatives ``d``: one
+    batched ``eigvalsh`` for every k.  For Grassmann paths
+    (``sigma = +1``) this is ``||(1 - c c*) d||``."""
     form = np.where(np.arange(c.shape[-2]) < k, 1.0, sigma)
     res = d - c @ (_adj_scaled(c, form) @ d)
     gram = _adj_scaled(res, sigma * form) @ res
-    if k <= 2:
-        h = np.moveaxis(gram, 0, -1)
-        top = h[0, 0].real if k == 1 else _largest_eig_2x2(h)
-    else:
-        top = np.linalg.eigvalsh(gram)[:, -1]
-    return np.sqrt(np.clip(top, 0.0, None))
+    return np.sqrt(np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None))
 
 
 def _interpolated_steps(r_z: np.ndarray, r_w: np.ndarray, ts: np.ndarray,

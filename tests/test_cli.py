@@ -15,7 +15,6 @@ from grassgeo import grassmann as gr
 from grassgeo import moebius as mo
 from grassgeo import projective as pj
 from grassgeo import serialize as se
-from grassgeo.errors import NotPositive
 
 from conftest import read_json, rotation_pair, write_matrix, write_point, write_projection
 
@@ -251,28 +250,25 @@ class TestDiskCommands:
     @pytest.mark.parametrize("argv", [["dist", "--metric", "dplus"], ["disk-dist"],
                                       ["geodesic", "--space", "cone", "--samples", "5"]],
                              ids=["dist", "disk-dist", "geodesic"])
-    def test_relative_spectrum_not_positive_exit(self, argv, tmp_path, monkeypatch, capsys):
-        # near the rim the computed spectrum of nu^{-1/2} mu nu^{-1/2} may
-        # have a negative eigenvalue.  The cone distance reads only its top
-        # and stays twice the non-Euclidean distance.  The cone geodesic
-        # needs all of it and fails instead of writing NaN; rounding alone
-        # decides whether the spectrum is lost, so a stub raises instead.
+    def test_relative_spectrum_not_positive_exit(self, argv, tmp_path, capsys):
+        # at chart radius 1 - 2e-9 the bottom of the computed spectrum of
+        # nu^{-1/2} mu nu^{-1/2} is rounding noise, negative for this point.
+        # Every command reads only the top half: the cone distance stays
+        # twice the non-Euclidean one, and the cone geodesic's last
+        # cumulative length meets the closed form (its steps missed it by
+        # 8.4e-2, or the command exited 8, while they read the whole
+        # spectrum)
         p = pj.random_projection(6, 3, 7)
         m = mo.chart(mo.random_hp_vector(p, np.random.default_rng(0), 1 - 2e-9))
         base = write_point(tmp_path / "base.json", pj.classify(p.mat, p))
         near = write_point(tmp_path / "near.json", m)
-        if argv[0] == "geodesic":
-            def not_positive(mu, nu):
-                raise NotPositive("relative spectrum of the cone elements is not positive")
-
-            monkeypatch.setattr(dk, "_relative_spectrum", not_positive)
-            assert cli.main(argv + [base, near]) == 8
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("NotPositive")
-            return
         assert cli.main(argv + [base, near]) == 0
         out = capsys.readouterr().out
+        if argv[0] == "geodesic":
+            payload = json.loads(out)
+            closed = payload["closed_form_distance"]
+            assert abs(payload["rows"][-1]["cumulative_length"] - closed) <= 1e-8 * closed
+            return
         if argv[0] == "dist":
             assert cli.main(["dist", "--metric", "en", base, near]) == 0
             dplus, en = float(out), float(capsys.readouterr().out)
@@ -334,6 +330,32 @@ class TestGoldenOutput:
         want = _old_table_json({"space": "disk", "closed_form_distance": closed}, rows, points)
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("space", ["grassmann", "cone", "disk"])
+    def test_streamed_tables(self, space, fmt, tmp_path, capsys):
+        # the tables are written a row at a time, to stdout and to a file,
+        # with the bytes of the whole document built at once
+        p = pj.random_projection(5, 2, 3)
+        end = pj.point_from_projection(gr.geodesic(p, gr.random_tangent(p, np.random.default_rng(3),
+                                                                            0.4), 1.0), p)
+        first = write_point(tmp_path / "a.json", pj.classify(p.mat, p))
+        second = write_point(tmp_path / "b.json", end)
+        argv = ["disk-geodesic"] if space == "disk" else ["geodesic", "--space", space]
+        for samples in (2, 3, 40):
+            args = argv + ["--samples", str(samples), "--format", fmt, first, second]
+            rows, mats, closed = cli._geodesic_table(cli.build_parser().parse_args(args), space)
+            if fmt == "json":
+                want = se.dumps({"space": space, "closed_form_distance": closed, "rows": [
+                    {"t": t, "cumulative_length": cum, "matrix": se.matrix_to_obj(mat)}
+                    for (t, cum), mat in zip(rows, mats)]})
+            else:
+                want = _old_table_csv(rows, mats)
+            assert cli.main(args) == 0
+            assert capsys.readouterr().out == want
+            out = tmp_path / f"{space}.{fmt}"
+            assert cli.main(args + ["--output", str(out)]) == 0
+            assert out.read_text(encoding="utf-8") == want
 
     def test_save_obj_bytes(self, rotation_files):
         base, moved = rotation_pair(np.pi / 6)

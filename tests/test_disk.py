@@ -527,10 +527,19 @@ class TestGeodesicDiskPoints:
             assert np.abs(point - ref).max() <= 1e-13
 
 
+def _rim_pair(n, rank, proj_seed, seed, radius):
+    """The disk center and the disk point at chart radius ``radius``."""
+    p = pj.random_projection(n, rank, proj_seed)
+    m = dk.to_disk_point(mo.chart(mo.random_hp_vector(p, np.random.default_rng(seed), radius)))
+    return m, dk.base_disk_point(p)
+
+
 class TestRelativeSpectrum:
-    """Near the rim the computed spectrum of ``nu^{-1/2} mu nu^{-1/2}`` can
-    lose positivity; the cone functions that need its eigenbasis then raise
-    instead of returning NaN.  ``d_cone`` reads only the top of it."""
+    """Near the rim the bottom of the computed spectrum of
+    ``nu^{-1/2} mu nu^{-1/2}`` is lost to rounding, even to negative values.
+    Every cone route reads only its top k eigenpairs, with k the dimension
+    of the small side: ``d_cone`` the largest eigenvalue, the corner and the
+    samplers the top k."""
 
     @pytest.mark.parametrize("proj_seed, seed, radius", [(2, 2, 1 - 1e-6), (2, 2, 1 - 1e-8),
                                                          (7, 0, 1 - 2e-9)],
@@ -540,18 +549,19 @@ class TestRelativeSpectrum:
         # its largest eigenvalue; reading the smallest too, about e^-sigma
         # and lost to rounding, was off by up to 4.9e-3 relative here, or
         # raised NotPositive at 1 - 2e-9
-        p = pj.random_projection(6, 3, proj_seed)
-        m = dk.to_disk_point(mo.chart(mo.random_hp_vector(p, np.random.default_rng(seed), radius)))
-        center = dk.base_disk_point(p)
+        m, center = _rim_pair(6, 3, proj_seed, seed, radius)
         double = 2 * dk.d_non_euclidean(m, center)
         for pair in ((m, center), (center, m)):
             assert abs(dk.d_cone(*pair) - double) <= 1e-13 * double
 
     def test_not_positive_near_rim(self):
         # the preimage of a point at chart radius 1 - 2e-9, with its
-        # smallest eigenvalue (about 1e-9) replaced by -1: the spectrum is
-        # negative by construction, far beyond the eigensolvers' rounding
-        # noise of about ||mu|| eps = 2e-7
+        # smallest eigenvalue (about 1e-9) replaced by -1: far beyond the
+        # eigensolvers' rounding noise of about ||mu|| eps = 2e-7, but the
+        # top half that the cone routes read never sees it.  The corner
+        # stays within that noise of the unplanted element's and of the
+        # exact corner of L / 2 = (x + x*) / 2, and the samples end at the
+        # unplanted element
         p = pj.random_projection(6, 3, 7)
         m = mo.chart(mo.random_hp_vector(p, np.random.default_rng(0), 1 - 2e-9))
         assert dk.in_disk(m)
@@ -559,10 +569,66 @@ class TestRelativeSpectrum:
         w = lam._w.copy()
         w[np.argmin(w)] = -1.0
         mu = dk._cone_element(lam._v, w, lam.xparam)
-        with pytest.raises(NotPositive):
-            dk._relative_spectrum(mu, base)
-        with pytest.raises(NotPositive):
-            dk.eps_geodesic_samples(mu, base, [0.0, 0.5, 1.0])
+        noise = np.linalg.norm(lam.mat, 2) * np.finfo(float).eps
+        small, big, _ = gr._side_blocks(p)
+        x = lam.xparam.mat
+        exact = la.adj(big) @ (x + la.adj(x)) @ small / 2
+        corner, planted = (dk._cone_corners(cone, base, [])[0] for cone in (lam, mu))
+        assert np.abs(planted - corner).max() <= noise
+        assert np.abs(planted - exact).max() <= noise
+        samples = dk.eps_geodesic_samples(mu, base, [0.0, 0.5, 1.0])
+        assert np.isfinite(samples).all()
+        assert np.abs(samples[-1] - lam.mat).max() <= 1e-15 * np.abs(lam.mat).max()
+        points = dk._eps_geodesic_points(mu, base, [0.0, 0.5, 1.0])
+        assert np.isfinite(points).all()
+        assert np.abs(points[-1] - m.range.mat).max() <= noise
+
+    @pytest.mark.parametrize("n, rank, proj_seed, seed, radius, tol",
+                             [(6, 3, 2, 2, 1 - 1e-6, 1e-8), (6, 3, 2, 2, 1 - 1e-8, 1e-8),
+                              (6, 3, 7, 0, 1 - 2e-9, 1e-8), (8, 2, 3, 1, 1 - 1e-7, 1e-8),
+                              (16, 4, 4, 3, 1 - 1e-8, 1e-8), (5, 2, 5, 5, 0.5, 1e-14),
+                              (6, 3, 2, 2, 0.5, 1e-14), (16, 4, 4, 3, 0.5, 1e-14)],
+                             ids=["6-3-1e-6", "6-3-1e-8", "6-3-2e-9", "8-2-1e-7", "16-4-1e-8",
+                                  "5-2-half", "6-3-half", "16-4-half"])
+    def test_cone_path_steps_near_rim(self, n, rank, proj_seed, seed, radius, tol):
+        # the 2000-sample totals of the step kernel against twice the
+        # non-Euclidean distance, in both orders.  With the corner from the
+        # whole spectrum they missed by up to 8.4e-2 or raised NotPositive
+        # near the rim; what is left there, up to 3.9e-9, is the kernel's
+        # own cancellation.  At radius 0.5 only rounding is left
+        m, center = _rim_pair(n, rank, proj_seed, seed, radius)
+        double = 2 * dk.d_non_euclidean(m, center)
+        for a, b in ((m, center), (center, m)):
+            [steps] = dk._cone_path_steps(a.lam, b.lam, [], 2000)
+            assert abs(steps.sum() - double) <= tol * double
+
+    @pytest.mark.parametrize("n, rank, corner_rank", [(6, 3, 0), (6, 3, 1), (6, 3, 2), (7, 3, 1),
+                                                      (7, 4, 2), (8, 4, 1), (16, 4, 3)])
+    def test_rank_deficient_corner(self, n, rank, corner_rank):
+        # fewer than k eigenvalues exceed 1: the top k pairs then hold
+        # eigenvalues 1, whose log is rounding, and no branch is needed.
+        # mu = exp(X) and nu = exp(-X / 2) commute, so the relative matrix
+        # is exp(3X / 2) with the rank of x
+        p = pj.random_projection(n, rank, n + rank)
+        rng = np.random.default_rng(corner_rank)
+        small, big, _ = gr._side_blocks(p)
+        left = big @ la.random_unitary(big.shape[1], rng)[:, :corner_rank]
+        right = small @ la.random_unitary(small.shape[1], rng)[:, :corner_rank]
+        x = left @ np.diag(rng.uniform(0.5, 1.5, corner_rank)) @ la.adj(right)
+        x = np.ascontiguousarray(x if p.rank == small.shape[1] else la.adj(x))
+        big_x = x + la.adj(x)
+        mu = dk.PositiveEpsUnitary.from_xparam(mo.HpVector(x, p))
+        nu = dk.PositiveEpsUnitary.from_xparam(mo.HpVector(-x / 2, p))
+        corner, _ = dk._cone_corners(mu, nu, [])
+        assert np.abs(corner - 3 / 4 * la.adj(big) @ big_x @ small).max() <= 1e-14
+        ts = np.array([-0.5, 0.0, 0.3, 1.0, 1.5])
+        samples = dk.eps_geodesic_samples(mu, nu, ts)
+        points = dk._eps_geodesic_points(mu, nu, ts)
+        for t, sample, point in zip(ts, samples, points):
+            ref = la.expm((1.5 * t - 0.5) * big_x)
+            assert np.abs(sample - ref).max() <= 1e-14 * np.abs(ref).max()
+            ref = dk.cone_to_disk(dk.PositiveEpsUnitary(ref, p)).point.range.mat
+            assert np.abs(point - ref).max() <= 1e-14
 
 
 class TestConeCurveInputs:

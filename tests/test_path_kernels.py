@@ -1,7 +1,7 @@
 """The step kernel of ``tangent_path_lengths`` against a reference kernel
-on the same reduced blocks.  One Chebyshev-interpolated kernel serves every
-small side k; the sizes are split into k <= 2, where the largest eigenvalue is
-taken in closed form, and k >= 3.
+on the same reduced blocks.  One Chebyshev-interpolated kernel, with one
+batched ``eigvalsh`` for the largest eigenvalue, serves every small side k;
+the sizes run from k = 1 to 62, on the range and on the kernel side.
 
 The reference takes one batched ``eigh`` per sample and one ``eigvalsh``
 per step.  Both kernels return the chordal steps of one path.  Steps are

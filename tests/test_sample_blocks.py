@@ -43,8 +43,9 @@ def grid(resolution):
     return np.linspace(0.0, 1.0, resolution)
 
 
-# (n, rank): small sides of 1 to 4, on the range and on the kernel side
-SHAPES = [(3, 1), (6, 3), (7, 5), (16, 4)]
+# (n, rank): small sides of 1 to 4, on the range and on the kernel side;
+# k = 1 and 2 on both sides
+SHAPES = [(3, 1), (6, 3), (7, 5), (16, 4), (5, 2), (4, 3)]
 
 
 def grassmann_path(n, rank):
@@ -127,7 +128,7 @@ def test_chordal_steps(monkeypatch, n, rank):
     assert_same_in_blocks(monkeypatch, lambda r: gr.chordal_steps(sample(grid(r))), n * n)
 
 
-@pytest.mark.parametrize("n, rank", SHAPES)
+@pytest.mark.parametrize("n, rank", SHAPES + [(5, 0), (5, 5)])
 def test_cone_samplers_and_polyline(monkeypatch, n, rank):
     mu, nu, h = cone_path(n, rank)
     entries = n * n
