@@ -194,7 +194,7 @@ def _load_points(args, tol: Tolerance):
         context = se.projection_from_obj(first, tol)
     m = se.point_from_obj(first, context, tol)
     n = se.point_from_obj(second, context or m.context, tol)
-    gr._check_context(m, n, tol)
+    pj._check_context(m.context, n.context, tol)
     return m, n
 
 

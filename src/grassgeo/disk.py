@@ -49,9 +49,9 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, Tolerance, _op_norm, adj, as_matrix, herm, spectral
 from .moebius import HpVector, chart_inv, random_hp_vector
-from .projective import Projection, ProjectivePoint, _trusted, classify
-from .grassmann import (_check_context, _moved_basis, _path_integrals, _path_steps, _sample_blocks,
-                        _side_blocks, _step_spans, d_chordal)
+from .projective import Projection, ProjectivePoint, _check_context, _trusted, classify
+from .grassmann import (_moved_basis, _path_integrals, _path_steps, _sample_blocks, _side_blocks,
+                        _step_spans, d_chordal)
 
 __all__ = [
     "EpsSymmetry",
@@ -184,8 +184,7 @@ class DiskPoint:
 
     def __init__(self, point: ProjectivePoint, lam: PositiveEpsUnitary,
                  tol: Tolerance = DEFAULT_TOL):
-        if point.context.mat.shape != lam.context.mat.shape:
-            raise InvalidInput("point and cone element dimensions differ")
+        _check_context(point.context, lam.context, tol)
         if d_chordal(cone_to_disk(lam, tol).point, point, tol) > tol.geo_tol:
             raise InvalidInput("cone element does not map to the given point")
         self.point = point
@@ -289,7 +288,7 @@ def rho(m: DiskPoint, n: DiskPoint, tol: Tolerance = DEFAULT_TOL) -> float:
     the range and null bases of ``p``, from the cached ``sqrt`` and
     ``inv_sqrt``.
     """
-    _check_context(m.point, n.point, tol)
+    _check_context(m.context, n.context, tol)
     p = m.context
     return _op_norm(adj(p.null_basis) @ (m.lam.sqrt @ (n.lam.inv_sqrt @ p.range_basis)))
 
@@ -317,11 +316,11 @@ def d_cone(m, n, tol: Tolerance = DEFAULT_TOL) -> float:
     Raises
     ------
     InvalidInput
-        If the two matrices have different dimensions.
+        If the two contexts differ by more than eq_tol.
     """
     mu = m.lam if isinstance(m, DiskPoint) else m
     nu = n.lam if isinstance(n, DiskPoint) else n
-    return float(abs(np.log(np.linalg.eigvalsh(_relative_matrix(mu, nu))[-1])))
+    return float(abs(np.log(np.linalg.eigvalsh(_relative_matrix(mu, nu, tol))[-1])))
 
 
 def eps_geodesic(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary, t: float,
@@ -330,22 +329,29 @@ def eps_geodesic(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary, t: float,
 
     Runs from ``nu`` at t = 0 to ``mu`` at t = 1 and stays inside the cone
     for every real t; the cone distance grows linearly in t along it.
+    The contexts are compared as :func:`eps_geodesic_samples` compares
+    them, at the default eq_tol; ``tol`` judges the result.
+
+    Raises
+    ------
+    InvalidInput
+        If the contexts of ``mu`` and ``nu`` differ by more than eq_tol.
     """
     return PositiveEpsUnitary(eps_geodesic_samples(mu, nu, [t])[0], mu.context, tol)
 
 
-def _relative_matrix(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary) -> np.ndarray:
-    """``nu^{-1/2} mu nu^{-1/2}``; InvalidInput if the two matrices differ
-    in dimension."""
-    if mu.mat.shape != nu.mat.shape:
-        raise InvalidInput("cone elements have different dimensions")
+def _relative_matrix(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
+                     tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """``nu^{-1/2} mu nu^{-1/2}``; InvalidInput if the contexts differ by
+    more than eq_tol: the one context check of every cone route."""
+    _check_context(mu.context, nu.context, tol)
     return herm(nu.inv_sqrt @ mu.mat @ nu.inv_sqrt)
 
 
 def _top_spectrum(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary):
     """``log w`` and ``V+`` of the top k eigenpairs of the positive
     eps-unitary ``nu^{-1/2} mu nu^{-1/2}``, k the dimension of the small
-    side; InvalidInput if the two matrices differ in dimension.  The other
+    side; InvalidInput if the contexts differ.  The other
     eigenpairs are ``(1/w, eps V+)`` and eigenvalues 1, so its bottom, lost
     to rounding near the rim, is never read."""
     k = _side_blocks(mu.context)[0].shape[1]
@@ -390,8 +396,8 @@ def eps_geodesic_samples(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
     Raises
     ------
     InvalidInput
-        If the two matrices have different dimensions, or ``ts`` is not a
-        finite 1-d array.
+        If the contexts of ``mu`` and ``nu`` differ by more than eq_tol, or
+        ``ts`` is not a finite 1-d array.
     """
     gh, _, factors = _geodesic_update(mu, nu, ts, 1.0)
     out = np.empty((len(factors), *nu.mat.shape), dtype=complex)
@@ -445,7 +451,7 @@ def cone_polyline_steps(lams: np.ndarray) -> np.ndarray:
     if lams.ndim != 3 or lams.shape[1] != lams.shape[2]:
         raise InvalidInput(f"expected a stack of square matrices, got shape {lams.shape}")
     entries = lams.shape[1] ** 2
-    if not all(np.isfinite(lams[block].view(float)).all()
+    if not all(np.isfinite(lams[block]).all()
                for block in _sample_blocks(len(lams), entries)):
         raise InvalidInput("polyline samples have non-finite entries")
     steps = np.empty(max(len(lams) - 1, 0))
@@ -493,17 +499,15 @@ def cone_perturbed_path(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
     Raises
     ------
     InvalidInput
-        If ``mu``, ``nu`` and ``h`` differ in dimension, the contexts of
-        ``mu`` and ``nu`` differ by more than eq_tol, or ``ts`` is not a
-        finite 1-d array.
+        If ``h`` is not a finite matrix of the dimension of ``mu``, the
+        contexts of ``mu`` and ``nu`` differ by more than eq_tol, or ``ts``
+        is not a finite 1-d array.
     """
     p = mu.context
     h = as_matrix(h, square=True)
     if h.shape != p.mat.shape:
         raise InvalidInput("perturbation and cone element dimensions differ")
     ell, [eta] = _cone_corners(mu, nu, [h])
-    if np.abs(p.mat - nu.context.mat).max() > DEFAULT_TOL.eq_tol:
-        raise InvalidInput("cone elements have different context projections")
     small, big, flipped = _side_blocks(p)
     ts = _sample_times(ts)
     k = small.shape[1]

@@ -49,7 +49,8 @@ from .errors import (
 )
 from .linalg import (DEFAULT_TOL, Tolerance, _is_singular, _op_norm, adj, as_matrix, herm, op_norm,
                      spectral)
-from .projective import Projection, ProjectivePoint, _trusted, random_offdiag_antiherm
+from .projective import (Projection, ProjectivePoint, _check_context, _trusted,
+                         random_offdiag_antiherm)
 
 __all__ = [
     "TangentVector",
@@ -130,17 +131,6 @@ def random_tangent(p: Projection, rng: np.random.Generator, norm: float = 1.0) -
     return _trusted(TangentVector, mat=z * (norm / zn) if zn else np.zeros_like(z), context=p)
 
 
-def _check_context(m: ProjectivePoint, n: ProjectivePoint, tol: Tolerance):
-    """Raise ``InvalidInput`` unless the points share their context: the
-    same object, or projections equal within eq_tol."""
-    if m.context is n.context:
-        return
-    if m.range.mat.shape != n.range.mat.shape:
-        raise InvalidInput("points live in different ambient dimensions")
-    if np.abs(m.context.mat - n.context.mat).max() > tol.eq_tol:
-        raise InvalidInput("points have different context projections")
-
-
 def d_chordal(m: ProjectivePoint, n: ProjectivePoint, tol: Tolerance = DEFAULT_TOL) -> float:
     """Chordal distance: operator norm of the difference ``P - Q`` of range
     projections, the sine of the largest principal angle (Bjorck and Golub,
@@ -151,7 +141,7 @@ def d_chordal(m: ProjectivePoint, n: ProjectivePoint, tol: Tolerance = DEFAULT_T
     with ``Bq`` the range basis of ``Q``.  The difference itself is formed
     entrywise, so equal points are at distance exactly 0.
     """
-    _check_context(m, n, tol)
+    _check_context(m.context, n.context, tol)
     q = n.range
     return _op_norm((m.range.mat - q.mat) @ q.range_basis)
 
@@ -171,17 +161,6 @@ def d_spherical(m: ProjectivePoint, n: ProjectivePoint, tol: Tolerance = DEFAULT
     return float(np.arcsin(min(d, 1.0)))
 
 
-def _check_tangent(p: Projection, z: TangentVector, tol: Tolerance = DEFAULT_TOL):
-    """Raise ``InvalidTangent`` unless ``z`` is a tangent at ``p``: at the
-    same projection object, or one equal to it within eq_tol."""
-    if z.context is p:
-        return
-    if z.context.mat.shape != p.mat.shape:
-        raise InvalidTangent("tangent and base projection dimensions differ")
-    if np.abs(z.context.mat - p.mat).max() > tol.eq_tol:
-        raise InvalidTangent("tangent context differs from the base projection")
-
-
 def geodesic(p: Projection, z: TangentVector, t: float, tol: Tolerance = DEFAULT_TOL) -> Projection:
     """Point of the geodesic through ``p`` with velocity ``z`` at time ``t``.
 
@@ -189,7 +168,7 @@ def geodesic(p: Projection, z: TangentVector, t: float, tol: Tolerance = DEFAULT
     ``exp(tz) Bp = Bp cos|a| + a sinc|a|`` with ``a = t (1-p) z Bp``,
     computed from the cos/sinc blocks over ran(p).
     """
-    _check_tangent(p, z, tol)
+    _check_context(z.context, p, tol, InvalidTangent)
     bp = p.range_basis
     a = t * (p.comp @ (z.mat @ bp))
     top, mid = _generator_blocks(a, *_COS_SINC)
@@ -259,7 +238,7 @@ def _check_samples(qs: np.ndarray, start: int, tol: Tolerance) -> None:
     """Raise ``InvalidCurve`` at the first sample of the stack ``qs``, sample
     ``start + i`` of its curve, that has a non-finite entry or fails the
     projection invariants within eq_tol."""
-    finite = np.isfinite(qs.view(float)).all(axis=(-2, -1))
+    finite = np.isfinite(qs).all(axis=(-2, -1))
     stop = int(finite.argmin()) if not finite.all() else len(qs)
     good = qs[:stop]
     # Frobenius residuals bound the operator-norm residuals from above, so
@@ -444,7 +423,7 @@ def geodesic_curve(p: Projection, z: TangentVector, resolution: int = 2000) -> C
 
     Raises ``InvalidTangent`` if ``z`` is not a tangent at ``p``.
     """
-    _check_tangent(p, z)
+    _check_context(z.context, p, DEFAULT_TOL, InvalidTangent)
     return Curve(_path_sampler(p, z.mat, np.zeros_like(z.mat)), resolution)
 
 
@@ -456,8 +435,8 @@ def perturbed_curve(p: Projection, z: TangentVector, w: TangentVector,
     it the comparison family for minimality checks.  Raises
     ``InvalidTangent`` if ``z`` or ``w`` is not a tangent at ``p``.
     """
-    _check_tangent(p, z)
-    _check_tangent(p, w)
+    for v in (z, w):
+        _check_context(v.context, p, DEFAULT_TOL, InvalidTangent)
     return Curve(_path_sampler(p, z.mat, w.mat), resolution)
 
 
@@ -483,7 +462,7 @@ def tangent_path_lengths(p: Projection, z: TangentVector, ws, resolution: int = 
     """
     _check_resolution(resolution)
     for v in (z, *ws):
-        _check_tangent(p, v)
+        _check_context(v.context, p, DEFAULT_TOL, InvalidTangent)
     steps = _path_steps(*_corners(p, z.mat, [w.mat for w in ws]), resolution, _GRASSMANN)
     lengths = [path.sum() for path in steps]
     return float(lengths[0]), np.array(lengths[1:])

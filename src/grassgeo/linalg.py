@@ -78,10 +78,13 @@ class HermitianEig(NamedTuple):
 
 
 def as_matrix(a, square: bool = False) -> np.ndarray:
-    """Coerce to a finite 2-d complex array, raising :class:`InvalidInput`."""
+    """Coerce to a finite 2-d C-contiguous complex array, raising
+    :class:`InvalidInput`; every memory layout of a matrix gives the same
+    array."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
         raise InvalidInput(f"expected a non-empty matrix, got shape {a.shape}")
+    a = np.ascontiguousarray(a)
     if not np.all(np.isfinite(a.view(float))):
         raise InvalidInput("matrix has non-finite entries")
     if square and a.shape[0] != a.shape[1]:

@@ -30,10 +30,9 @@ from .errors import (
     NotInvertible,
     OutsideDomain,
 )
-from .grassmann import _check_context
 from .linalg import DEFAULT_TOL, Tolerance, _is_singular, _op_norm, adj, as_matrix
-from .projective import (Projection, ProjectivePoint, _corner_inv, _trusted, classify,
-                         corner_compress)
+from .projective import (Projection, ProjectivePoint, _check_context, _corner_inv, _trusted,
+                         classify, corner_compress)
 
 __all__ = [
     "HpVector",
@@ -162,7 +161,7 @@ def d_chart(m: ProjectivePoint, n: ProjectivePoint, tol: Tolerance = DEFAULT_TOL
     NotFinitePoint
         If either point lies outside the chart.
     """
-    _check_context(m, n, tol)
+    _check_context(m.context, n.context, tol)
     p = m.context
     return _op_norm(_chart_block(m, p, tol) - _chart_block(n, p, tol))
 
@@ -190,7 +189,14 @@ class MoebiusMap:
 
 
 def moebius_domain(g: MoebiusMap, b: HpVector, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether ``b`` lies in the domain: x + y b invertible in the corner."""
+    """Whether ``b`` lies in the domain: x + y b invertible in the corner.
+
+    Raises
+    ------
+    InvalidInput
+        If the contexts of ``g`` and ``b`` differ by more than eq_tol.
+    """
+    _check_context(g.context, b.context, tol)
     return _corner_inv(corner_compress(g.g @ (g.context.mat + b.mat), g.context), tol) is not None
 
 
@@ -200,9 +206,12 @@ def moebius_apply(g: MoebiusMap, b: HpVector, tol: Tolerance = DEFAULT_TOL) -> H
 
     Raises
     ------
+    InvalidInput
+        If the contexts of ``g`` and ``b`` differ by more than eq_tol.
     OutsideDomain
         If ``b`` fails the domain test.
     """
+    _check_context(g.context, b.context, tol)
     p = g.context
     out = _chart_coordinate(g.g @ (p.mat + b.mat), p, tol)
     if out is None:
@@ -220,12 +229,14 @@ def chart_transition(q: Projection, r: Projection, x: HpVector,
 
     Raises
     ------
+    InvalidInput
+        If the context of ``x`` differs from ``r`` by more than eq_tol, or
+        ``q`` and ``r`` differ in dimension.
     OutsideDomain
         If the bases are at chordal distance 1 or the compression of
         ``r + x`` to ran(q) is singular within eq_tol.
     """
-    if np.abs(x.context.mat - r.mat).max() > tol.eq_tol:
-        raise InvalidInput("coordinate does not live in the chart at r")
+    _check_context(x.context, r, tol)
     if q.mat.shape != r.mat.shape:
         raise InvalidInput("projections live in different ambient dimensions")
     if _op_norm(q.mat - r.mat) >= 1.0 - tol.eq_tol:

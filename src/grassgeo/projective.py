@@ -150,6 +150,18 @@ class ProjectivePoint:
         return f"ProjectivePoint(dim={self.rep.mat.shape[0]}, rank={self.range.rank})"
 
 
+def _check_context(p: Projection, q: Projection, tol: Tolerance, error=InvalidInput) -> None:
+    """Raise ``error`` unless two context projections agree: the same
+    object, or the same shape with entries within eq_tol.  Every function
+    that takes two objects over a context decides it here."""
+    if p is q:
+        return
+    if p.mat.shape != q.mat.shape:
+        raise error("contexts live in different ambient dimensions")
+    if np.abs(p.mat - q.mat).max() > tol.eq_tol:
+        raise error("contexts differ by more than eq_tol")
+
+
 def corner_compress(a: np.ndarray, p: Projection) -> np.ndarray:
     """Compression of ``a`` to the range of ``p``, in the range eigenbasis."""
     b = p.range_basis
@@ -249,9 +261,9 @@ def classify(a, p: Projection, tol: Tolerance = DEFAULT_TOL) -> ProjectivePoint:
 
 
 def class_equal(m: ProjectivePoint, n: ProjectivePoint, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Class equality, decided on range projections."""
-    if m.range.mat.shape != n.range.mat.shape:
-        raise InvalidInput("points live in different ambient dimensions")
+    """Class equality, decided on range projections; InvalidInput if the
+    contexts differ by more than eq_tol."""
+    _check_context(m.context, n.context, tol)
     return np.abs(m.range.mat - n.range.mat).max() <= tol.eq_tol
 
 

@@ -319,11 +319,12 @@ class TestDiskMetrics:
         with pytest.raises(InvalidInput):
             metric(k, m)
 
-    def test_cone_distance_checks_dimensions_only(self):
+    def test_cone_distance_checks_contexts(self):
         mu = dk.random_pos_eps_unitary(pj.random_projection(4, 2, 1), 1.0, 2)
         nu = dk.random_pos_eps_unitary(pj.random_projection(4, 2, 5), 1.0, 3)
         five = dk.random_pos_eps_unitary(pj.random_projection(5, 2, 1), 1.0, 3)
-        assert np.isfinite(dk.d_cone(mu, nu))
+        with pytest.raises(InvalidInput):
+            dk.d_cone(mu, nu)
         with pytest.raises(InvalidInput):
             dk.d_cone(mu, five)
 

@@ -1,5 +1,5 @@
 """Pair queries on long-lived points: the chart block kept on a point and
-the identity shortcut of the context checks.
+the identity shortcut of the context check.
 
 A point keeps its chart block at its own context object, one per eq_tol,
 so ``chart_inv`` and ``d_chart`` must give, bit for bit, what the kernel
@@ -113,27 +113,27 @@ def test_finiteness_decided_per_tolerance(order):
     assert values[0][1] > 1e6
 
 
-def test_context_check_compares_distinct_contexts():
+@pytest.mark.parametrize("error", [InvalidInput, InvalidTangent], ids=lambda e: e.__name__)
+def test_context_check_compares_distinct_contexts(error):
+    # one check for every pair: points (InvalidInput) and tangents
+    # (InvalidTangent) alike
     p = pj.random_projection(5, 2, 7)
     q = pj.Projection(p.mat + 1e-8 * np.diag([1.0, -1.0, 0.0, 0.0, 0.0]), la.Tolerance(1e-6))
-    m = pj.classify(p.mat, p)
-    n = pj.classify(q.mat, q, la.Tolerance(1e-6))
-    gr._check_context(m, m, TOL)
-    gr._check_context(m, copy_context(m), TOL)
-    gr._check_context(m, n, la.Tolerance(eq_tol=1e-6))
-    with pytest.raises(InvalidInput):
-        gr._check_context(m, n, TOL)
-    with pytest.raises(InvalidInput):
-        mo.d_chart(m, n, TOL)
-
-
-def test_tangent_check_compares_distinct_contexts():
-    p = pj.random_projection(5, 2, 7)
-    z = gr.random_tangent(p, np.random.default_rng(0), 0.4)
-    gr._check_tangent(p, z)
-    gr._check_tangent(pj.Projection(p.mat.copy()), z)
     other = pj.random_projection(5, 2, 8)
-    with pytest.raises(InvalidTangent):
-        gr._check_tangent(other, z)
-    with pytest.raises(InvalidTangent):
-        gr.geodesic(other, z, 0.5)
+    pj._check_context(p, p, TOL, error)
+    pj._check_context(p, pj.Projection(p.mat.copy()), TOL, error)
+    pj._check_context(pj.Projection(p.mat.copy()), p, TOL, error)
+    pj._check_context(p, q, la.Tolerance(eq_tol=1e-6), error)
+    with pytest.raises(error):
+        pj._check_context(p, q, TOL, error)
+    with pytest.raises(error):
+        pj._check_context(other, p, TOL, error)
+    if error is InvalidInput:
+        m = pj.classify(p.mat, p)
+        n = pj.classify(q.mat, q, la.Tolerance(1e-6))
+        with pytest.raises(InvalidInput):
+            mo.d_chart(m, n, TOL)
+    else:
+        z = gr.random_tangent(p, np.random.default_rng(0), 0.4)
+        with pytest.raises(InvalidTangent):
+            gr.geodesic(other, z, 0.5)

@@ -108,6 +108,11 @@ def norm2(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def view(a: np.ndarray) -> np.ndarray:
+    """``a`` as the transposed view of its contiguous transpose."""
+    return np.ascontiguousarray(a.T).T
+
+
 def corner(p, rng: np.random.Generator) -> np.ndarray:
     """A random corner ``(1-p) M p``, drawn as the package's samplers draw it."""
     n = p.dim
@@ -384,6 +389,51 @@ def sweep(gg, dims, rec: Digests):
                 a = switch_rng.standard_normal((n, n)) + 1j * switch_rng.standard_normal((n, n))
                 a *= theta * side / np.abs(a).sum(axis=0).max()
                 rec.record("expm", gg.linalg.expm, a)
+
+    # one pair over two different contexts for every function that takes
+    # two objects over a context, and one transposed view of a matrix for
+    # every constructor, from a generator of their own; last, so that the
+    # records above keep their places for --compare
+    for n in dims:
+        seed = 1000 * n + 997
+        mixed_rng = np.random.default_rng(seed)
+        p, q = (gg.random_projection(n, max(1, n // 2), s) for s in (seed, seed + 1))
+        m, mq = point_near(gg, p, 0.5, seed + 2), point_near(gg, q, 0.5, seed + 3)
+        for name in ("d_chordal", "d_spherical", "d_chart"):
+            rec.record(name, getattr(gg, name), m, mq)
+        mu, nu = pos_eps_unitary(gg, p, 1.0, seed + 4), pos_eps_unitary(gg, q, 1.0, seed + 5)
+        dm, dn = gg.cone_to_disk(mu), gg.cone_to_disk(nu)
+        rec.record("DiskPoint", gg.DiskPoint, dm.point, nu)
+        for name in ("rho", "d_pseudo_chordal", "d_non_euclidean", "d_cone"):
+            rec.record(name, getattr(gg, name), dm, dn)
+        times = np.array(T_GRID)
+        h = mixed_rng.standard_normal((n, n)) + 1j * mixed_rng.standard_normal((n, n))
+        h = 0.2 * (h + h.conj().T) / norm2(h + h.conj().T)
+        rec.record("eps_geodesic", gg.eps_geodesic, mu, nu, 0.3)
+        rec.record("eps_geodesic_samples", gg.disk.eps_geodesic_samples, mu, nu, times)
+        rec.record("eps_geodesic_points", lambda: gg.disk._eps_geodesic_points(mu, nu, times))
+        rec.record("cone_perturbed_path", gg.disk.cone_perturbed_path, mu, nu, h, times)
+        rec.record("cone_path_steps", lambda: list(gg.disk._cone_path_steps(mu, nu, [h], 50)))
+        rec.record("cone_path_integrals", lambda: gg.disk._cone_path_integrals(mu, nu, [h]))
+        g = gg.MoebiusMap(gg.linalg.random_invertible(n, mixed_rng), p)
+        b = hp_vector(gg, q, mixed_rng, 0.5)
+        rec.record("moebius_domain", gg.moebius_domain, g, b)
+        rec.record("moebius_apply", gg.moebius_apply, g, b)
+        rec.record("chart_transition", gg.chart_transition, m.range, p, b)
+        z, zq = tangent(gg, p, mixed_rng, 0.7), tangent(gg, q, mixed_rng, 0.7)
+        rec.record("geodesic", gg.geodesic, p, zq, 0.5)
+        rec.record("geodesic_curve", lambda: gg.geodesic_curve(p, zq).sample(times))
+        rec.record("perturbed_curve", lambda: gg.perturbed_curve(p, z, zq).sample(times))
+        rec.record("tangent_path_lengths", gg.tangent_path_lengths, p, z, [zq], 50)
+
+        rec.record("Projection", gg.Projection, view(p.mat))
+        rec.record("PartialIsometry", gg.PartialIsometry, view(m.rep.mat), p)
+        rec.record("TangentVector", gg.TangentVector, view(z.mat), p)
+        rec.record("HpVector", gg.HpVector, view(hp_vector(gg, p, mixed_rng, 0.5).mat), p)
+        rec.record("MoebiusMap", gg.MoebiusMap, view(g.g), p)
+        u = gg.disk.random_eps_unitary(p, mixed_rng)
+        rec.record("EpsUnitary", gg.EpsUnitary, view(u.mat), p)
+        rec.record("PositiveEpsUnitary", gg.PositiveEpsUnitary, view(mu.mat), p)
 
 
 def compare(old: list, new: list) -> list[str]:
