@@ -167,7 +167,7 @@ def _tol(args) -> Tolerance:
 
 
 def _seed(args) -> int:
-    return args.seed if args.seed is not None else _env_seed()
+    return la._as_count(args.seed if args.seed is not None else _env_seed(), 0, "seed")
 
 
 def _write(args, text):
@@ -269,8 +269,7 @@ def _geodesic_table(args, space: str) -> tuple:
     The lengths come from the small-side step kernel of each geometry, not
     from the sampled matrices."""
     tol = _tol(args)
-    if args.samples < 2:
-        raise InvalidInput("samples must be at least 2")
+    la._as_count(args.samples, 2, "samples")
     m, n = _load_points(args, tol)
     ts = np.linspace(0.0, 1.0, args.samples)
     if space == "grassmann":
@@ -298,8 +297,7 @@ def _cmd_geodesic(args) -> int:
 
 def _cmd_length(args) -> int:
     tol = _tol(args)
-    if args.samples < 2:
-        raise InvalidInput("samples must be at least 2")
+    la._as_count(args.samples, 2, "samples")
     m, n = _load_points(args, tol)
     z = gr.geodesic_log(m.range, n.range, tol)
     _write(args, _fmt(gr.tangent_path_lengths(m.range, z, [], args.samples)[0]) + "\n")
@@ -356,9 +354,7 @@ def _cmd_disk_dist(args) -> int:
 def _cmd_random(args) -> int:
     tol = _tol(args)
     seed = _seed(args)
-    n = args.dim
-    if n < 1:
-        raise InvalidInput(f"dimension must be at least 1, got {n}")
+    n = la._as_count(args.dim, 1, "dimension")
     rank = args.rank if args.rank is not None else max(1, n // 2)
     rng = np.random.default_rng(seed)
 
@@ -387,7 +383,7 @@ def _cmd_random(args) -> int:
             x = mo.random_hp_vector(p, rng, args.scale)
             obj = {"kind": "hpvector", "matrix": se.matrix_to_obj(x.mat), "context": ctx}
         else:
-            lam = dk.random_pos_eps_unitary(p, args.scale, seed + 1, tol)
+            lam = dk.random_pos_eps_unitary(p, args.scale, seed + 1)
             obj = {"kind": "pos_eps_unitary", "matrix": se.matrix_to_obj(lam.mat),
                    "context": ctx}
     _write(args, se.dumps(obj))

@@ -47,11 +47,11 @@ from .errors import (
     NotInDisk,
     NotPositive,
 )
-from .linalg import DEFAULT_TOL, Tolerance, _op_norm, adj, as_matrix, herm, spectral
+from .linalg import DEFAULT_TOL, Tolerance, _as_real, _op_norm, adj, as_matrix, herm, spectral
 from .moebius import HpVector, chart_inv, random_hp_vector
 from .projective import Projection, ProjectivePoint, _check_context, _trusted, classify
-from .grassmann import (_moved_basis, _path_integrals, _path_steps, _sample_blocks, _side_blocks,
-                        _step_spans, d_chordal)
+from .grassmann import (_as_stack, _moved_basis, _path_integrals, _path_steps, _sample_blocks,
+                        _side_blocks, _step_spans, d_chordal)
 
 __all__ = [
     "EpsSymmetry",
@@ -96,9 +96,10 @@ def is_eps_unitary(u, p: Projection, tol: Tolerance = DEFAULT_TOL) -> bool:
 
     A matrix passing this test is invertible with inverse ``eps u* eps``.
     """
-    u = as_matrix(u, square=True)
-    if u.shape != p.mat.shape:
-        raise InvalidInput("matrix and projection dimensions differ")
+    return _is_eps_unitary(as_matrix(u, dim=p.dim), p, tol)
+
+
+def _is_eps_unitary(u: np.ndarray, p: Projection, tol: Tolerance) -> bool:
     return float(np.abs(u.conj().T @ p.eps @ u - p.eps).max()) <= tol.eq_tol
 
 
@@ -106,8 +107,8 @@ class EpsUnitary:
     """A matrix preserving the indefinite form of ``eps = 2p - 1``."""
 
     def __init__(self, mat, context: Projection, tol: Tolerance = DEFAULT_TOL):
-        mat = as_matrix(mat, square=True)
-        if not is_eps_unitary(mat, context, tol):
+        mat = as_matrix(mat, dim=context.dim)
+        if not _is_eps_unitary(mat, context, tol):
             raise NotEpsUnitary("matrix does not preserve the indefinite form")
         self.mat = mat
         self.context = context
@@ -122,15 +123,13 @@ class PositiveEpsUnitary:
     """
 
     def __init__(self, mat, context: Projection, tol: Tolerance = DEFAULT_TOL):
-        mat = as_matrix(mat, square=True)
-        if mat.shape != context.mat.shape:
-            raise InvalidInput("matrix and context dimensions differ")
+        mat = as_matrix(mat, dim=context.dim)
         if np.abs(mat - mat.conj().T).max() > tol.eq_tol:
             raise NotPositive("cone elements must be Hermitian")
         w, v = np.linalg.eigh(herm(mat))
         if w.min() <= tol.eq_tol:
             raise NotPositive("cone elements must be positive definite")
-        if not is_eps_unitary(mat, context, tol):
+        if not _is_eps_unitary(mat, context, tol):
             raise NotEpsUnitary("matrix does not preserve the indefinite form")
         self.mat = mat
         self.context = context
@@ -144,7 +143,7 @@ class PositiveEpsUnitary:
         self.xparam = HpVector(pc @ x_log @ p, context, tol)
 
     @classmethod
-    def from_xparam(cls, x: HpVector, tol: Tolerance = DEFAULT_TOL) -> "PositiveEpsUnitary":
+    def from_xparam(cls, x: HpVector) -> "PositiveEpsUnitary":
         """exp(x + x*) for a corner parameter ``x``, unchecked, from one eigh."""
         w, v = np.linalg.eigh(x.mat + adj(x.mat))
         return _cone_element(v, np.exp(w), x)
@@ -158,9 +157,11 @@ class PositiveEpsUnitary:
         return herm((self._v / np.sqrt(self._w)) @ self._v.conj().T)
 
     def power(self, t: float) -> "PositiveEpsUnitary":
-        """Real power through the spectrum: ``exp`` of the corner ``t x``."""
-        x = _trusted(HpVector, mat=float(t) * self.xparam.mat, context=self.context)
-        return _cone_element(self._v, self._w ** float(t), x)
+        """Real power through the spectrum: ``exp`` of the corner ``t x``;
+        InvalidInput unless ``t`` is a finite real number."""
+        t = _as_real(t, "t")
+        x = _trusted(HpVector, mat=t * self.xparam.mat, context=self.context)
+        return _cone_element(self._v, self._w ** t, x)
 
     def __repr__(self):
         return f"PositiveEpsUnitary(dim={self.context.dim}, xnorm={self.xparam.norm:.6g})"
@@ -198,23 +199,23 @@ class DiskPoint:
         return f"DiskPoint(dim={self.context.dim}, rank={self.context.rank})"
 
 
-def random_pos_eps_unitary(p: Projection, scale: float, seed: int,
-                           tol: Tolerance = DEFAULT_TOL) -> PositiveEpsUnitary:
-    """Random cone element exp(x + x*) with corner norm at most ``scale``."""
-    if not scale > 0:
+def random_pos_eps_unitary(p: Projection, scale: float, seed: int) -> PositiveEpsUnitary:
+    """Random cone element exp(x + x*) with corner norm at most ``scale``;
+    InvalidInput unless ``scale`` is finite and positive."""
+    if not _as_real(scale, "scale") > 0:
         raise InvalidInput("scale must be positive")
     rng = np.random.default_rng(seed)
     magnitude = scale * (1.0 - rng.uniform())
     x = random_hp_vector(p, rng, norm=magnitude)
-    return PositiveEpsUnitary.from_xparam(x, tol)
+    return PositiveEpsUnitary.from_xparam(x)
 
 
-def random_eps_unitary(p: Projection, rng: np.random.Generator, scale: float = 0.7,
-                       tol: Tolerance = DEFAULT_TOL) -> EpsUnitary:
+def random_eps_unitary(p: Projection, rng: np.random.Generator, scale: float = 0.7) -> EpsUnitary:
     """Random eps-unitary as positive part times a p-commuting unitary.
 
     Every eps-unitary factors this way through its polar decomposition, so
-    the construction reaches the whole group.
+    the construction reaches the whole group.  InvalidInput unless
+    ``scale`` is finite, as from :func:`random_hp_vector`.
     """
     x = random_hp_vector(p, rng, norm=scale * rng.uniform())
     w = sum(b @ linalg.random_unitary(b.shape[1], rng) @ adj(b)
@@ -263,7 +264,7 @@ def disk_to_cone(m, tol: Tolerance = DEFAULT_TOL) -> PositiveEpsUnitary:
     p = point.context
     u, s, vh = _chart_svd(point, tol)
     x = (u * (2 * np.arctanh(s))) @ vh @ adj(p.range_basis)
-    return PositiveEpsUnitary.from_xparam(_trusted(HpVector, mat=x, context=p), tol)
+    return PositiveEpsUnitary.from_xparam(_trusted(HpVector, mat=x, context=p))
 
 
 def to_disk_point(point: ProjectivePoint, tol: Tolerance = DEFAULT_TOL) -> DiskPoint:
@@ -438,24 +439,20 @@ def cone_polyline_steps(lams: np.ndarray) -> np.ndarray:
     and singular values are taken one block of samples at a time
     (``grassmann._step_spans``), the last sample of each block factored
     again with the next, so memory beyond the steps does not grow with the
-    stack; the stack is checked for non-finite entries before any factor.
+    stack; the whole stack is checked (``grassmann._as_stack``) before any
+    factor.
 
     Raises
     ------
     InvalidInput
-        If ``lams`` is not a stack of square matrices or is not finite.
+        If ``lams`` is not a finite stack of square matrices
+        (``grassmann._as_stack``).
     NotPositive
         If a sample is not positive definite.
     """
-    lams = np.asarray(lams, dtype=complex)
-    if lams.ndim != 3 or lams.shape[1] != lams.shape[2]:
-        raise InvalidInput(f"expected a stack of square matrices, got shape {lams.shape}")
-    entries = lams.shape[1] ** 2
-    if not all(np.isfinite(lams[block]).all()
-               for block in _sample_blocks(len(lams), entries)):
-        raise InvalidInput("polyline samples have non-finite entries")
+    lams = _as_stack(lams)
     steps = np.empty(max(len(lams) - 1, 0))
-    for span, block in _step_spans(len(lams), entries):
+    for span, block in _step_spans(len(lams), lams.shape[1] ** 2):
         try:
             chol = np.linalg.cholesky(herm(lams[span]))
         except np.linalg.LinAlgError as exc:
@@ -504,9 +501,7 @@ def cone_perturbed_path(mu: PositiveEpsUnitary, nu: PositiveEpsUnitary,
         is not a finite 1-d array.
     """
     p = mu.context
-    h = as_matrix(h, square=True)
-    if h.shape != p.mat.shape:
-        raise InvalidInput("perturbation and cone element dimensions differ")
+    h = as_matrix(h, dim=p.dim)
     ell, [eta] = _cone_corners(mu, nu, [h])
     small, big, flipped = _side_blocks(p)
     ts = _sample_times(ts)
@@ -574,8 +569,8 @@ def eps_action(u, m: DiskPoint, tol: Tolerance = DEFAULT_TOL) -> DiskPoint:
     NotEpsUnitary
         If ``u`` fails the form-preservation test.
     """
-    u_mat = u.mat if isinstance(u, EpsUnitary) else as_matrix(u, square=True)
-    if not is_eps_unitary(u_mat, m.context, tol):
+    u_mat = as_matrix(u.mat if isinstance(u, EpsUnitary) else u, dim=m.context.dim)
+    if not _is_eps_unitary(u_mat, m.context, tol):
         raise NotEpsUnitary("matrix does not preserve the indefinite form")
     moved = herm(u_mat @ m.lam.mat @ u_mat.conj().T)
     return cone_to_disk(PositiveEpsUnitary(moved, m.context, tol), tol)

@@ -32,7 +32,6 @@ with the resolution.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from typing import Callable
@@ -47,9 +46,9 @@ from .errors import (
     OutOfRange,
     ResidualError,
 )
-from .linalg import (DEFAULT_TOL, Tolerance, _is_singular, _op_norm, adj, as_matrix, herm, op_norm,
-                     spectral)
-from .projective import (Projection, ProjectivePoint, _check_context, _trusted,
+from .linalg import (DEFAULT_TOL, Tolerance, _as_count, _as_real, _is_singular, _op_norm, adj,
+                     as_matrix, herm, op_norm, spectral)
+from .projective import (Projection, ProjectivePoint, _check_context, _check_rank_pair, _trusted,
                          random_offdiag_antiherm)
 
 __all__ = [
@@ -77,9 +76,7 @@ class TangentVector:
     """
 
     def __init__(self, mat, context: Projection, tol: Tolerance = DEFAULT_TOL):
-        mat = as_matrix(mat, square=True)
-        if mat.shape != context.mat.shape:
-            raise InvalidTangent("tangent and context dimensions differ")
+        mat = as_matrix(mat, dim=context.dim, error=InvalidTangent)
         if np.abs(mat + mat.conj().T).max() > tol.eq_tol:
             raise InvalidTangent("tangent is not anti-Hermitian within eq_tol")
         p, pc = context.mat, context.comp
@@ -110,22 +107,13 @@ class Curve:
     resolution: int = 2000
 
     def __post_init__(self):
-        _check_resolution(self.resolution)
-
-
-def _check_resolution(resolution) -> None:
-    """Raise ``InvalidInput`` unless ``resolution`` is an integer of at
-    least 2; numpy integers count as integers."""
-    try:
-        resolution = operator.index(resolution)
-    except TypeError:
-        raise InvalidInput(f"resolution must be an integer, got {resolution!r}") from None
-    if resolution < 2:
-        raise InvalidInput("resolution must be at least 2")
+        _as_count(self.resolution, 2, "resolution")
 
 
 def random_tangent(p: Projection, rng: np.random.Generator, norm: float = 1.0) -> TangentVector:
-    """Random tangent at ``p`` scaled to the requested operator norm."""
+    """Random tangent at ``p`` scaled to the requested operator norm;
+    InvalidInput unless ``norm`` is a finite real number."""
+    norm = _as_real(norm, "norm")
     z = random_offdiag_antiherm(p, rng)
     zn = _op_norm(z)
     return _trusted(TangentVector, mat=z * (norm / zn) if zn else np.zeros_like(z), context=p)
@@ -167,8 +155,16 @@ def geodesic(p: Projection, z: TangentVector, t: float, tol: Tolerance = DEFAULT
     The range basis of the result is the moved basis
     ``exp(tz) Bp = Bp cos|a| + a sinc|a|`` with ``a = t (1-p) z Bp``,
     computed from the cos/sinc blocks over ran(p).
+
+    Raises
+    ------
+    InvalidTangent
+        If ``z`` is not a tangent at ``p``.
+    InvalidInput
+        If ``t`` is not a finite real number.
     """
     _check_context(z.context, p, tol, InvalidTangent)
+    t = _as_real(t, "t")
     bp = p.range_basis
     a = t * (p.comp @ (z.mat @ bp))
     top, mid = _generator_blocks(a, *_COS_SINC)
@@ -193,16 +189,13 @@ def geodesic_log(p: Projection, q: Projection, tol: Tolerance = DEFAULT_TOL) -> 
     Raises
     ------
     InvalidInput
-        If the ranks differ.
+        If the dimensions or the ranks differ.
     OutOfRange
         If the chordal distance reaches 1 - eq_tol.
     ResidualError
         If the reconstructed endpoint misses ``q`` by more than geo_tol.
     """
-    if p.mat.shape != q.mat.shape:
-        raise InvalidInput("projections live in different ambient dimensions")
-    if p.rank != q.rank:
-        raise InvalidInput("projections have different ranks")
+    _check_rank_pair(p, q)
     bp, bq = p.range_basis, q.range_basis
     m = adj(bp) @ bq
     w, cos_phi, yh = np.linalg.svd(m)
@@ -273,7 +266,7 @@ def curve_length(curve: Curve, tol: Tolerance = DEFAULT_TOL) -> float:
         If a sample has a non-finite entry or fails the projection
         invariants within eq_tol; the message names the first such sample.
     """
-    _check_resolution(curve.resolution)
+    _as_count(curve.resolution, 2, "resolution")
     ts = np.linspace(0.0, 1.0, curve.resolution)
     entries = _sample_matrices(curve, ts[:1])[0].size
     checked = not getattr(curve.sample, "_projections", False)
@@ -286,9 +279,15 @@ def curve_length(curve: Curve, tol: Tolerance = DEFAULT_TOL) -> float:
     return float(steps.sum())
 
 
-def chordal_steps(qs: np.ndarray) -> np.ndarray:
+def chordal_steps(qs) -> np.ndarray:
     """Chordal distances between consecutive projections of a stack,
-    evaluated one block of samples at a time (:func:`_step_spans`)."""
+    evaluated one block of samples at a time (:func:`_step_spans`).
+
+    The stack is checked as :func:`_as_stack` checks it, InvalidInput
+    unless it is a finite stack of square matrices in any layout; the
+    samples are taken as they are, not checked for projections.
+    """
+    qs = _as_stack(qs)
     steps = np.empty(max(len(qs) - 1, 0))
     for span, block in _step_spans(len(qs), qs.shape[-1] ** 2):
         steps[block] = _chordal_distances(qs[span])
@@ -315,6 +314,23 @@ def _sample_blocks(count: int, entries: int) -> list:
     return [slice(start, min(start + size, count)) for start in range(0, count, size)]
 
 
+def _as_stack(a) -> np.ndarray:
+    """``a`` as a complex array in its own layout: the one check of every
+    stack of matrices that enters the package.  InvalidInput unless it is a
+    stack, possibly of no samples, of non-empty square matrices, finite in
+    every block of :func:`_sample_blocks`; the whole stack is checked before
+    any sample is used."""
+    try:
+        a = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError):
+        raise InvalidInput("expected a numeric stack of matrices") from None
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] == 0:
+        raise InvalidInput(f"expected a stack of square matrices, got shape {a.shape}")
+    if not all(np.isfinite(a[block]).all() for block in _sample_blocks(len(a), a.shape[1] ** 2)):
+        raise InvalidInput("stack has non-finite entries")
+    return a
+
+
 def _step_spans(count: int, entries: int):
     """Per block of :func:`_sample_blocks` over ``count`` samples, the span
     of the block and the last sample before it, and the slice of the steps
@@ -333,9 +349,7 @@ def projectivity(g, q: Projection, tol: Tolerance = DEFAULT_TOL) -> Projection:
     below by 1, so no conditioning assumptions are needed.  For unitary
     ``g`` this reduces to ``g q g*``.
     """
-    g = as_matrix(g, square=True)
-    if g.shape != q.mat.shape:
-        raise InvalidInput("element and projection dimensions differ")
+    g = as_matrix(g, dim=q.dim)
     if _is_singular(g, tol.eq_tol):
         raise NotInvertible("matrix is singular within eq_tol")
     r = g @ q.mat @ np.linalg.inv(g)
@@ -460,7 +474,7 @@ def tangent_path_lengths(p: Projection, z: TangentVector, ws, resolution: int = 
     (float, ndarray)
         Length of the geodesic, then one length per perturbation.
     """
-    _check_resolution(resolution)
+    _as_count(resolution, 2, "resolution")
     for v in (z, *ws):
         _check_context(v.context, p, DEFAULT_TOL, InvalidTangent)
     steps = _path_steps(*_corners(p, z.mat, [w.mat for w in ws]), resolution, _GRASSMANN)

@@ -6,6 +6,9 @@ kernels: operator norm, Hermitian eigendecomposition, functional calculus,
 polar decomposition, matrix exponential and the principal logarithms on
 their natural domains.  Everything is a pure function of its arguments.
 
+Every matrix, count and real parameter that enters the package is checked
+once, by :func:`as_matrix`, :func:`_as_count` and :func:`_as_real`.
+
 For one matrix or a stack, :func:`adj` is the adjoint and :func:`spectral`
 reassembles ``V diag(f(w)) V*`` from an eigenbasis and mapped eigenvalues;
 every Hermitian matrix function of the package goes through it.
@@ -19,6 +22,7 @@ chosen from its 1-norm, with scaling and squaring above theta_13, and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -54,16 +58,43 @@ __all__ = [
 ]
 
 
+def _as_count(x, least: int, what: str) -> int:
+    """``x`` as an int: the one check of every count that enters the
+    package.  :class:`InvalidInput` unless it is an integer (numpy integers
+    count) of at least ``least``."""
+    try:
+        x = operator.index(x)
+    except TypeError:
+        raise InvalidInput(f"{what} must be an integer, got {x!r}") from None
+    if x < least:
+        raise InvalidInput(f"{what} must be at least {least}, got {x}")
+    return x
+
+
+def _as_real(x, what: str) -> float:
+    """``x`` as a float: the one check of every real parameter (a time, a
+    norm, a scale, a radius, a tolerance) that enters the package.  :class:`InvalidInput` unless it is a
+    finite real number."""
+    try:
+        x = float(x)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"{what} must be a real number, got {x!r}") from None
+    if not math.isfinite(x):
+        raise InvalidInput(f"{what} must be finite, got {x}")
+    return x
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Numerical tolerances: ``eq_tol`` for algebraic identities, ``geo_tol``
-    for geometric and iterative checks."""
+    for geometric and iterative checks; InvalidInput unless both are finite
+    and strictly positive."""
 
     eq_tol: float = 1e-9
     geo_tol: float = 1e-6
 
     def __post_init__(self):
-        if not (self.eq_tol > 0 and self.geo_tol > 0):
+        if not (_as_real(self.eq_tol, "eq_tol") > 0 and _as_real(self.geo_tol, "geo_tol") > 0):
             raise InvalidInput("tolerances must be strictly positive")
 
 
@@ -77,18 +108,30 @@ class HermitianEig(NamedTuple):
     vectors: np.ndarray
 
 
-def as_matrix(a, square: bool = False) -> np.ndarray:
-    """Coerce to a finite 2-d C-contiguous complex array, raising
-    :class:`InvalidInput`; every memory layout of a matrix gives the same
-    array."""
-    a = np.asarray(a, dtype=complex)
+def as_matrix(a, square: bool = False, dim: int | None = None,
+              error: type = InvalidInput) -> np.ndarray:
+    """Coerce to a finite 2-d C-contiguous complex array: the one check of
+    every matrix that enters the package.
+
+    Any memory layout, real or integer dtype and nested lists give the same
+    array.  :class:`InvalidInput` unless ``a`` is numeric, 2-d, non-empty
+    and finite, and square when ``square`` is set or ``dim`` is given; with
+    ``dim``, ``error("matrix and context dimensions differ")`` unless it is
+    ``dim`` x ``dim``.
+    """
+    try:
+        a = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError):
+        raise InvalidInput("expected a numeric matrix") from None
     if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
         raise InvalidInput(f"expected a non-empty matrix, got shape {a.shape}")
     a = np.ascontiguousarray(a)
     if not np.all(np.isfinite(a.view(float))):
         raise InvalidInput("matrix has non-finite entries")
-    if square and a.shape[0] != a.shape[1]:
+    if (square or dim is not None) and a.shape[0] != a.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
+    if dim is not None and a.shape[0] != dim:
+        raise error("matrix and context dimensions differ")
     return a
 
 

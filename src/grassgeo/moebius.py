@@ -30,7 +30,7 @@ from .errors import (
     NotInvertible,
     OutsideDomain,
 )
-from .linalg import DEFAULT_TOL, Tolerance, _is_singular, _op_norm, adj, as_matrix
+from .linalg import DEFAULT_TOL, Tolerance, _as_real, _is_singular, _op_norm, adj, as_matrix
 from .projective import (Projection, ProjectivePoint, _check_context, _corner_inv, _trusted,
                          classify, corner_compress)
 
@@ -51,9 +51,7 @@ class HpVector:
     """Element of the corner ``H_p = (1-p) A p``: a chart coordinate."""
 
     def __init__(self, mat, context: Projection, tol: Tolerance = DEFAULT_TOL):
-        mat = as_matrix(mat, square=True)
-        if mat.shape != context.mat.shape:
-            raise InvalidInput("coordinate and context dimensions differ")
+        mat = as_matrix(mat, dim=context.dim)
         if np.abs(context.mat @ mat).max() > tol.eq_tol:
             raise InvalidInput("coordinate has a component in p A")
         if np.abs(mat @ context.comp).max() > tol.eq_tol:
@@ -70,7 +68,9 @@ class HpVector:
 
 
 def random_hp_vector(p: Projection, rng: np.random.Generator, norm: float = 1.0) -> HpVector:
-    """Random chart coordinate scaled to the requested operator norm."""
+    """Random chart coordinate scaled to the requested operator norm;
+    InvalidInput unless ``norm`` is a finite real number."""
+    norm = _as_real(norm, "norm")
     n = p.dim
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     x = p.comp @ m @ p.mat
@@ -176,9 +176,7 @@ class MoebiusMap:
     """
 
     def __init__(self, g, context: Projection, tol: Tolerance = DEFAULT_TOL):
-        g = as_matrix(g, square=True)
-        if g.shape != context.mat.shape:
-            raise InvalidInput("matrix and context dimensions differ")
+        g = as_matrix(g, dim=context.dim)
         if _is_singular(g, tol.eq_tol):
             raise NotInvertible("Moebius maps require an invertible matrix")
         self.g = g

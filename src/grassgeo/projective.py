@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidInput, NotInLp, NotInvertible, ResidualError
-from .linalg import DEFAULT_TOL, Tolerance, _is_singular, as_matrix, herm
+from .linalg import DEFAULT_TOL, Tolerance, _as_count, _as_real, _is_singular, as_matrix, herm
 
 __all__ = [
     "Projection",
@@ -111,9 +111,7 @@ class PartialIsometry:
     """An element ``v`` with ``v = v p`` and ``v* v = p`` for the context ``p``."""
 
     def __init__(self, mat, context: Projection, tol: Tolerance = DEFAULT_TOL):
-        mat = as_matrix(mat, square=True)
-        if mat.shape != context.mat.shape:
-            raise InvalidInput("partial isometry and context dimensions differ")
+        mat = as_matrix(mat, dim=context.dim)
         if np.abs(mat @ context.mat - mat).max() > tol.eq_tol:
             raise InvalidInput("partial isometry does not satisfy v = v p")
         if np.abs(mat.conj().T @ mat - context.mat).max() > tol.eq_tol:
@@ -210,9 +208,7 @@ def _polar_svd(a, p: Projection, tol: Tolerance):
     """``(a, u, vh)``, with ``u diag(s) vh`` the thin SVD of the n x k matrix
     ``a Bp``, when ``a`` represents a point; None when ``a != a p`` or some
     ``s^2`` is at most eq_tol."""
-    a = as_matrix(a, square=True)
-    if a.shape != p.mat.shape:
-        raise InvalidInput("element and projection dimensions differ")
+    a = as_matrix(a, dim=p.dim)
     if np.abs(a @ p.mat - a).max() > tol.eq_tol:
         return None
     u, s, vh = np.linalg.svd(a @ p.range_basis, full_matrices=False)
@@ -267,16 +263,24 @@ def class_equal(m: ProjectivePoint, n: ProjectivePoint, tol: Tolerance = DEFAULT
     return np.abs(m.range.mat - n.range.mat).max() <= tol.eq_tol
 
 
-def point_from_projection(q: Projection, p: Projection, tol: Tolerance = DEFAULT_TOL) -> ProjectivePoint:
+def _check_rank_pair(p: Projection, q: Projection) -> None:
+    """Raise InvalidInput unless two projections share their dimension and
+    their rank: the one test of every function that moves ran(p) onto
+    ran(q)."""
+    if p.mat.shape != q.mat.shape:
+        raise InvalidInput("projections live in different ambient dimensions")
+    if p.rank != q.rank:
+        raise InvalidInput("projections have different ranks")
+
+
+def point_from_projection(q: Projection, p: Projection) -> ProjectivePoint:
     """The point whose range is ``q``, for any ``q`` of the same rank as ``p``.
 
     The representative maps ran(p) isometrically onto ran(q) through the two
-    eigenbases; the class does not depend on this choice.
+    eigenbases; the class does not depend on this choice.  InvalidInput
+    unless ``q`` and ``p`` share their dimension and rank.
     """
-    if q.mat.shape != p.mat.shape:
-        raise InvalidInput("projections live in different ambient dimensions")
-    if q.rank != p.rank:
-        raise InvalidInput("projections have different ranks")
+    _check_rank_pair(q, p)
     rep = q.range_basis @ p.range_basis.conj().T
     return _trusted(ProjectivePoint, rep=_trusted(PartialIsometry, mat=rep, context=p), range=q)
 
@@ -297,9 +301,7 @@ def unitary_extension(g, p: Projection, tol: Tolerance = DEFAULT_TOL) -> np.ndar
     ResidualError
         If rounding leaves the result further than eq_tol from unitary.
     """
-    g = as_matrix(g, square=True)
-    if g.shape != p.mat.shape:
-        raise InvalidInput("element and projection dimensions differ")
+    g = as_matrix(g, dim=p.dim)
     if _is_singular(g, tol.eq_tol):
         raise NotInvertible("matrix is singular within eq_tol")
     n = g.shape[0]
@@ -317,12 +319,10 @@ def unitary_extension(g, p: Projection, tol: Tolerance = DEFAULT_TOL) -> np.ndar
 
 def random_projection(n: int, rank: int, seed: int, tol: Tolerance = DEFAULT_TOL) -> Projection:
     """Spectral projection onto the top-``rank`` eigenspace of a seeded
-    random Hermitian matrix."""
-    if not (isinstance(n, (int, np.integer)) and isinstance(rank, (int, np.integer))):
-        raise InvalidInput("dimension and rank must be integers")
-    if n < 1:
-        raise InvalidInput(f"dimension must be at least 1, got {n}")
-    if rank < 0 or rank > n:
+    random Hermitian matrix; InvalidInput unless ``n`` is an integer of at
+    least 1 and ``rank`` one in [0, n]."""
+    n, rank = _as_count(n, 1, "dimension"), _as_count(rank, 0, "rank")
+    if rank > n:
         raise InvalidInput(f"rank must lie in [0, {n}]")
     if rank == 0:
         return Projection(np.zeros((n, n), dtype=complex), tol)
@@ -353,9 +353,10 @@ def random_point_near(
 
     Draws a random tangent direction and scales it so the geodesic endpoint
     lands within the requested chordal radius (the distance is the sine of
-    the tangent norm).
+    the tangent norm).  InvalidInput unless ``radius`` is a real number
+    strictly between 0 and 1.
     """
-    if not (0 < radius < 1):
+    if not 0 < _as_real(radius, "radius") < 1:
         raise InvalidInput("radius must lie strictly between 0 and 1")
     rng = np.random.default_rng(seed)
     z = random_offdiag_antiherm(p, rng)

@@ -53,8 +53,8 @@ def matrix_from_obj(obj: Any) -> np.ndarray:
     if not isinstance(obj, dict):
         raise InvalidInput("matrix object must be a JSON mapping")
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols, data = int(obj["rows"]), int(obj["cols"]), list(obj["data"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput("matrix object needs integer rows/cols and a data list") from exc
     if rows < 1 or cols < 1 or len(data) != rows * cols:
         raise InvalidInput("matrix data length does not match rows * cols")
@@ -208,15 +208,12 @@ def point_from_obj(obj: dict, context: Projection | None = None,
     (callers choose a convention when none is given).
     """
     kind = obj.get("kind")
-    if kind == "point":
-        context = Projection(matrix_from_obj(obj["context"]), tol)
-        return classify(matrix_from_obj(obj["rep"]), context, tol)
-    if kind == "partial_isometry":
-        context = Projection(matrix_from_obj(obj["context"]), tol)
-        return classify(matrix_from_obj(obj), context, tol)
+    if kind in ("point", "partial_isometry"):
+        context = Projection(matrix_from_obj(obj.get("context")), tol)
+        return classify(matrix_from_obj(obj.get("rep") if kind == "point" else obj), context, tol)
     if kind == "projection":
         q = Projection(matrix_from_obj(obj), tol)
         if context is None:
             raise InvalidInput("a projection needs a context to become a point")
-        return point_from_projection(q, context, tol)
+        return point_from_projection(q, context)
     raise InvalidInput(f"unknown kind tag {kind!r}")

@@ -68,10 +68,18 @@ class RunConfig:
     geo_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.trials is not None and self.trials < 1:
-            raise InvalidInput("trials must be at least 1")
-        if not self.dims or any(d < 2 for d in self.dims):
-            raise InvalidInput("dims must all be at least 2")
+        # kept as the ints the count checks return, so that numpy integers
+        # reach the JSON report as numbers
+        object.__setattr__(self, "seed", la._as_count(self.seed, 0, "seed"))
+        if self.trials is not None:
+            object.__setattr__(self, "trials", la._as_count(self.trials, 1, "trials"))
+        try:
+            dims = tuple(la._as_count(d, 2, "dims entry") for d in self.dims)
+        except TypeError:
+            raise InvalidInput("dims must be a sequence of integers") from None
+        if not dims:
+            raise InvalidInput("dims must not be empty")
+        object.__setattr__(self, "dims", dims)
         Tolerance(self.eq_tol, self.geo_tol)
 
     @property
@@ -138,7 +146,7 @@ def _point_at_angle(q: pj.Projection, p: pj.Projection, theta: float,
     """The point over ``p`` whose range lies at spherical distance theta
     from ``q``, along a random geodesic."""
     z = gr.random_tangent(q, rng, theta)
-    return pj.point_from_projection(gr.geodesic(q, z, 1.0, tol), p, tol)
+    return pj.point_from_projection(gr.geodesic(q, z, 1.0, tol), p)
 
 
 def _corner_invertible(p: pj.Projection, rng: np.random.Generator) -> np.ndarray:
@@ -375,7 +383,7 @@ def _moebius_composition(n: int, rng: np.random.Generator, tol: Tolerance) -> fl
 def _moebius_projectivity(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
     p, g, _, _, b, _ = _moebius_instance(n, rng, tol)
     image = gr.projectivity(g.g, mo.chart(b, tol).range, tol)
-    image_point = pj.point_from_projection(image, p, tol)
+    image_point = pj.point_from_projection(image, p)
     finite_image = la._op_norm(p.mat - image.mat) < 1.0 - tol.eq_tol
     if mo.moebius_domain(g, b, tol) != finite_image:
         return 1.0
@@ -396,7 +404,7 @@ def _transition_formula(n: int, rng: np.random.Generator, tol: Tolerance) -> flo
     q, r, _, x = _transition_instance(n, rng, tol)
     moved = mo.chart_transition(q, r, x, tol)
     target = pj.classify(r.mat + x.mat, r, tol).range
-    oracle = mo.chart_inv(pj.point_from_projection(target, q, tol), tol)
+    oracle = mo.chart_inv(pj.point_from_projection(target, q), tol)
     return float(np.abs(moved.mat - oracle.mat).max())
 
 
@@ -422,7 +430,7 @@ def _eps_closure(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
 
 def _cone_power_stability(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
     p = _rand_proj(n, rng, tol)
-    lam = dk.random_pos_eps_unitary(p, 1.0, _seed(rng), tol)
+    lam = dk.random_pos_eps_unitary(p, 1.0, _seed(rng))
     powers = (lam.power(t).mat for t in (-1.0, 0.5, 2.0, 0.3))
     return _worst(float(np.abs(lt @ p.eps @ lt - p.eps).max()) for lt in powers)
 
@@ -430,8 +438,8 @@ def _cone_power_stability(n: int, rng: np.random.Generator, tol: Tolerance) -> f
 def _disk_pair(n: int, rng: np.random.Generator, tol: Tolerance):
     """Base projection and two disk points drawn through the positive cone."""
     p = _rand_proj(n, rng, tol)
-    mu = dk.random_pos_eps_unitary(p, 1.0, _seed(rng), tol)
-    nu = dk.random_pos_eps_unitary(p, 1.0, _seed(rng), tol)
+    mu = dk.random_pos_eps_unitary(p, 1.0, _seed(rng))
+    nu = dk.random_pos_eps_unitary(p, 1.0, _seed(rng))
     return p, dk.cone_to_disk(mu, tol), dk.cone_to_disk(nu, tol)
 
 
@@ -525,7 +533,7 @@ def _rho_symmetry(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
 
 def _cone_block_structure(n: int, rng: np.random.Generator, tol: Tolerance) -> float:
     p = _rand_proj(n, rng, tol)
-    lam = dk.random_pos_eps_unitary(p, 1.2, _seed(rng), tol)
+    lam = dk.random_pos_eps_unitary(p, 1.2, _seed(rng))
     b, bc = p.range_basis, p.null_basis
     x = lam.xparam.mat
     xb = bc.conj().T @ x @ b

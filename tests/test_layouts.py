@@ -1,11 +1,12 @@
-"""Every memory layout of a matrix gives the same bits.
+"""Every memory layout, dtype and nesting of a matrix gives the same bits.
 
 The public constructors, ``op_norm`` and ``classify`` coerce a matrix to a
 C-contiguous complex array (``linalg.as_matrix``); ``chordal_steps``,
 ``cone_polyline_steps`` and ``curve_length`` take each block of samples of
 a stack in any layout.  So a transposed or conjugated view, a
 Fortran-ordered copy and a strided view must give exactly what the
-C-contiguous matrix gives.
+C-contiguous matrix gives; and so must a real or integer array and a
+nested list, of a matrix or a stack with those entries.
 """
 
 import numpy as np
@@ -105,3 +106,99 @@ def test_stack_entry_points(case, count):
     lengths = [gr.curve_length(gr.Curve(lambda t, f=f: f(sample(np.atleast_1d(t))), count))
                for f in (np.ascontiguousarray, lambda a: layout(a, kind))]
     assert lengths[0] == lengths[1]
+
+
+DTYPES = ["integer", "real", "list", "complex-list"]
+
+
+def as_dtype(a: np.ndarray, kind: str):
+    """``a``, whose entries are integers held as complex numbers, as an
+    integer or a real array, or as a nested list of ints or of complex
+    numbers."""
+    assert np.array_equal(a, np.round(a.real))
+    if kind == "integer":
+        return a.real.astype(int)
+    if kind == "real":
+        return np.asfortranarray(a.real)
+    if kind == "list":
+        return a.real.astype(int).tolist()
+    return a.tolist()
+
+
+@st.composite
+def integer_instances(draw):
+    """(p, m, perm, kind): a coordinate projection of dimension 2-8 at any
+    rank, a matrix of small integers, a permutation and a dtype."""
+    n = draw(st.integers(2, 8))
+    rank = draw(st.integers(0, n))
+    perm = draw(st.permutations(range(n)))
+    p = pj.Projection(np.diag([1.0 if i < rank else 0.0 for i in perm]))
+    m = np.array(draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)))
+    return p, m.reshape(n, n).astype(complex), np.eye(n)[list(perm)], draw(st.sampled_from(DTYPES))
+
+
+def outcome(fn, mat):
+    """The raw arrays of ``fn(mat)``, or the class of what it raised."""
+    try:
+        out = fn(mat)
+    except Exception as exc:
+        return type(exc)
+    for attr in ("mat", "g"):
+        if hasattr(out, attr):
+            return [getattr(out, attr)]
+    if hasattr(out, "rep"):
+        return [out.rep.mat, out.range.mat]
+    return list(out) if isinstance(out, tuple) else [out]
+
+
+@settings(max_examples=40, deadline=None)
+@given(integer_instances())
+def test_dtypes_and_nested_lists(case):
+    p, m, perm, kind = case
+    n = p.dim
+    comp = np.eye(n) - p.mat
+    x = comp @ m @ p.mat
+    sym = m + m.T
+    eps = (2 * p.mat - np.eye(n)).astype(complex)
+    mats = {
+        "Projection": (pj.Projection, p.mat),
+        "PartialIsometry": (lambda a: pj.PartialIsometry(a, p), perm @ p.mat),
+        "TangentVector": (lambda a: gr.TangentVector(a, p), x - x.T),
+        "HpVector": (lambda a: mo.HpVector(a, p), x),
+        "MoebiusMap": (lambda a: mo.MoebiusMap(a, p), np.eye(n) + np.triu(m, 1)),
+        "EpsUnitary": (lambda a: dk.EpsUnitary(a, p), eps),
+        "PositiveEpsUnitary": (lambda a: dk.PositiveEpsUnitary(a, p), np.eye(n)),
+        "is_eps_unitary": (lambda a: dk.is_eps_unitary(a, p), eps),
+        "classify": (lambda a: pj.classify(a, p), m @ p.mat),
+        "in_lp": (lambda a: pj.in_lp(a, p), m @ p.mat),
+        "unitary_extension": (lambda a: pj.unitary_extension(a, p), np.eye(n) + np.triu(m, 1)),
+        "projectivity": (lambda a: gr.projectivity(a, p), np.eye(n) + np.tril(m, -1)),
+        "op_norm": (la.op_norm, m),
+        "hermitian_eig": (la.hermitian_eig, sym),
+        "polar": (la.polar, m),
+        "expm": (la.expm, m),
+        "svd_range_projection": (la.svd_range_projection, m),
+    }
+    for name, (fn, mat) in mats.items():
+        # + 0 turns the zeros of the products above to +0, as the integers
+        # hold them
+        mat = np.ascontiguousarray(mat, dtype=complex) + 0
+        expected, got = outcome(fn, mat), outcome(fn, as_dtype(mat, kind))
+        if isinstance(expected, type):
+            assert got is expected, name
+        else:
+            assert all(same_bits(a, b) for a, b in zip(expected, got)), name
+
+
+@settings(max_examples=20, deadline=None)
+@given(integer_instances(), st.integers(2, 300))
+def test_stack_dtypes_and_nested_lists(case, count):
+    p, _, perm, kind = case
+    n = p.dim
+    # coordinate projections, and diagonal positive matrices with integer
+    # entries, in the order of a random walk over the permutation's rows
+    walk = np.random.default_rng(count).integers(0, n, size=count)
+    qs = np.stack([np.diag(perm[i]) for i in walk]).astype(complex)
+    lams = np.stack([np.diag(1 + np.arange(n) * (i + 1)) for i in walk]).astype(complex)
+    assert same_bits(gr.chordal_steps(qs), gr.chordal_steps(as_dtype(qs, kind)))
+    assert same_bits(dk.cone_polyline_steps(lams), dk.cone_polyline_steps(as_dtype(lams, kind)))

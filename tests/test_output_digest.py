@@ -41,7 +41,7 @@ def test_values_of_repeated_runs_compare_identical(tmp_path):
                           capture_output=True, text=True, check=True)
     rows = [line.split() for line in proc.stdout.splitlines()[1:]]
     assert "cone_path_integrals" in {row[0] for row in rows}
-    assert all(row[1] == row[2] and row[3:] == ["0.00e+00", "0", "0"] for row in rows)
+    assert all(row[1] == row[2] and row[3:] == ["0.00e+00", "0", "0", "0", "0"] for row in rows)
 
 
 def test_compare_counts_moves_and_switches():
@@ -49,9 +49,16 @@ def test_compare_counts_moves_and_switches():
            ("g", "NotPositive: x", None), ("g", b"c", np.array([3.0 + 0j]))]
     new = [("f", b"a", np.array([1.0, 4.0], dtype=complex)), ("f", b"d", np.array([2.5 + 0j])),
            ("g", b"e", np.array([5.0 + 0j])), ("g", "NotPositive: y", None)]
-    header, f, g = output_digest.compare(old, new)
+    old += [("h", "InvalidInput: a", None), ("h", "InvalidInput: b", None),
+            ("h", "InvalidInput: c", None), ("h", "KeyError: 'rep'", None)]
+    new += [("h", "InvalidInput: a", None), ("h", "InvalidInput: d", None),
+            ("h", "InvalidTangent: c", None), ("h", "InvalidInput: rep", None)]
+    header, f, g, h = output_digest.compare(old, new)
     assert header.split() == ["function", "records", "identical", "max_move", "to_raise",
-                              "to_value"]
+                              "to_value", "message", "class"]
     # the move is relative to the largest entry of the old record
-    assert f.split() == ["f", "2", "1", "2.50e-01", "0", "0"]
-    assert g.split() == ["g", "2", "0", "0.00e+00", "1", "1"]
+    assert f.split() == ["f", "2", "1", "2.50e-01", "0", "0", "0", "0"]
+    assert g.split() == ["g", "2", "0", "0.00e+00", "1", "1", "0", "0"]
+    # an exception that keeps its class and changes its message, and two
+    # that change their class
+    assert h.split() == ["h", "4", "1", "0.00e+00", "0", "0", "1", "2"]

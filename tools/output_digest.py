@@ -12,8 +12,10 @@ function.  Refactors that must keep outputs bit for bit compare two runs:
 Where the digests differ, ``--values FILE`` stores every record's raw value
 or raised exception, and ``--compare OLD NEW`` compares two such files
 record by record: per function, the records, how many are bit-identical,
-the largest move relative to the record's largest entry, and the records
-that switch between a value and an exception:
+the largest move relative to the record's largest entry, the records that
+switch between a value and an exception, and the exceptions that keep their
+class but change their message (``message``) or change their class
+(``class``):
 
     python tools/output_digest.py --src ../parent/src --values old.pkl
     python tools/output_digest.py --values new.pkl
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import pickle
 import sys
 from pathlib import Path
@@ -435,18 +438,70 @@ def sweep(gg, dims, rec: Digests):
         rec.record("EpsUnitary", gg.EpsUnitary, view(u.mat), p)
         rec.record("PositiveEpsUnitary", gg.PositiveEpsUnitary, view(mu.mat), p)
 
+    # invalid inputs at the public boundary: a matrix of the wrong
+    # dimension for every constructor and function that takes one over a
+    # context, bad counts, stacks and real parameters, and malformed
+    # matrices and files, from a generator of their own; last, so that the
+    # records above keep their places for --compare
+    se = importlib.import_module("grassgeo.serialize")
+    for n in dims:
+        seed = 1000 * n + 996
+        bad_rng = np.random.default_rng(seed)
+        p = gg.random_projection(n, max(1, n // 2), seed)
+        other = gg.linalg.random_invertible(n + 1, bad_rng)
+        for name in ("PartialIsometry", "TangentVector", "HpVector", "MoebiusMap",
+                     "EpsUnitary", "PositiveEpsUnitary", "classify", "in_lp",
+                     "unitary_extension", "projectivity", "is_eps_unitary"):
+            rec.record(name, getattr(gg, name), other, p)
+        mu = pos_eps_unitary(gg, p, 1.0, seed + 1)
+        times = np.array(T_GRID)
+        rec.record("cone_perturbed_path", gg.disk.cone_perturbed_path, mu, mu, other, times)
+        rec.record("eps_action", gg.eps_action, other, gg.cone_to_disk(mu))
+        rec.record("point_from_projection", gg.point_from_projection,
+                   gg.random_projection(n, max(1, n // 2) - 1, seed), p)
+        rec.record("geodesic_log", gg.geodesic_log, p, gg.random_projection(n + 1, 1, seed))
+        rec.record("random_projection", gg.random_projection, 0, 0, seed)
+        rec.record("random_projection", gg.random_projection, n, -1, seed)
+        rec.record("random_projection", gg.random_projection, 2.0, 1, seed)
+        z = tangent(gg, p, bad_rng, 0.7)
+        for resolution in (1, 2.5):
+            rec.record("Curve", lambda r=resolution: gg.Curve(lambda t: p, r).resolution)
+            rec.record("tangent_path_lengths", gg.tangent_path_lengths, p, z, [], resolution)
+        nan = np.full((n, n), np.nan)
+        for stack in (p.mat, np.zeros((3, n, n + 1)), np.stack([p.mat, nan, p.mat]),
+                      np.zeros((3, 0, 0))):
+            rec.record("chordal_steps", gg.grassmann.chordal_steps, stack)
+            rec.record("cone_polyline_steps", gg.disk.cone_polyline_steps, stack)
+        for t in (np.nan, np.inf, "x"):
+            rec.record("geodesic", gg.geodesic, p, z, t)
+            rec.record("power", lambda t=t: mu.power(t))
+        for norm in (np.nan, np.inf):
+            rec.record("random_tangent", gg.random_tangent, p, bad_rng, norm)
+            rec.record("random_hp_vector", gg.random_hp_vector, p, bad_rng, norm)
+            rec.record("random_pos_eps_unitary", gg.random_pos_eps_unitary, p, norm, seed)
+        for bad in ("abc", [[1.0, 2.0], [3.0]], [[]], nan):
+            rec.record("Projection", gg.Projection, bad)
+            rec.record("op_norm", gg.op_norm, bad)
+        rec.record("Tolerance", lambda: gg.Tolerance(np.inf, 1e-6).eq_tol)
+        rec.record("RunConfig", lambda: gg.RunConfig(dims=(2.5,)).dims)
+        rec.record("RunConfig", lambda: gg.RunConfig(trials=1.5).trials)
+        for obj in ({"kind": "point"}, {"kind": "point", "rep": se.matrix_to_obj(p.mat)},
+                    {"kind": "projection", "rows": 1e400, "cols": 1, "data": [[1.0, 0.0]]}):
+            rec.record("point_from_obj", se.point_from_obj, obj, p)
+
 
 def compare(old: list, new: list) -> list[str]:
     """Per function: records, bit-identical records, the largest move of a
-    value relative to its largest entry in ``old``, and the records that
-    switch from a value to an exception and back."""
+    value relative to its largest entry in ``old``, the records that switch
+    from a value to an exception and back, and the exceptions that keep
+    their class but change their message, and that change their class."""
     names = list(dict.fromkeys(name for name, _, _ in old + new))
     lines = [f"{'function':22s} {'records':>7s} {'identical':>9s} {'max_move':>9s} "
-             f"{'to_raise':>8s} {'to_value':>8s}"]
+             f"{'to_raise':>8s} {'to_value':>8s} {'message':>7s} {'class':>5s}"]
     for name in names:
         olds = [(data, vals) for key, data, vals in old if key == name]
         news = [(data, vals) for key, data, vals in new if key == name]
-        same = to_raise = to_value = 0
+        same = to_raise = to_value = message = changed = 0
         worst = 0.0
         for (a, va), (b, vb) in zip(olds, news):
             if a == b:
@@ -455,12 +510,18 @@ def compare(old: list, new: list) -> list[str]:
                 to_raise += 1
             elif va is None and vb is not None:
                 to_value += 1
-            elif va is not None:
+            elif va is None:
+                if a.split(":")[0] == b.split(":")[0]:
+                    message += 1
+                else:
+                    changed += 1
+            else:
                 scale = np.abs(va).max(initial=0.0) or 1.0
                 move = np.abs(va - vb).max(initial=0.0) / scale if va.shape == vb.shape else np.inf
                 worst = max(worst, move if np.isfinite(move) else np.inf)
         count = f"{len(olds)}" if len(olds) == len(news) else f"{len(olds)}/{len(news)}"
-        lines.append(f"{name:22s} {count:>7s} {same:9d} {worst:9.2e} {to_raise:8d} {to_value:8d}")
+        lines.append(f"{name:22s} {count:>7s} {same:9d} {worst:9.2e} {to_raise:8d} {to_value:8d} "
+                     f"{message:7d} {changed:5d}")
     return lines
 
 
